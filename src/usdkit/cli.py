@@ -3,7 +3,7 @@
 Verbs:
 
     usdkit build  --dim 3 --theta-deg 33 --out outdir
-    usdkit theory --dims 2:14 --theta-grid 5:65:13 --out theory.csv
+    usdkit theory --dims 2:14 --theta-grid 5:45:9 --out theory.csv
     usdkit run    --dim 6 --theta-deg 40 --reps 10 --seed 1 --out run.csv
     usdkit run    --dims 2:14 --overlap 0.7071067811865475 --percell-error 0.01 ...
     usdkit check  --dims 2:14
@@ -17,7 +17,8 @@ Angles are degrees at this boundary and radians inside.  Sweep output is CSV
 where theory-only rows leave the experiment columns empty and the aggregate
 row of a repeated point leaves the seed column empty.  Identical spec and
 seed give byte-identical output files.  Errors print one JSON object on
-stderr and exit nonzero.  The default output directory is $USDKIT_OUT_DIR.
+stderr and exit nonzero; when a sweep point fails, the object also names its
+dim, theta_deg and seed.  The default output directory is $USDKIT_OUT_DIR.
 """
 
 from __future__ import annotations
@@ -132,20 +133,28 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     Repetitions use seeds seed, seed+1, ...; when there is more than one, an
     aggregate row follows with the mean of the repetition means, the sample
     standard deviation across repetitions as its sigma, the verdict
-    recomputed from those, and an empty seed column.
+    recomputed from those, and an empty seed column.  An error raised at a
+    point carries that point's dim, theta_deg and seed (None before the first
+    repetition starts) in its ``point`` attribute.
     """
     rows = []
     for d in spec.dims:
         for th in _point_thetas(spec, d):
-            family, basis = states.build_family_and_basis(d, th)
-            point = theory.theory_point(d, th)
-            summaries = []
-            for k in range(spec.repetitions):
-                config = _config_for(spec, d, th, spec.seed + k)
-                record = experiment.run_experiment(family, basis, config)
-                summary = analysis.error_summary(analysis.outcome_table(record))
-                summaries.append(summary)
-                rows.append(_row(point, summary, config.rng_seed))
+            seed = None
+            try:
+                family, basis = states.build_family_and_basis(d, th)
+                point = theory.theory_point(d, th)
+                summaries = []
+                for k in range(spec.repetitions):
+                    seed = spec.seed + k
+                    config = _config_for(spec, d, th, seed)
+                    record = experiment.run_experiment(family, basis, config)
+                    summary = analysis.error_summary(analysis.outcome_table(record))
+                    summaries.append(summary)
+                    rows.append(_row(point, summary, config.rng_seed))
+            except (UsdError, ValueError) as exc:
+                exc.point = {"dim": d, "theta_deg": math.degrees(th), "seed": seed}
+                raise
             if spec.repetitions > 1:
                 means = np.array([s.mean_total_error for s in summaries])
                 agg_mean = float(means.mean())
@@ -317,6 +326,8 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     dims = _parse_dims(args) if (args.dims or args.dim) else tuple(range(2, 15))
     points = args.theta_points
+    if points < 1:
+        raise UsdError(f"--theta-points must be >= 1, got {points}")
     worst = {"completeness": 0.0, "zero_error": 0.0, "closure": 0.0, "theory_match": 0.0}
     for d in dims:
         tmax = theory.theta_max(d)
@@ -415,6 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (UsdError, ValueError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
+        payload.update(getattr(exc, "point", {}))
         print(json.dumps(payload), file=sys.stderr)
         return 1
 

@@ -14,7 +14,8 @@ class DomainError(UsdError, ValueError):
 
 
 class DegenerateFamilyError(UsdError, ValueError):
-    """Raised when a state family is too close to collinear to orthogonalize."""
+    """Raised when states or complements are too close to collinear, or a vector
+    set fails its structural checks."""
 
 
 class LiftabilityError(UsdError, ValueError):

@@ -1,11 +1,15 @@
 """Construction of the symmetric input states and the discrimination basis.
 
-The pipeline is: d maximally-separated unit vectors in d-1 dimensions are
-lifted by an angle theta onto a common axis to form the input states
-|Psi_i>; Gram-Schmidt orthogonalization against each (d-1)-subset yields the
-complement states |Psi-perp_i>; appending one ancilla component
+The pipeline is: d maximally-separated unit vectors |p_i> in d-1 dimensions
+are lifted by an angle theta onto a common axis |e> to form the input states
+|Psi_i> = sin(theta) |p_i> + cos(theta) |e>.  The complement states
+|Psi-perp_i>, orthogonal to every |Psi_j> with j != i, have the closed form
+(d-1) cos(theta) |p_i> + sin(theta) |e> (Chefles and Barnett, "Optimum
+unambiguous discrimination between linearly independent symmetric states",
+Phys. Lett. A 250, 223 (1998)).  Appending one ancilla component
 sqrt(-<Psi-perp_1|Psi-perp_2>) and normalizing produces d orthonormal
-measurement states |D_i>, completed by the inconclusive state |D_{d+1}>.
+measurement states |D_i>, completed by the inconclusive state |D_{d+1}>,
+which is the unit vector orthogonal to all of them.
 
 Measuring |D_i> identifies |Psi_i> with certainty; |D_{d+1}> gives no
 information.  Basis indices map to orbital-angular-momentum mode labels
@@ -168,96 +172,63 @@ def build_state_family(d: int, theta: float) -> StateFamily:
     return StateFamily(dim=d, theta=theta, vectors=vectors)
 
 
-def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass per vector."""
-    out: list[np.ndarray] = []
-    for row in rows:
-        u = np.array(row, dtype=float)
-        for _ in range(2):
-            for w in out:
-                u -= (w @ u) * w
-        norm = np.linalg.norm(u)
-        if norm < ORTHO_TOL:
-            raise DegenerateFamilyError(
-                "state subset is numerically rank deficient; cannot orthogonalize"
-            )
-        out.append(u / norm)
-    return np.array(out)
-
-
 def build_complements(family: StateFamily) -> ComplementSet:
-    """Complement vectors via Gram-Schmidt against each (d-1)-subset.
+    """Complement vectors in closed form.
 
-    Row i is the residual of |Psi_i> after projecting out the orthonormalized
-    span of the other states, so <Psi-perp_i|Psi_j> = 0 for j != i while
-    <Psi-perp_i|Psi_i> equals the squared residual norm and is positive.
+    With |Psi_i> = sin(theta) |p_i> + cos(theta) |e>, where the p_i are the
+    projected vectors and e the lift axis, row i is sin(theta) times
+    (d-1) cos(theta) |p_i> + sin(theta) |e>.  The p_i overlaps of -1/(d-1)
+    make it orthogonal to every |Psi_j>, j != i, while
+    <Psi-perp_i|Psi_i> = d sin^2(theta) cos(theta) is positive (Chefles and
+    Barnett, Phys. Lett. A 250, 223 (1998)).  Scaling the family's own rows
+    needs no division, so no cancellation enters as theta -> 0.
     """
     if family.theta < MIN_THETA:
         raise DegenerateFamilyError(
             f"theta={family.theta!r} leaves all states coincident; no complements exist"
         )
-    d = family.dim
-    vectors = np.zeros((d, d))
-    for i in range(d):
-        subset = np.delete(np.asarray(family.vectors), i, axis=0)
-        basis = _orthonormalize(subset)
-        residual = np.array(family.vectors[i])
-        for _ in range(2):
-            for w in basis:
-                residual -= (w @ residual) * w
-        if np.linalg.norm(residual) < ORTHO_TOL:
-            raise DegenerateFamilyError("complement vector vanished; family is degenerate")
-        if residual @ family.vectors[i] < 0.0:
-            residual = -residual
-        vectors[i] = residual
-    return ComplementSet(dim=d, theta=family.theta, vectors=vectors)
+    d, theta = family.dim, family.theta
+    vectors = np.array(family.vectors)
+    vectors[:, : d - 1] *= (d - 1) * math.cos(theta)
+    vectors[:, d - 1] = math.sin(theta) ** 2
+    return ComplementSet(dim=d, theta=theta, vectors=vectors)
 
 
 def lift_to_basis(complements: ComplementSet) -> DiscriminationBasis:
     """Extend the complements by one ancilla dimension into an orthonormal basis.
 
-    Each measurement state is the normalized |Psi-perp_i> +
-    sqrt(-<Psi-perp_1|Psi-perp_2>) |d+1>; the common ancilla weight cancels
-    the equal negative overlaps.  The inconclusive state is the remaining
-    basis direction, found by Gram-Schmidt against the first d rows, with its
-    ancilla component fixed positive.
+    Each measurement state is the normalized |Psi-perp_i> + a |d+1> with
+    a = sqrt(-<Psi-perp_1|Psi-perp_2>); the common ancilla weight cancels the
+    equal negative overlaps.  The inconclusive state is the normalized
+    (-a C^-1 1, 1), where C holds the complements as rows: it is orthogonal to
+    every lifted row and keeps its ancilla component positive.  For the
+    complements of a symmetric family it equals
+    (0, ..., 0, -sqrt((d-1) cos^2(theta) - sin^2(theta)), sin(theta)) /
+    (cos(theta) sqrt(d-1)).
     """
     d = complements.dim
     comp = np.asarray(complements.vectors)
     mutual = float(comp[0] @ comp[1])
-    scale = np.linalg.norm(comp[0]) * np.linalg.norm(comp[1])
-    if mutual > ORTHO_TOL * max(scale, 1.0):
+    scale = float(np.linalg.norm(comp[0]) * np.linalg.norm(comp[1]))
+    if mutual > ORTHO_TOL * scale:
         raise LiftabilityError(
             "complement overlap is positive; the states admit no single-ancilla "
             f"orthonormal lift (<perp_1|perp_2> = {mutual!r})"
         )
     # sqrt would amplify a float-level residual overlap into a visible
-    # ancilla weight; the fully orthogonal case gets an exact zero
-    if -mutual <= 1e-13 * max(scale, 1.0):
-        mutual = 0.0
-    ancilla = math.sqrt(max(-mutual, 0.0))
-    vectors = np.zeros((d + 1, d + 1))
-    for i in range(d):
-        lifted = np.concatenate([comp[i], [ancilla]])
-        vectors[i] = lifted / np.linalg.norm(lifted)
-    # complete the basis: take the standard axis with the largest residual
-    best_residual, best_norm = None, -1.0
-    for k in range(d, -1, -1):
-        residual = np.zeros(d + 1)
-        residual[k] = 1.0
-        for _ in range(2):
-            for w in vectors[:d]:
-                residual -= (w @ residual) * w
-        norm = np.linalg.norm(residual)
-        if norm > best_norm:
-            best_residual, best_norm = residual, norm
-    inconclusive = best_residual / best_norm
-    anchor = inconclusive[d]
-    if abs(anchor) <= EXACT_TOL:
-        anchor = inconclusive[int(np.argmax(np.abs(inconclusive)))]
-    if anchor < 0.0:
-        inconclusive = -inconclusive
-    vectors[d] = inconclusive
+    # ancilla weight; the fully orthogonal case gets an exact zero.  Both
+    # thresholds are relative: complement norms shrink like sin(theta)^2.
+    ancilla = 0.0 if -mutual <= 1e-13 * scale else math.sqrt(-mutual)
+    vectors = np.empty((d + 1, d + 1))
+    vectors[:d, :d] = comp
+    vectors[:d, d] = ancilla
+    vectors[:d] /= np.linalg.norm(vectors[:d], axis=1)[:, None]
+    try:
+        vectors[d, :d] = -ancilla * np.linalg.solve(comp, np.ones(d))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFamilyError("complement vectors are linearly dependent") from exc
+    vectors[d, d] = 1.0
+    vectors[d] /= np.linalg.norm(vectors[d])
     return DiscriminationBasis(dim=d, theta=complements.theta, vectors=vectors)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from usdkit import cli, states
+from usdkit import cli, states, theory
 from usdkit.cli import CSV_COLUMNS, SweepSpec, run_sweep, theory_rows
 
 
@@ -214,3 +214,48 @@ def test_check_passes_for_small_grid(capsys):
     assert code == 0
     assert "all invariants within tolerance" in out
     assert out.count("d=") == 4
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_check_rejects_empty_theta_grid(capsys, points):
+    code, out, err = invoke(capsys, "check", "--dims", "2:3", "--theta-points", points)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsdError"
+    assert "--theta-points" in payload["message"]
+
+
+# ----------------------------------------------------------- error context
+
+
+def test_run_error_names_failing_point(capsys):
+    overlap = 0.7071067811865476
+    code, _, err = invoke(
+        capsys,
+        "run", "--dim", "14", "--overlap", str(overlap), "--percell-error", "0.01",
+        "--max-rate", "22", "--sigma-spiral", "2.4", "--seed", "115", "--reps", "1",
+    )
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "DegenerateRowError"
+    assert payload["dim"] == 14
+    assert payload["seed"] == 115
+    assert payload["theta_deg"] == pytest.approx(
+        math.degrees(theory.theta_for_overlap(14, overlap)), abs=1e-12
+    )
+
+
+# ----------------------------------------------------------------- docs
+
+
+def test_docstring_theory_example_runs(tmp_path, capsys):
+    line = next(
+        line.split() for line in cli.__doc__.splitlines() if line.strip().startswith("usdkit theory")
+    )
+    argv = line[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "theory.csv")
+    code, _, err = invoke(capsys, *argv)
+    assert code == 0, err
+    lines = (tmp_path / "theory.csv").read_text().splitlines()
+    assert len(lines) == 1 + 13 * 9

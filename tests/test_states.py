@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usdkit import states, theory
 from usdkit.errors import (
@@ -208,6 +210,72 @@ def test_lift_rejects_positive_complement_overlap():
     )
     with pytest.raises(LiftabilityError):
         states.lift_to_basis(bad)
+
+
+def test_lift_rejects_linearly_dependent_complements():
+    # complements of linearly independent states are independent themselves
+    dependent = states.ComplementSet(
+        dim=2, theta=0.4, vectors=np.array([[1.0, -1.0], [-1.0, 1.0]])
+    )
+    with pytest.raises(DegenerateFamilyError):
+        states.lift_to_basis(dependent)
+
+
+@st.composite
+def dim_and_theta(draw):
+    """A dimension in [2, 100] and an angle in [MIN_THETA, theta_max(d)].
+
+    Half the angles are drawn on a log scale so that tiny angles are common.
+    """
+    d = draw(st.integers(min_value=2, max_value=100))
+    tmax = theory.theta_max(d)
+    theta = draw(
+        st.floats(min_value=states.MIN_THETA, max_value=tmax)
+        | st.floats(min_value=math.log(states.MIN_THETA), max_value=math.log(tmax)).map(
+            lambda x: min(max(math.exp(x), states.MIN_THETA), tmax)
+        )
+    )
+    return d, theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim_and_theta())
+def test_invariants_hold_over_whole_domain(point):
+    d, theta = point
+    family, basis = states.build_family_and_basis(d, theta)
+    vectors = np.asarray(basis.vectors)
+    assert np.max(np.abs(vectors @ vectors.T - np.eye(d + 1))) < 1e-10
+    assert basis.completeness_residual() < 1e-10
+    probs = (states.embedded_vectors(family) @ vectors.T) ** 2
+    assert np.max(probs[:, :d][~np.eye(d, dtype=bool)]) < 1e-20
+    p_suc, _, p_inc = theory.usd_probabilities(d, theta)
+    assert np.max(np.abs(np.diag(probs[:, :d]) - p_suc)) < 1e-12
+    assert np.max(np.abs(probs[:, d] - p_inc)) < 1e-12
+
+
+def reference_basis(family):
+    """Dual rows by a linear solve, lifted by the ancilla, completed by SVD."""
+    psi = np.asarray(family.vectors)
+    d = family.dim
+    dual = np.linalg.solve(psi, np.eye(d)).T  # dual[i] @ psi[j] == delta_ij
+    ancilla = math.sqrt(-(dual[0] @ dual[1]))
+    lifted = np.hstack([dual, np.full((d, 1), ancilla)])
+    lifted /= np.linalg.norm(lifted, axis=1)[:, None]
+    null = np.linalg.svd(lifted)[2][-1]
+    return np.vstack([lifted, null])
+
+
+# the fractions stay off both ends of the domain, where the reference itself
+# loses digits: its linear solve near theta = 0 and the sqrt of a cancelling
+# overlap near theta_max
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 14, 40, 100]), st.floats(min_value=0.05, max_value=0.95))
+def test_basis_matches_independent_reference(d, fraction):
+    theta = fraction * theory.theta_max(d)
+    family, basis = states.build_family_and_basis(d, theta)
+    reference = reference_basis(family)
+    for row, ref in zip(np.asarray(basis.vectors), reference):
+        assert min(np.max(np.abs(row - ref)), np.max(np.abs(row + ref))) < 1e-12
 
 
 @pytest.mark.parametrize("d", CHECK_DIMS)
