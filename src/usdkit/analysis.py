@@ -114,14 +114,8 @@ def gaussian_propagation(record: CountsRecord) -> np.ndarray:
     including the common S_Ai factor and the per-column S_Bk factors.
     """
     q = quantum_contrast(record)
-    excess = q - 1.0
-    denominators = excess.sum(axis=1)
-    bad = np.where(denominators <= 0.0)[0]
-    if bad.size:
-        raise DegenerateRowError(
-            f"row {int(bad[0])} has nonpositive contrast excess; sigma is undefined"
-        )
-    p = excess / denominators[:, None]
+    p = normalize_probabilities(q)
+    denominators = (q - 1.0).sum(axis=1)
     c = np.asarray(record.coincidences, dtype=float)
     sa = np.asarray(record.singles_a, dtype=float)
     sb = np.asarray(record.singles_b, dtype=float)

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,23 +55,20 @@ OUT_DIR_ENV = "USDKIT_OUT_DIR"
 class SweepSpec:
     """One reproducible sweep request (the serializable CLI contract)."""
 
-    mode: str
     dims: tuple[int, ...]
     thetas: tuple[float, ...] | None = None
     fixed_overlap: float | None = None
     repetitions: int = 1
     seed: int = 0
-    integration_time: float = 30.0
-    coincidence_window: float = 25e-9
-    max_coincidence_rate: float = 350.0
-    spiral_bandwidth_sigma: float = 2.4
-    crosstalk_epsilon: float = 0.0
+    integration_time: float = experiment.ExperimentConfig.integration_time
+    coincidence_window: float = experiment.ExperimentConfig.coincidence_window
+    max_coincidence_rate: float = experiment.ExperimentConfig.max_coincidence_rate
+    spiral_bandwidth_sigma: float = experiment.ExperimentConfig.spiral_bandwidth_sigma
+    crosstalk_epsilon: float = experiment.ExperimentConfig.crosstalk_epsilon
     percell_error: float | None = None
-    singles_rate_scale: float = 500.0
+    singles_rate_scale: float = experiment.ExperimentConfig.singles_rate_scale
 
     def __post_init__(self):
-        if self.mode not in ("theta_sweep", "dimension_sweep", "single_point"):
-            raise UsdError(f"unknown sweep mode {self.mode!r}")
         if not self.dims:
             raise UsdError("sweep needs at least one dimension")
         if (self.thetas is None) == (self.fixed_overlap is None):
@@ -214,7 +211,10 @@ def _parse_dims(args) -> tuple[int, ...]:
 def _parse_theta_grid(spec: str) -> tuple[float, ...]:
     if ":" in spec:
         start, stop, count = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        count = int(count)
+        if count < 1:
+            raise UsdError(f"--theta-grid needs a count >= 1, got {count}")
+        grid = np.linspace(float(start), float(stop), count)
         return tuple(math.radians(x) for x in grid)
     return tuple(math.radians(float(part)) for part in spec.split(","))
 
@@ -231,57 +231,85 @@ def _resolve_out(args, default_name: str | None = None) -> str | None:
     return out
 
 
-def _spec_from_args(args, mode: str) -> SweepSpec:
+def _check_config_value(key: str, value) -> None:
+    """Reject a config-file value that the SweepSpec field cannot take."""
+    if key == "percell_error" and value is None:
+        return
+    integer = key in ("seed", "repetitions")
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise UsdError(f"config key {key!r} must be {kind}, got {value!r}")
+    if not math.isfinite(value):
+        raise UsdError(f"config key {key!r} must be finite, got {value!r}")
+
+
+def _spec_from_args(args) -> SweepSpec:
+    """Resolve the sweep request; flags (dest = SweepSpec field) beat --config keys."""
     dims = _parse_dims(args)
     thetas = None
     fixed_overlap = None
-    if getattr(args, "theta_grid", None):
+    if args.theta_grid:
         thetas = _parse_theta_grid(args.theta_grid)
-    elif getattr(args, "theta_deg", None) is not None:
+    elif args.theta_deg is not None:
         thetas = (math.radians(args.theta_deg),)
-    elif getattr(args, "overlap", None) is not None:
+    elif args.overlap is not None:
         fixed_overlap = args.overlap
     else:
         raise UsdError("provide --theta-deg, --theta-grid, or --overlap")
-    known = (
-        "integration_time",
-        "coincidence_window",
-        "max_coincidence_rate",
-        "spiral_bandwidth_sigma",
-        "crosstalk_epsilon",
-        "percell_error",
-        "singles_rate_scale",
-        "seed",
-        "repetitions",
+    known = tuple(
+        f.name for f in fields(SweepSpec) if f.name not in ("dims", "thetas", "fixed_overlap")
     )
-    file_defaults = {}
+    merged = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
-            file_defaults = json.load(handle)
-        unknown = sorted(set(file_defaults) - set(known))
+            merged = json.load(handle)
+        if not isinstance(merged, dict):
+            raise UsdError(f"--config must hold a JSON object, got {type(merged).__name__}")
+        unknown = sorted(set(merged) - set(known))
         if unknown:
             raise UsdError(f"unknown config keys {unknown}; accepted: {sorted(known)}")
-    merged = dict(file_defaults)
+        for key, value in merged.items():
+            _check_config_value(key, value)
     for key in known:
-        flag = {
-            "crosstalk_epsilon": "epsilon",
-            "spiral_bandwidth_sigma": "sigma_spiral",
-            "max_coincidence_rate": "max_rate",
-            "singles_rate_scale": "singles_rate",
-            "repetitions": "reps",
-        }.get(key, key)
-        value = getattr(args, flag, None)
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    merged.setdefault("seed", 0)
-    merged.setdefault("repetitions", 1)
-    return SweepSpec(mode=mode, dims=dims, thetas=thetas, fixed_overlap=fixed_overlap, **merged)
+    return SweepSpec(dims=dims, thetas=thetas, fixed_overlap=fixed_overlap, **merged)
+
+
+#: Bounds of ``usdkit check``: every residual it reports must stay below its bound.
+CHECK_GATES = {"completeness": 1e-10, "zero_error": 1e-20, "closure": 1e-12, "theory_match": 1e-12}
+
+
+def _residuals(family: states.StateFamily, basis: states.DiscriminationBasis) -> dict[str, float]:
+    """Construction invariants of one built point, each a max absolute deviation.
+
+    orthonormality: basis Gram matrix from the identity; completeness: sum of
+    the basis projectors from the identity; zero_error: largest conclusive
+    probability of a wrong outcome; closure: success plus inconclusive
+    probability from one; theory_match: detection probabilities from the
+    closed-form p_suc and p_inc.
+    """
+    d = family.dim
+    vectors = np.asarray(basis.vectors)
+    detection = experiment.ideal_detection_matrix(family, basis)
+    success, inconclusive = np.diag(detection[:, :d]), detection[:, d]
+    p_suc, _, p_inc = theory.usd_probabilities(d, family.theta)
+    return {
+        "orthonormality": float(np.max(np.abs(vectors @ vectors.T - np.eye(d + 1)))),
+        "completeness": basis.completeness_residual(),
+        "zero_error": float(np.max(detection[:, :d][~np.eye(d, dtype=bool)])),
+        "closure": float(np.max(np.abs(success + inconclusive - 1.0))),
+        "theory_match": max(
+            float(np.max(np.abs(success - p_suc))),
+            float(np.max(np.abs(inconclusive - p_inc))),
+        ),
+    }
 
 
 def cmd_build(args) -> int:
     d = int(args.dim)
-    th = math.radians(args.theta_deg)
-    family, basis = states.build_family_and_basis(d, th)
+    family, basis = states.build_family_and_basis(d, math.radians(args.theta_deg))
     mapping = states.oam_map(d)
     outdir = _resolve_out(args, default_name="") or "."
     os.makedirs(outdir, exist_ok=True)
@@ -293,33 +321,20 @@ def cmd_build(args) -> int:
     for name, text in artifacts.items():
         with open(os.path.join(outdir, name), "w") as handle:
             handle.write(text + "\n")
-    gram = np.asarray(basis.vectors) @ np.asarray(basis.vectors).T
-    ortho_residual = float(np.max(np.abs(gram - np.eye(d + 1))))
-    detection = experiment.ideal_detection_matrix(family, basis)
-    off = ~np.eye(d, dtype=bool)
-    zero_error_residual = float(np.max(detection[:, :d][off]))
+    residuals = _residuals(family, basis)
     print(f"wrote family.json basis.json oam_map.json to {outdir}")
-    print(f"orthonormality residual: {ortho_residual:.3e}")
-    print(f"zero-error residual: {zero_error_residual:.3e}")
+    print(f"orthonormality residual: {residuals['orthonormality']:.3e}")
+    print(f"zero-error residual: {residuals['zero_error']:.3e}")
     return 0
 
 
 def cmd_theory(args) -> int:
-    spec = _spec_from_args(args, "theta_sweep" if getattr(args, "theta_grid", None) else "single_point")
-    write_rows(theory_rows(spec), _resolve_out(args), args.format)
+    write_rows(theory_rows(_spec_from_args(args)), _resolve_out(args), args.format)
     return 0
 
 
 def cmd_run(args) -> int:
-    dims = _parse_dims(args)
-    if len(dims) > 1:
-        mode = "dimension_sweep"
-    elif getattr(args, "theta_grid", None):
-        mode = "theta_sweep"
-    else:
-        mode = "single_point"
-    spec = _spec_from_args(args, mode)
-    write_rows(run_sweep(spec), _resolve_out(args), args.format)
+    write_rows(run_sweep(_spec_from_args(args)), _resolve_out(args), args.format)
     return 0
 
 
@@ -328,42 +343,17 @@ def cmd_check(args) -> int:
     points = args.theta_points
     if points < 1:
         raise UsdError(f"--theta-points must be >= 1, got {points}")
-    worst = {"completeness": 0.0, "zero_error": 0.0, "closure": 0.0, "theory_match": 0.0}
+    ok = True
     for d in dims:
         tmax = theory.theta_max(d)
-        d_worst = dict.fromkeys(worst, 0.0)
+        worst = dict.fromkeys(CHECK_GATES, 0.0)
         for k in range(1, points + 1):
-            th = k * tmax / points
-            family, basis = states.build_family_and_basis(d, th)
-            detection = experiment.ideal_detection_matrix(family, basis)
-            completeness = basis.completeness_residual()
-            off = ~np.eye(d, dtype=bool)
-            zero_error = float(np.max(detection[:, :d][off]))
-            p_suc, _, p_inc = theory.usd_probabilities(d, th)
-            closure = float(np.max(np.abs(np.diag(detection[:, :d]) + detection[:, d] - 1.0)))
-            match = max(
-                float(np.max(np.abs(np.diag(detection[:, :d]) - p_suc))),
-                float(np.max(np.abs(detection[:, d] - p_inc))),
-            )
-            for key, val in (
-                ("completeness", completeness),
-                ("zero_error", zero_error),
-                ("closure", closure),
-                ("theory_match", match),
-            ):
-                d_worst[key] = max(d_worst[key], val)
-                worst[key] = max(worst[key], val)
-        print(
-            f"d={d:2d}  completeness {d_worst['completeness']:.2e}  "
-            f"zero-error {d_worst['zero_error']:.2e}  closure {d_worst['closure']:.2e}  "
-            f"theory-match {d_worst['theory_match']:.2e}"
-        )
-    ok = (
-        worst["completeness"] < 1e-10
-        and worst["zero_error"] < 1e-20
-        and worst["closure"] < 1e-12
-        and worst["theory_match"] < 1e-12
-    )
+            residuals = _residuals(*states.build_family_and_basis(d, k * tmax / points))
+            for key in CHECK_GATES:
+                worst[key] = max(worst[key], residuals[key])
+        cells = "  ".join(f"{key.replace('_', '-')} {worst[key]:.2e}" for key in CHECK_GATES)
+        print(f"d={d:2d}  {cells}")
+        ok = ok and all(worst[key] < gate for key, gate in CHECK_GATES.items())
     print("all invariants within tolerance" if ok else "INVARIANT VIOLATION")
     return 0 if ok else 1
 
@@ -382,19 +372,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if experiment_flags:
             p.add_argument("--config", help="JSON file of sweep parameters; flags win")
-            p.add_argument("--epsilon", type=float, help="depolarizing noise strength")
+            p.add_argument("--epsilon", type=float, dest="crosstalk_epsilon",
+                           metavar="EPSILON", help="depolarizing noise strength")
             p.add_argument("--percell-error", type=float, dest="percell_error",
                            help="calibrate epsilon to this error per wrong conclusive outcome")
-            p.add_argument("--sigma-spiral", type=float, dest="sigma_spiral",
-                           help="spiral bandwidth envelope width")
-            p.add_argument("--singles-rate", type=float, dest="singles_rate",
-                           help="background singles rate per arm (Hz)")
-            p.add_argument("--max-rate", type=float, dest="max_rate",
-                           help="maximal coincidence rate (Hz)")
+            p.add_argument("--sigma-spiral", type=float, dest="spiral_bandwidth_sigma",
+                           metavar="SIGMA_SPIRAL", help="spiral bandwidth envelope width")
+            p.add_argument("--singles-rate", type=float, dest="singles_rate_scale",
+                           metavar="SINGLES_RATE", help="background singles rate per arm (Hz)")
+            p.add_argument("--max-rate", type=float, dest="max_coincidence_rate",
+                           metavar="MAX_RATE", help="maximal coincidence rate (Hz)")
             p.add_argument("--integration-time", type=float, dest="integration_time",
                            help="integration time per setting (s)")
             p.add_argument("--seed", type=int, help="base RNG seed")
-            p.add_argument("--reps", type=int, dest="reps", help="seeded repetitions per point")
+            p.add_argument("--reps", type=int, dest="repetitions", metavar="REPS",
+                           help="seeded repetitions per point")
 
     p_build = sub.add_parser("build", help="construct and serialize states, basis, OAM map")
     p_build.add_argument("--dim", type=int, required=True)

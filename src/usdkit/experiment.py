@@ -54,17 +54,18 @@ class ExperimentConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.integration_time <= 0.0:
+        # every check is written so that NaN fails it
+        if not self.integration_time > 0.0:
             raise ConfigurationError("integration_time must be positive")
-        if self.coincidence_window <= 0.0:
+        if not self.coincidence_window > 0.0:
             raise ConfigurationError("coincidence_window must be positive")
         if not 0.0 <= self.crosstalk_epsilon < 0.5:
             raise ConfigurationError("crosstalk_epsilon must lie in [0, 0.5)")
-        if self.spiral_bandwidth_sigma <= 0.0:
+        if not self.spiral_bandwidth_sigma > 0.0:
             raise ConfigurationError("spiral_bandwidth_sigma must be positive")
-        if self.max_coincidence_rate < 0.0:
+        if not self.max_coincidence_rate >= 0.0:
             raise ConfigurationError("max_coincidence_rate must be nonnegative")
-        if self.singles_rate_scale < 0.0:
+        if not self.singles_rate_scale >= 0.0:
             raise ConfigurationError("singles_rate_scale must be nonnegative")
 
 

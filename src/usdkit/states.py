@@ -30,7 +30,6 @@ import numpy as np
 from . import theory
 from .errors import (
     DegenerateFamilyError,
-    DomainError,
     InvalidDimensionError,
     LiftabilityError,
 )
@@ -133,22 +132,18 @@ class OamMap:
 def build_projected_vectors(d: int) -> np.ndarray:
     """The d maximally-separated unit vectors in d-1 dimensions.
 
-    Pairwise overlaps all equal -1/(d-1).  Constructed iteratively: the first
-    vector is (1, 0, ..., 0); for each later vector the leading components
-    follow from the overlap conditions with the previous vectors, the next
-    from normalization, and the rest are zero.
+    Pairwise overlaps all equal -1/(d-1).  Vector k is zero beyond column k,
+    its diagonal entry follows from normalization, and every later vector
+    shares its leading k entries h, so the overlap condition with vector k
+    gives all of column k below the diagonal as one value (-1/(d-1) - h.h)/v_kk.
     """
-    if int(d) != d or d < 2:
-        raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = theory._check_dim(d)
     target = -1.0 / (d - 1.0)
     v = np.zeros((d, d - 1))
-    v[0, 0] = 1.0
-    for i in range(1, d):
-        for k in range(min(i, d - 1)):
-            v[i, k] = (target - v[i, :k] @ v[k, :k]) / v[k, k]
-        if i <= d - 2:
-            v[i, i] = math.sqrt(1.0 - v[i, :i] @ v[i, :i])
+    for k in range(d - 1):
+        h = v[k, :k]
+        v[k, k] = math.sqrt(1.0 - h @ h)
+        v[k + 1 :, k] = (target - h @ h) / v[k, k]
     return v
 
 
@@ -159,12 +154,7 @@ def build_state_family(d: int, theta: float) -> StateFamily:
     same cos(theta) component along the lift axis and the pairwise overlap is
     (d cos^2(theta) - 1)/(d - 1).
     """
-    tmax = theory.theta_max(d)
-    if not (0.0 <= theta <= tmax + theory.THETA_TOL):
-        raise DomainError(
-            f"theta must lie in [0, {tmax!r}] rad (theta_max for d={d}); got {theta!r}"
-        )
-    theta = min(float(theta), tmax)
+    theta = theory._check_theta(d, theta)
     projected = build_projected_vectors(d)
     vectors = np.zeros((d, d))
     vectors[:, : d - 1] = math.sin(theta) * projected
@@ -253,9 +243,7 @@ def oam_map(d: int) -> OamMap:
     ancilla label breaks ties toward negative l (d=3 ancilla is -2, d=5 is
     -3), matching the published table in both conventions.
     """
-    if int(d) != d or d < 2:
-        raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = theory._check_dim(d)
     pool = range(-(d + 2), d + 3)
     by_state = sorted(pool, key=lambda ell: (abs(ell), 0 if ell > 0 else 1))
     states = tuple(sorted(by_state[:d]))

@@ -136,7 +136,6 @@ def test_criterion_5_pipeline_fidelity_noiseless():
 
 def test_criterion_6_dimension_sweep_classification():
     spec = SweepSpec(
-        mode="dimension_sweep",
         dims=tuple(GRID_DIMS),
         fixed_overlap=SQRT_HALF,
         repetitions=25,

@@ -8,6 +8,7 @@ import pytest
 
 from usdkit import cli, states, theory
 from usdkit.cli import CSV_COLUMNS, SweepSpec, run_sweep, theory_rows
+from usdkit.errors import UsdError
 
 
 def invoke(capsys, *argv):
@@ -80,9 +81,7 @@ def test_theory_sweep_endpoint_reaches_unity(tmp_path, capsys):
 
 
 def test_theory_rows_fixed_overlap_picks_theta_per_dim():
-    spec = SweepSpec(
-        mode="dimension_sweep", dims=(2, 6), fixed_overlap=2**-0.5
-    )
+    spec = SweepSpec(dims=(2, 6), fixed_overlap=2**-0.5)
     rows = theory_rows(spec)
     assert rows[0]["theta_deg"] == pytest.approx(22.5, abs=1e-10)
     assert rows[1]["theta_deg"] == pytest.approx(29.60661086515335, abs=1e-9)
@@ -144,7 +143,6 @@ def test_run_domain_error_reports_json(capsys):
 
 def test_run_sweep_percell_calibration():
     spec = SweepSpec(
-        mode="single_point",
         dims=(6,),
         thetas=(math.radians(40.0),),
         repetitions=1,
@@ -200,10 +198,75 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_spec_validation():
-    with pytest.raises(Exception):
-        SweepSpec(mode="single_point", dims=(3,), thetas=(0.5,), fixed_overlap=0.5)
-    with pytest.raises(Exception):
-        SweepSpec(mode="single_point", dims=())
+    with pytest.raises(UsdError):
+        SweepSpec(dims=(3,), thetas=(0.5,), fixed_overlap=0.5)
+    with pytest.raises(UsdError):
+        SweepSpec(dims=())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("repetitions", "3"),
+        ("repetitions", 2.0),
+        ("repetitions", True),
+        ("seed", None),
+        ("seed", False),
+        ("integration_time", "30"),
+        ("integration_time", float("nan")),
+        ("max_coincidence_rate", float("inf")),
+        ("crosstalk_epsilon", None),
+        ("percell_error", [0.01]),
+    ],
+)
+def test_config_file_rejects_bad_values(tmp_path, capsys, key, value):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({key: value}))
+    code, out, err = invoke(
+        capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsdError"
+    assert repr(key) in payload["message"]
+
+
+def test_config_file_accepts_null_percell_error_and_integer_floats(tmp_path, capsys):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({"percell_error": None, "integration_time": 30}))
+    code, _, err = invoke(
+        capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
+    )
+    assert code == 0, err
+
+
+def test_config_file_must_be_an_object(tmp_path, capsys):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text("3")
+    code, _, err = invoke(
+        capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
+    )
+    assert code == 1
+    assert json.loads(err)["error"] == "UsdError"
+
+
+@pytest.mark.parametrize("flag", ["--integration-time", "--sigma-spiral"])
+def test_run_rejects_nan_config_as_json(capsys, flag):
+    code, out, err = invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", flag, "nan")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigurationError"
+    assert "must be positive" in payload["message"]
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_theory_rejects_empty_theta_grid(capsys, count):
+    code, out, err = invoke(capsys, "theory", "--dim", "3", "--theta-grid", f"5:45:{count}")
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsdError"
+    assert "--theta-grid" in payload["message"]
 
 
 # ------------------------------------------------------------------ check

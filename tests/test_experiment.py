@@ -195,12 +195,19 @@ def test_low_singles_headroom_raises():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        experiment.ExperimentConfig(dim=3, theta=0.5, integration_time=0.0)
-    with pytest.raises(ConfigurationError):
-        experiment.ExperimentConfig(dim=3, theta=0.5, crosstalk_epsilon=0.5)
-    with pytest.raises(ConfigurationError):
-        experiment.ExperimentConfig(dim=3, theta=0.5, spiral_bandwidth_sigma=0.0)
+    for overrides in (
+        {"integration_time": 0.0},
+        {"crosstalk_epsilon": 0.5},
+        {"spiral_bandwidth_sigma": 0.0},
+        {"integration_time": math.nan},
+        {"coincidence_window": math.nan},
+        {"crosstalk_epsilon": math.nan},
+        {"spiral_bandwidth_sigma": math.nan},
+        {"max_coincidence_rate": math.nan},
+        {"singles_rate_scale": math.nan},
+    ):
+        with pytest.raises(ConfigurationError):
+            experiment.ExperimentConfig(dim=3, theta=0.5, **overrides)
 
 
 def test_config_mismatch_rejected():

@@ -66,6 +66,25 @@ def test_projected_vectors_structure(d):
     assert np.max(np.abs(off + 1.0 / (d - 1))) < 1e-12
 
 
+def projected_vectors_reference(d):
+    """Entry-by-entry construction: every overlap condition solved on its own."""
+    target = -1.0 / (d - 1.0)
+    v = np.zeros((d, d - 1))
+    v[0, 0] = 1.0
+    for i in range(1, d):
+        for k in range(min(i, d - 1)):
+            v[i, k] = (target - v[i, :k] @ v[k, :k]) / v[k, k]
+        if i <= d - 2:
+            v[i, i] = math.sqrt(1.0 - v[i, :i] @ v[i, :i])
+    return v
+
+
+def test_projected_vectors_match_entrywise_reference():
+    # same arithmetic per entry, so the bytes must agree, not just the values
+    for d in [*range(2, 41), 64, 100]:
+        assert states.build_projected_vectors(d).tobytes() == projected_vectors_reference(d).tobytes()
+
+
 def test_projected_vectors_invalid_dimension():
     with pytest.raises(InvalidDimensionError):
         states.build_projected_vectors(1)
