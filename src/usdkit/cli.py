@@ -197,26 +197,31 @@ def write_rows(rows: list[dict], path: str | None, fmt: str) -> str:
 
 
 def _parse_dims(args) -> tuple[int, ...]:
-    if args.dims:
-        spec = args.dims
-        if ":" in spec:
-            lo, hi = spec.split(":")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(part) for part in spec.split(","))
-    if args.dim is not None:
+    if not args.dims:
+        if args.dim is None:
+            raise UsdError("provide --dim or --dims")
         return (int(args.dim),)
-    raise UsdError("provide --dim or --dims")
+    lo, colon, hi = args.dims.partition(":")
+    try:
+        dims = tuple(range(int(lo), int(hi) + 1) if colon else map(int, args.dims.split(",")))
+    except ValueError:
+        raise UsdError(f"--dims needs 'lo:hi' or a comma list, got {args.dims!r}") from None
+    if not dims:
+        raise UsdError(f"--dims {args.dims!r} selects no dimension")
+    return dims
 
 
 def _parse_theta_grid(spec: str) -> tuple[float, ...]:
-    if ":" in spec:
+    try:
+        if ":" not in spec:
+            return tuple(math.radians(float(part)) for part in spec.split(","))
         start, stop, count = spec.split(":")
-        count = int(count)
-        if count < 1:
-            raise UsdError(f"--theta-grid needs a count >= 1, got {count}")
-        grid = np.linspace(float(start), float(stop), count)
-        return tuple(math.radians(x) for x in grid)
-    return tuple(math.radians(float(part)) for part in spec.split(","))
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise UsdError(f"--theta-grid needs 'start:stop:count' or a list, got {spec!r}") from None
+    if count < 1:
+        raise UsdError(f"--theta-grid needs a count >= 1, got {count}")
+    return tuple(math.radians(x) for x in np.linspace(start, stop, count))
 
 
 def _resolve_out(args, default_name: str | None = None) -> str | None:
@@ -339,7 +344,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    dims = _parse_dims(args) if (args.dims or args.dim) else tuple(range(2, 15))
+    dims = _parse_dims(args) if (args.dims or args.dim is not None) else tuple(range(2, 15))
     points = args.theta_points
     if points < 1:
         raise UsdError(f"--theta-points must be >= 1, got {points}")

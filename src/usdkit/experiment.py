@@ -20,8 +20,9 @@ Modeling choices (all configurable, none dictated by the measured data):
   configuration is rejected if the background is too small for the
   coincidence counts it must dominate (the per-cell counts bound).
 
-Per-cell Poisson streams are derived from (seed, i, j), so a run is
-deterministic and independent of evaluation order.
+Every count has its own Poisson stream, keyed [seed, 2, i, j] for coincidence
+cell (i, j) and [seed, 0, i] / [seed, 1, j] for the singles of arm A / B, so a
+run is deterministic and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class ExperimentConfig:
             raise ConfigurationError("max_coincidence_rate must be nonnegative")
         if not self.singles_rate_scale >= 0.0:
             raise ConfigurationError("singles_rate_scale must be nonnegative")
+        if not self.rng_seed >= 0:
+            raise ConfigurationError(f"rng_seed must be nonnegative, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)

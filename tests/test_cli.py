@@ -269,6 +269,29 @@ def test_theory_rejects_empty_theta_grid(capsys, count):
     assert "--theta-grid" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("theory", "--dim", "3", "--theta-grid", "5:45"), "--theta-grid"),
+        (("theory", "--dim", "3", "--theta-grid", "5:45:x"), "--theta-grid"),
+        (("theory", "--dim", "3", "--theta-grid", "5,,45"), "--theta-grid"),
+        (("theory", "--dims", "2:x", "--theta-deg", "10"), "--dims"),
+        (("theory", "--dims", "2:3:4", "--theta-deg", "10"), "--dims"),
+        (("theory", "--dims", "2,,3", "--theta-deg", "10"), "--dims"),
+        (("check", "--dims", "2:x"), "--dims"),
+        (("theory", "--dims", "5:2", "--theta-deg", "10"), "--dims"),
+        (("run", "--dims", "5:2", "--theta-deg", "10"), "--dims"),
+        (("check", "--dims", "5:2"), "--dims"),
+    ],
+)
+def test_malformed_or_empty_grid_names_its_flag(capsys, argv, flag):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsdError"
+    assert flag in payload["message"]
+
+
 # ------------------------------------------------------------------ check
 
 
@@ -289,24 +312,41 @@ def test_check_rejects_empty_theta_grid(capsys, points):
     assert "--theta-points" in payload["message"]
 
 
+def test_check_single_dim_is_not_replaced_by_default_grid(capsys):
+    code, out, err = invoke(capsys, "check", "--dim", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidDimensionError"
+
+
 # ----------------------------------------------------------- error context
 
 
 def test_run_error_names_failing_point(capsys):
-    overlap = 0.7071067811865476
+    # at sigma = 2.4 most d = 40 states herald with weight ~exp(-30): no contrast
+    overlap = 0.5
     code, _, err = invoke(
         capsys,
-        "run", "--dim", "14", "--overlap", str(overlap), "--percell-error", "0.01",
-        "--max-rate", "22", "--sigma-spiral", "2.4", "--seed", "115", "--reps", "1",
+        "run", "--dim", "40", "--overlap", str(overlap), "--percell-error", "0.01",
+        "--seed", "115", "--reps", "1",
     )
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == "DegenerateRowError"
-    assert payload["dim"] == 14
+    assert payload["dim"] == 40
     assert payload["seed"] == 115
     assert payload["theta_deg"] == pytest.approx(
-        math.degrees(theory.theta_for_overlap(14, overlap)), abs=1e-12
+        math.degrees(theory.theta_for_overlap(40, overlap)), abs=1e-12
     )
+
+
+def test_run_negative_seed_is_a_config_error(capsys):
+    code, out, err = invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", "--seed", "-1")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigurationError"
+    assert "rng_seed" in payload["message"]
+    assert payload["dim"] == 3 and payload["seed"] == -1
+    assert payload["theta_deg"] == pytest.approx(30.0, abs=1e-12)
 
 
 # ----------------------------------------------------------------- docs

@@ -113,6 +113,23 @@ def test_run_experiment_deterministic():
     assert not np.array_equal(first.coincidences, third.coincidences)
 
 
+def test_run_experiment_draws_from_documented_keyed_streams():
+    seed, d = 2024, 5
+    family, basis, config = make_setup(d, 0.55, rng_seed=seed)
+    record = experiment.run_experiment(family, basis, config)
+    means = experiment.expected_record(family, basis, config)
+
+    def draw(mean, *key):
+        return np.random.default_rng([seed, *key]).poisson(mean)
+
+    for i in range(d):
+        for j in range(d + 1):
+            assert record.coincidences[i, j] == draw(means.coincidences[i, j], 2, i, j)
+        assert record.singles_a[i] == draw(means.singles_a[i], 0, i)
+    for j in range(d + 1):
+        assert record.singles_b[j] == draw(means.singles_b[j], 1, j)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 17])
 def test_counts_record_invariants(seed):
     family, basis, config = make_setup(6, math.radians(40.0), rng_seed=seed)
@@ -205,6 +222,7 @@ def test_config_validation():
         {"spiral_bandwidth_sigma": math.nan},
         {"max_coincidence_rate": math.nan},
         {"singles_rate_scale": math.nan},
+        {"rng_seed": -1},
     ):
         with pytest.raises(ConfigurationError):
             experiment.ExperimentConfig(dim=3, theta=0.5, **overrides)
