@@ -16,6 +16,7 @@ from .analysis import (
     normalize_probabilities,
     outcome_table,
     quantum_contrast,
+    summarize_probabilities,
 )
 from .errors import (
     ConfigurationError,
@@ -37,6 +38,7 @@ from .experiment import (
     expected_record,
     ideal_detection_matrix,
     run_experiment,
+    run_repetitions,
     spiral_weights,
 )
 from .states import (

@@ -6,7 +6,9 @@ against the accidental rate of two independent streams (s are singles rates,
 t the coincidence window), so uncorrelated settings sit at Q = 1.  The
 contrast is converted to probabilities by P_ij = (Q_ij - 1)/sum_j(Q_ij - 1);
 negative (Q_ij - 1) values from noise are kept, not clipped.  Uncertainties
-come from first-order Gaussian propagation of sqrt(N) count deviations.
+come from first-order Gaussian propagation of sqrt(N) count deviations; only
+``outcome_table`` computes them.  The sweep's ``mean_error_sigma`` is instead
+the sample spread of the per-state errors (``summarize_probabilities``).
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ class OutcomeTable:
         d = self.dim
         if p.shape != (d, d + 1) or s.shape != (d, d + 1) or q.shape != (d, d + 1):
             raise InvalidDimensionError("outcome matrices must have shape (d, d+1)")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
-            raise DegenerateRowError("probability rows must sum to one")
+        _check_row_sums(p)
         if np.any(s < 0.0) or not np.all(np.isfinite(s)):
             raise DegenerateRowError("sigmas must be nonnegative and finite")
 
@@ -86,12 +87,18 @@ def quantum_contrast(record: CountsRecord) -> np.ndarray:
     return c * record.integration_time / (sa[:, None] * sb[None, :] * record.coincidence_window)
 
 
+def _check_row_sums(p: np.ndarray) -> None:
+    if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
+        raise DegenerateRowError("probability rows must sum to one")
+
+
 def normalize_probabilities(contrast: np.ndarray) -> np.ndarray:
     """Row-normalize (Q - 1) into probabilities; keeps negative entries.
 
     Raises:
         DegenerateRowError: if a row of Q - 1 sums to a nonpositive value,
-            meaning that preparation shows no correlated signal.
+            meaning that preparation shows no correlated signal, or if a
+            nearly cancelling row fails to sum to one within 1e-12.
     """
     excess = np.asarray(contrast, dtype=float) - 1.0
     denominators = excess.sum(axis=1)
@@ -101,7 +108,9 @@ def normalize_probabilities(contrast: np.ndarray) -> np.ndarray:
             f"row {int(bad[0])} has nonpositive contrast excess {denominators[bad[0]]!r}; "
             "no correlated signal in that preparation"
         )
-    return excess / denominators[:, None]
+    p = excess / denominators[:, None]
+    _check_row_sums(p)
+    return p
 
 
 def gaussian_propagation(record: CountsRecord) -> np.ndarray:
@@ -115,25 +124,24 @@ def gaussian_propagation(record: CountsRecord) -> np.ndarray:
     """
     q = quantum_contrast(record)
     p = normalize_probabilities(q)
-    denominators = (q - 1.0).sum(axis=1)
-    c = np.asarray(record.coincidences, dtype=float)
+    denominators = (q - 1.0).sum(axis=1)[:, None]
     sa = np.asarray(record.singles_a, dtype=float)
     sb = np.asarray(record.singles_b, dtype=float)
-    var_c = np.maximum(c, 1.0)
-    var_sa = np.maximum(sa, 1.0)
-    var_sb = np.maximum(sb, 1.0)
-    d_plus_1 = record.dim + 1
+    var_c = np.maximum(np.asarray(record.coincidences, dtype=float), 1.0)
+
+    def spread(w):
+        # sum_k (delta_jk - P_ij)^2 w_ik for every (i, j); the k != j part comes from
+        # exclusive prefix and suffix sums, so unlike row_sum - w_ij nothing cancels
+        pad = np.zeros((len(w), 1))
+        others = np.cumsum(np.hstack([pad, w[:, :-1]]), axis=1)
+        others += np.cumsum(np.hstack([pad, w[:, :0:-1]]), axis=1)[:, ::-1]
+        return (1.0 - p) ** 2 * w + p**2 * others
+
     dq_dc = record.integration_time / (sa[:, None] * sb[None, :] * record.coincidence_window)
-    identity = np.eye(d_plus_1)
-    variances = np.zeros_like(p)
-    for i in range(record.dim):
-        # selector[j, k] = delta_jk - P_ij: how cell k of the row moves P_ij
-        selector = identity - p[i][:, None]
-        coincidence_terms = (selector * dq_dc[i][None, :] / denominators[i]) ** 2 @ var_c[i]
-        column_terms = (selector * q[i][None, :] / (denominators[i] * sb[None, :])) ** 2 @ var_sb
-        row_term = (q[i] - p[i] * q[i].sum()) / (denominators[i] * sa[i])
-        variances[i] = coincidence_terms + column_terms + row_term**2 * var_sa[i]
-    return np.sqrt(variances)
+    coincidence_terms = spread((dq_dc / denominators) ** 2 * var_c)
+    column_terms = spread((q / (denominators * sb[None, :])) ** 2 * np.maximum(sb, 1.0))
+    row_term = (q - p * q.sum(axis=1, keepdims=True)) / (denominators * sa[:, None])
+    return np.sqrt(coincidence_terms + column_terms + row_term**2 * np.maximum(sa, 1.0)[:, None])
 
 
 def outcome_table(record: CountsRecord) -> OutcomeTable:
@@ -157,31 +165,39 @@ def classify(mean_total_error: float, mean_error_sigma: float, mesd_bound: float
     return VERDICT_OVERLAPPING
 
 
-def error_summary(table: OutcomeTable, mesd_bound: float | None = None) -> ErrorSummary:
-    """Per-state and mean error rates of a run, classified against MESD.
+def summarize_probabilities(
+    probabilities: np.ndarray, theta: float, mesd_bound: float | None = None
+) -> ErrorSummary:
+    """Per-state and mean error rates of a probability matrix, classified against MESD.
 
     The per-state error sums the conclusive off-diagonal probabilities of a
     row; the mean averages over input states.  ``mean_error_sigma`` is the
     sample standard deviation of the per-state errors, i.e. the spread
-    attached to the mean point when classifying it against the bound, and the
-    verdict is below_by_one_sigma / overlapping / above accordingly.
+    attached to the mean point when classifying it against the bound (by
+    default ``theory.mesd_bound`` at (d, theta)), and the verdict is
+    below_by_one_sigma / overlapping / above accordingly.
     """
-    d = table.dim
-    p = np.asarray(table.probabilities)
+    p = np.asarray(probabilities)
+    d = p.shape[0]
     off_diagonal = ~np.eye(d, dtype=bool)
     per_state = np.where(off_diagonal, p[:, :d], 0.0).sum(axis=1)
     mean_error = float(per_state.mean())
     sigma = float(per_state.std(ddof=1)) if d > 1 else 0.0
-    bound = theory.mesd_bound(d, table.theta) if mesd_bound is None else float(mesd_bound)
+    bound = theory.mesd_bound(d, theta) if mesd_bound is None else float(mesd_bound)
     return ErrorSummary(
         dim=d,
-        theta=table.theta,
+        theta=theta,
         per_state_error=tuple(float(e) for e in per_state),
         mean_total_error=mean_error,
         mean_error_sigma=sigma,
         mesd_bound=bound,
         verdict=classify(mean_error, sigma, bound),
     )
+
+
+def error_summary(table: OutcomeTable, mesd_bound: float | None = None) -> ErrorSummary:
+    """``summarize_probabilities`` of an outcome table's probabilities."""
+    return summarize_probabilities(table.probabilities, table.theta, mesd_bound)
 
 
 def outcome_to_json(table: OutcomeTable) -> str:

@@ -100,7 +100,11 @@ def _config_for(spec: SweepSpec, d: int, th: float, seed: int) -> experiment.Exp
     )
 
 
-def _row(point: theory.TheoryPoint, summary: analysis.ErrorSummary | None, seed: int | None) -> dict:
+def _row(
+    point: theory.TheoryPoint, seed: int | None = None, mean: float | None = None,
+    sigma: float | None = None,
+) -> dict:
+    """One output row; a measured ``mean`` and ``sigma`` get their verdict."""
     return {
         "dim": point.dim,
         "theta_deg": math.degrees(point.theta),
@@ -108,9 +112,9 @@ def _row(point: theory.TheoryPoint, summary: analysis.ErrorSummary | None, seed:
         "p_suc_theory": point.p_suc,
         "p_inc_theory": point.p_inc,
         "mesd_bound": point.mesd_bound,
-        "mean_total_error": None if summary is None else summary.mean_total_error,
-        "mean_error_sigma": None if summary is None else summary.mean_error_sigma,
-        "verdict": None if summary is None else summary.verdict,
+        "mean_total_error": mean,
+        "mean_error_sigma": sigma,
+        "verdict": None if mean is None else analysis.classify(mean, sigma, point.mesd_bound),
         "seed": seed,
     }
 
@@ -120,7 +124,7 @@ def theory_rows(spec: SweepSpec) -> list[dict]:
     rows = []
     for d in spec.dims:
         for th in _point_thetas(spec, d):
-            rows.append(_row(theory.theory_point(d, th), None, None))
+            rows.append(_row(theory.theory_point(d, th)))
     return rows
 
 
@@ -141,29 +145,21 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             try:
                 family, basis = states.build_family_and_basis(d, th)
                 point = theory.theory_point(d, th)
-                summaries = []
-                for k in range(spec.repetitions):
-                    seed = spec.seed + k
-                    config = _config_for(spec, d, th, seed)
-                    record = experiment.run_experiment(family, basis, config)
-                    summary = analysis.error_summary(analysis.outcome_table(record))
-                    summaries.append(summary)
-                    rows.append(_row(point, summary, config.rng_seed))
+                seeds = range(spec.seed, spec.seed + spec.repetitions)
+                seed = seeds[0]  # seed-independent failures name the first seed
+                config = _config_for(spec, d, th, seed)
+                records = experiment.run_repetitions(family, basis, config, seeds)
+                means = []
+                for seed in seeds:
+                    p = analysis.normalize_probabilities(analysis.quantum_contrast(next(records)))
+                    summary = analysis.summarize_probabilities(p, th, point.mesd_bound)
+                    means.append(summary.mean_total_error)
+                    rows.append(_row(point, seed, means[-1], summary.mean_error_sigma))
             except (UsdError, ValueError) as exc:
                 exc.point = {"dim": d, "theta_deg": math.degrees(th), "seed": seed}
                 raise
             if spec.repetitions > 1:
-                means = np.array([s.mean_total_error for s in summaries])
-                agg_mean = float(means.mean())
-                agg_sigma = float(means.std(ddof=1))
-                rows.append(
-                    {
-                        **_row(point, None, None),
-                        "mean_total_error": agg_mean,
-                        "mean_error_sigma": agg_sigma,
-                        "verdict": analysis.classify(agg_mean, agg_sigma, point.mesd_bound),
-                    }
-                )
+                rows.append(_row(point, None, float(np.mean(means)), float(np.std(means, ddof=1))))
     return rows
 
 
@@ -424,6 +420,10 @@ def main(argv: list[str] | None = None) -> int:
     except (UsdError, ValueError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         payload.update(getattr(exc, "point", {}))
+        # strict JSON has no NaN or Infinity: a non-finite number goes out as its repr
+        for key, value in payload.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                payload[key] = repr(value)
         print(json.dumps(payload), file=sys.stderr)
         return 1
 

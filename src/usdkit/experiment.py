@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -64,8 +65,8 @@ class ExperimentConfig:
             raise ConfigurationError("crosstalk_epsilon must lie in [0, 0.5)")
         if not self.spiral_bandwidth_sigma > 0.0:
             raise ConfigurationError("spiral_bandwidth_sigma must be positive")
-        if not self.max_coincidence_rate >= 0.0:
-            raise ConfigurationError("max_coincidence_rate must be nonnegative")
+        if not self.max_coincidence_rate > 0.0:
+            raise ConfigurationError("max_coincidence_rate must be positive")
         if not self.singles_rate_scale >= 0.0:
             raise ConfigurationError("singles_rate_scale must be nonnegative")
         if not self.rng_seed >= 0:
@@ -182,16 +183,36 @@ def _check_config_consistency(family: StateFamily, config: ExperimentConfig) -> 
         )
 
 
-def run_experiment(
-    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig
+def draw_counts(
+    family: StateFamily, lam: np.ndarray, singles_mean: float, config: ExperimentConfig
 ) -> CountsRecord:
-    """Draw one seeded counts record for all d*(d+1) preparation/measurement pairs.
+    """Keyed Poisson draws around checked expected means, seeded by ``config.rng_seed``."""
+    d, seed = family.dim, config.rng_seed
 
-    The coincidence count of cell (i, j) is Poisson with mean
-    R_i * p_noisy(i, j) * T + accidental floor, where R_i is the heralding
-    rate of state i after the spiral-bandwidth envelope.  Singles are
-    background Poisson streams; the background must dominate the coincidence
-    counts so that every generated record satisfies C_ij <= min(S_Ai, S_Bj).
+    def draw(mean, *key):
+        return np.random.default_rng([seed, *key]).poisson(mean)
+
+    counts = [[draw(lam[i, j], 2, i, j) for j in range(d + 1)] for i in range(d)]
+    return CountsRecord(
+        dim=d,
+        theta=family.theta,
+        coincidences=np.array(counts, dtype=np.int64),
+        singles_a=np.array([draw(singles_mean, 0, i) for i in range(d)], dtype=np.int64),
+        singles_b=np.array([draw(singles_mean, 1, j) for j in range(d + 1)], dtype=np.int64),
+        integration_time=config.integration_time,
+        coincidence_window=config.coincidence_window,
+        seed=seed,
+        config=config,
+    )
+
+
+def run_repetitions(
+    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig, seeds: Iterable[int]
+) -> Iterator[CountsRecord]:
+    """Lazily draw one counts record per seed, each replacing ``config.rng_seed``.
+
+    The expected means and their overflow and singles-dominance checks do not
+    depend on the seed, so they run once, when the first record is requested.
     """
     _check_config_consistency(family, config)
     lam, singles_mean = _expected_means(family, basis, config)
@@ -206,30 +227,22 @@ def run_experiment(
             f"singles {singles_mean!r} must dominate the largest cell mean {lam_max!r}; "
             "raise singles_rate_scale or lower the coincidence scale"
         )
-    d, seed = family.dim, config.rng_seed
-    counts = np.zeros((d, d + 1), dtype=np.int64)
-    for i in range(d):
-        for j in range(d + 1):
-            counts[i, j] = np.random.default_rng([seed, 2, i, j]).poisson(lam[i, j])
-    singles_a = np.array(
-        [np.random.default_rng([seed, 0, i]).poisson(singles_mean) for i in range(d)],
-        dtype=np.int64,
-    )
-    singles_b = np.array(
-        [np.random.default_rng([seed, 1, j]).poisson(singles_mean) for j in range(d + 1)],
-        dtype=np.int64,
-    )
-    return CountsRecord(
-        dim=d,
-        theta=family.theta,
-        coincidences=counts,
-        singles_a=singles_a,
-        singles_b=singles_b,
-        integration_time=config.integration_time,
-        coincidence_window=config.coincidence_window,
-        seed=seed,
-        config=config,
-    )
+    for seed in seeds:
+        yield draw_counts(family, lam, singles_mean, replace(config, rng_seed=seed))
+
+
+def run_experiment(
+    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig
+) -> CountsRecord:
+    """Draw one seeded counts record for all d*(d+1) preparation/measurement pairs.
+
+    The coincidence count of cell (i, j) is Poisson with mean
+    R_i * p_noisy(i, j) * T + accidental floor, where R_i is the heralding
+    rate of state i after the spiral-bandwidth envelope.  Singles are
+    background Poisson streams; the background must dominate the coincidence
+    counts so that every generated record satisfies C_ij <= min(S_Ai, S_Bj).
+    """
+    return next(run_repetitions(family, basis, config, (config.rng_seed,)))
 
 
 def expected_record(

@@ -5,7 +5,9 @@ a common pairwise overlap controlled by a single angle theta:
 
     <Psi_i|Psi_j> = (d cos^2(theta) - 1) / (d - 1),   i != j.
 
-All angles are radians; the CLI converts from degrees at the boundary.
+The MESD bound is a pairwise lower bound on the minimum-error-discrimination
+error, exact only for d = 2.  All angles are radians; the CLI converts from
+degrees at the boundary.
 """
 
 from __future__ import annotations
@@ -81,11 +83,13 @@ def mesd_bound_from_overlap(s: float) -> float:
 
 
 def mesd_bound(d: int, theta: float) -> float:
-    """Minimum achievable average error of minimum-error discrimination.
+    """Pairwise lower bound on the error of minimum-error discrimination.
 
-    For equal priors and equal pairwise overlap the general trace-distance
-    bound collapses to (1 - sqrt(1 - |<Psi_i|Psi_j>|^2))/2, which depends on
-    (d, theta) only through the overlap.
+    For equal priors and equal pairwise overlap the pairwise trace-distance
+    bound (D. Qiu, Phys. Rev. A 77, 012328 (2008)) collapses to
+    (1 - sqrt(1 - |<Psi_i|Psi_j>|^2))/2, which depends on (d, theta) only
+    through the overlap.  It is the exact minimum error only for d = 2; for
+    d > 2 the minimum error is larger.
     """
     return mesd_bound_from_overlap(overlap(d, theta))
 

@@ -1,9 +1,12 @@
 """Quantum contrast, probability normalization, error propagation, verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usdkit import analysis, experiment, states, theory
 from usdkit.errors import DegenerateRowError, InsufficientDataError
@@ -82,6 +85,14 @@ def test_normalize_keeps_negative_excess():
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-15)
 
 
+def test_normalize_near_cancelling_row_fails_row_sum_gate():
+    # the excess sums to a small positive value, so the quotients are ~3e8
+    # and their rounding leaves the row ~7e-9 away from one
+    with pytest.raises(DegenerateRowError) as err:
+        analysis.normalize_probabilities(np.array([[3e8, 2.7 - 3e8, 1.3, 1.1]]))
+    assert "sum to one" in str(err.value)
+
+
 def test_normalize_degenerate_row_raises():
     with pytest.raises(DegenerateRowError) as err:
         analysis.normalize_probabilities(np.array([[1.2, 1.1, 1.3], [0.9, 1.0, 0.8]]))
@@ -102,6 +113,49 @@ def test_expected_counts_reproduce_noisy_matrix(epsilon):
     probabilities = analysis.normalize_probabilities(analysis.quantum_contrast(record))
     noisy = experiment.apply_noise(experiment.ideal_detection_matrix(family, basis), config)
     assert np.max(np.abs(probabilities - noisy)) < 1e-10
+
+
+@st.composite
+def noisy_point(draw):
+    """A setup whose every row carries signal: d in [2, 40], sigma >= d/2."""
+    d = draw(st.integers(min_value=2, max_value=40))
+    theta = draw(st.floats(min_value=0.02, max_value=1.0)) * theory.theta_max(d)
+    family, basis = states.build_family_and_basis(d, theta)
+    config = experiment.ExperimentConfig(
+        dim=d,
+        theta=theta,
+        crosstalk_epsilon=draw(st.floats(min_value=0.0, max_value=0.49)),
+        spiral_bandwidth_sigma=draw(st.floats(min_value=0.5, max_value=3.0)) * d,
+    )
+    return family, basis, config
+
+
+def sweep_probabilities(record):
+    """The probability path of ``cli.run_sweep``."""
+    return analysis.normalize_probabilities(analysis.quantum_contrast(record))
+
+
+@settings(max_examples=60, deadline=None)
+@given(noisy_point())
+def test_sweep_path_of_expected_record_reproduces_noisy_matrix(point):
+    family, basis, config = point
+    probabilities = sweep_probabilities(experiment.expected_record(family, basis, config))
+    noisy = experiment.apply_noise(experiment.ideal_detection_matrix(family, basis), config)
+    assert np.max(np.abs(probabilities - noisy)) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(noisy_point(), st.floats(min_value=0.01, max_value=100.0))
+def test_common_brightness_factor_leaves_sweep_probabilities_unchanged(point, factor):
+    family, basis, config = point
+    scaled = dataclasses.replace(
+        config,
+        max_coincidence_rate=factor * config.max_coincidence_rate,
+        singles_rate_scale=factor * config.singles_rate_scale,
+    )
+    base = sweep_probabilities(experiment.expected_record(family, basis, config))
+    other = sweep_probabilities(experiment.expected_record(family, basis, scaled))
+    assert np.max(np.abs(base - other)) < 1e-12
 
 
 def test_common_brightness_scaling_leaves_probabilities_unchanged():
@@ -178,6 +232,51 @@ def test_error_summary_uses_theory_bound():
 
 
 # ------------------------------------------------------ error propagation
+
+
+def loop_propagation(record):
+    """Reference: the row-by-row form of ``analysis.gaussian_propagation``."""
+    q = analysis.quantum_contrast(record)
+    p = analysis.normalize_probabilities(q)
+    denominators = (q - 1.0).sum(axis=1)
+    c = np.asarray(record.coincidences, dtype=float)
+    sa = np.asarray(record.singles_a, dtype=float)
+    sb = np.asarray(record.singles_b, dtype=float)
+    var_c, var_sa, var_sb = np.maximum(c, 1.0), np.maximum(sa, 1.0), np.maximum(sb, 1.0)
+    dq_dc = record.integration_time / (sa[:, None] * sb[None, :] * record.coincidence_window)
+    identity = np.eye(record.dim + 1)
+    variances = np.zeros_like(p)
+    for i in range(record.dim):
+        # selector[j, k] = delta_jk - P_ij: how cell k of the row moves P_ij
+        selector = identity - p[i][:, None]
+        coincidence_terms = (selector * dq_dc[i][None, :] / denominators[i]) ** 2 @ var_c[i]
+        column_terms = (selector * q[i][None, :] / (denominators[i] * sb[None, :])) ** 2 @ var_sb
+        row_term = (q[i] - p[i] * q[i].sum()) / (denominators[i] * sa[i])
+        variances[i] = coincidence_terms + column_terms + row_term**2 * var_sa[i]
+    return np.sqrt(variances)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=100),
+    st.floats(min_value=-3.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_propagation_matches_row_loop(d, log_floor, seed):
+    # singles of 2e6 to 2e7 counts, an accidental floor of 1e-3 to 40 counts
+    # per cell (low floors draw zeros) and a diagonal signal of 1e3 to 1e6
+    # counts, so a diagonal cell can outweigh the rest of its row by 1e6
+    rng = np.random.default_rng(seed)
+    window = 30.0 * 10.0**log_floor / 1e14
+    singles_a = rng.integers(2_000_000, 20_000_000, d)
+    singles_b = rng.integers(2_000_000, 20_000_000, d + 1)
+    counts = rng.poisson(singles_a[:, None] * singles_b[None, :] * window / 30.0)
+    counts[:, :d] += np.diag(rng.poisson(10.0 ** rng.uniform(3.0, 6.0, d)))
+    record = synthetic_record(counts, singles_a, singles_b, T=30.0, window=window)
+    sigmas = analysis.gaussian_propagation(record)
+    assert np.all(sigmas >= 0.0) and np.all(np.isfinite(sigmas))
+    reference = loop_propagation(record)
+    assert np.max(np.abs(sigmas - reference) / reference) < 1e-12
 
 
 def test_propagation_scales_as_sqrt_counts():

@@ -6,9 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from usdkit import cli, states, theory
+from usdkit import analysis, cli, experiment, states, theory
 from usdkit.cli import CSV_COLUMNS, SweepSpec, run_sweep, theory_rows
 from usdkit.errors import UsdError
+
+
+#: the acceptance sweep's source and noise settings
+ACCEPTANCE = dict(
+    fixed_overlap=2**-0.5, percell_error=0.01, max_coincidence_rate=22.0, spiral_bandwidth_sigma=2.4
+)
 
 
 def invoke(capsys, *argv):
@@ -171,6 +177,103 @@ def test_run_dimension_sweep_via_flags(tmp_path, capsys):
     for row in rows:
         assert float(row["mesd_bound"]) == pytest.approx(0.1464466094067262, abs=1e-12)
         assert row["verdict"] == "below_by_one_sigma"
+
+
+def reference_sweep(spec):
+    """``run_sweep`` rebuilt from the full per-record chain, one run per repetition."""
+    rows = []
+    for d in spec.dims:
+        for th in cli._point_thetas(spec, d):
+            family, basis = states.build_family_and_basis(d, th)
+            point = theory.theory_point(d, th)
+            means = []
+            for seed in range(spec.seed, spec.seed + spec.repetitions):
+                config = cli._config_for(spec, d, th, seed)
+                record = experiment.run_experiment(family, basis, config)
+                summary = analysis.error_summary(analysis.outcome_table(record))
+                means.append(summary.mean_total_error)
+                rows.append(
+                    {**cli._row(point, seed), "mean_total_error": summary.mean_total_error,
+                     "mean_error_sigma": summary.mean_error_sigma, "verdict": summary.verdict}
+                )
+            mean, sigma = float(np.mean(means)), float(np.std(means, ddof=1))
+            verdict = analysis.classify(mean, sigma, point.mesd_bound)
+            rows.append(
+                {**cli._row(point), "mean_total_error": mean,
+                 "mean_error_sigma": sigma, "verdict": verdict}
+            )
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 1241356630])
+def test_run_sweep_matches_per_record_chain(seed):
+    spec = SweepSpec(dims=(2, 5, 13), repetitions=3, seed=seed, **ACCEPTANCE)
+    assert run_sweep(spec) == reference_sweep(spec)
+
+
+def test_run_sweep_does_not_propagate_sigmas(monkeypatch):
+    spec = SweepSpec(dims=(3, 6), repetitions=2, seed=4, **ACCEPTANCE)
+    expected = run_sweep(spec)
+
+    def refuse(record):
+        raise AssertionError("the sweep has no column for propagated sigmas")
+
+    monkeypatch.setattr(analysis, "gaussian_propagation", refuse)
+    assert run_sweep(spec) == expected
+
+
+def test_run_sweep_computes_expected_means_once_per_point(monkeypatch):
+    calls = []
+    original = experiment._expected_means
+
+    def counted(family, basis, config):
+        calls.append(family.dim)
+        return original(family, basis, config)
+
+    monkeypatch.setattr(experiment, "_expected_means", counted)
+    rows = run_sweep(SweepSpec(dims=(2, 4), repetitions=5, seed=0, **ACCEPTANCE))
+    assert len(rows) == 2 * (5 + 1)
+    assert calls == [2, 4]
+
+
+def test_seed_independent_error_names_first_seed(capsys):
+    code, out, err = invoke(
+        capsys,
+        "run", "--dim", "3", "--theta-deg", "30", "--singles-rate", "1", "--reps", "3",
+        "--seed", "5",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        '{"error": "ConfigurationError", "message": "singles_rate_scale is too low for the '
+        "coincidence rates: expected singles 30.0 must dominate the largest cell mean "
+        '6562.500000749998; raise singles_rate_scale or lower the coincidence scale", '
+        '"dim": 3, "theta_deg": 29.999999999999996, "seed": 5}\n'
+    )
+
+
+def test_run_rejects_zero_max_rate(capsys):
+    # no signal: any verdict would come from noise alone
+    code, out, err = invoke(capsys, "run", "--dim", "2", "--theta-deg", "30", "--max-rate", "0")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigurationError"
+    assert "max_coincidence_rate" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--theta-deg", "nan"), ("--theta-deg", "inf"), ("--theta-grid", "nan,10")]
+)
+def test_nonfinite_theta_error_is_strict_json(capsys, flag, value):
+    code, out, err = invoke(capsys, "run", "--dim", "3", flag, value)
+    assert code == 1 and out == ""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    payload = json.loads(err, parse_constant=reject)
+    assert payload["error"] == "DomainError"
+    assert payload["dim"] == 3 and payload["seed"] is None
+    assert payload["theta_deg"] == value.split(",")[0]
 
 
 def test_env_var_out_dir(tmp_path, capsys, monkeypatch):

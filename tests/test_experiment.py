@@ -1,5 +1,6 @@
 """Virtual experiment: detection matrix, noise model, spiral envelope, counting."""
 
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,25 @@ def test_run_experiment_draws_from_documented_keyed_streams():
         assert record.singles_b[j] == draw(means.singles_b[j], 1, j)
 
 
+def test_run_repetitions_is_lazy_and_matches_run_experiment():
+    family, basis, config = make_setup(4, 0.6, rng_seed=7)
+    records = experiment.run_repetitions(family, basis, config, itertools.count(40))
+    for seed, record in zip((40, 41, 42), records):
+        single = experiment.run_experiment(family, basis, experiment.with_seed(config, seed))
+        assert record.seed == record.config.rng_seed == seed
+        assert record.config == single.config and record.theta == single.theta
+        for name in ("coincidences", "singles_a", "singles_b"):
+            assert np.array_equal(getattr(record, name), getattr(single, name))
+
+
+def test_run_repetitions_checks_each_seed_config():
+    family, basis, config = make_setup(3, 0.5)
+    records = experiment.run_repetitions(family, basis, config, (0, -1))
+    next(records)
+    with pytest.raises(ConfigurationError, match="rng_seed"):
+        next(records)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 17])
 def test_counts_record_invariants(seed):
     family, basis, config = make_setup(6, math.radians(40.0), rng_seed=seed)
@@ -221,6 +241,7 @@ def test_config_validation():
         {"crosstalk_epsilon": math.nan},
         {"spiral_bandwidth_sigma": math.nan},
         {"max_coincidence_rate": math.nan},
+        {"max_coincidence_rate": 0.0},
         {"singles_rate_scale": math.nan},
         {"rng_seed": -1},
     ):
