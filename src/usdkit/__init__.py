@@ -27,7 +27,6 @@ from .errors import (
     InvalidDimensionError,
     LiftabilityError,
     ShapeMismatchError,
-    UnsupportedConfigurationError,
     UsdError,
 )
 from .experiment import (
@@ -58,7 +57,6 @@ from .theory import (
     TheoryPoint,
     mesd_bound,
     mesd_bound_from_overlap,
-    mesd_bound_general,
     overlap,
     theory_point,
     theta_for_overlap,

@@ -13,7 +13,6 @@ the sample spread of the per-state errors (``summarize_probabilities``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,7 @@ def quantum_contrast(record: CountsRecord) -> np.ndarray:
 
 
 def _check_row_sums(p: np.ndarray) -> None:
-    if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
+    if not np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12:
         raise DegenerateRowError("probability rows must sum to one")
 
 
@@ -198,33 +197,3 @@ def summarize_probabilities(
 def error_summary(table: OutcomeTable, mesd_bound: float | None = None) -> ErrorSummary:
     """``summarize_probabilities`` of an outcome table's probabilities."""
     return summarize_probabilities(table.probabilities, table.theta, mesd_bound)
-
-
-def outcome_to_json(table: OutcomeTable) -> str:
-    return json.dumps(
-        {
-            "dim": table.dim,
-            "theta_rad": float(table.theta),
-            "probabilities": np.asarray(table.probabilities).tolist(),
-            "sigmas": np.asarray(table.sigmas).tolist(),
-            "quantum_contrast": np.asarray(table.quantum_contrast).tolist(),
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def summary_to_json(summary: ErrorSummary) -> str:
-    return json.dumps(
-        {
-            "dim": summary.dim,
-            "theta_rad": float(summary.theta),
-            "per_state_error": list(summary.per_state_error),
-            "mean_total_error": summary.mean_total_error,
-            "mean_error_sigma": summary.mean_error_sigma,
-            "mesd_bound": summary.mesd_bound,
-            "verdict": summary.verdict,
-        },
-        indent=2,
-        sort_keys=True,
-    )

@@ -27,10 +27,6 @@ class ShapeMismatchError(UsdError, ValueError):
     """Raised when two objects built for different (d, theta) are combined."""
 
 
-class UnsupportedConfigurationError(UsdError, ValueError):
-    """Raised for inputs outside the symmetric, equal-prior scope."""
-
-
 class ConfigurationError(UsdError, ValueError):
     """Raised when an experiment configuration is unusable as given."""
 

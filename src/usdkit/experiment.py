@@ -27,10 +27,9 @@ run is deterministic and independent of evaluation order.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,7 +88,7 @@ class CountsRecord:
 
     def __post_init__(self):
         # integer dtype is preserved for generated records; synthetic records
-        # holding expected values may be float
+        # holding expected values may be float; every check fails on NaN
         c = np.array(self.coincidences)
         sa = np.array(self.singles_a)
         sb = np.array(self.singles_b)
@@ -105,11 +104,11 @@ class CountsRecord:
             raise InvalidDimensionError(
                 f"inconsistent count shapes {c.shape}, {sa.shape}, {sb.shape} for d={d}"
             )
-        if np.any(c < 0.0) or np.any(sa < 0.0) or np.any(sb < 0.0):
+        if not (np.all(c >= 0.0) and np.all(sa >= 0.0) and np.all(sb >= 0.0)):
             raise ConfigurationError("counts must be nonnegative")
         if np.any(c > np.minimum(sa[:, None], sb[None, :])):
             raise ConfigurationError("coincidences cannot exceed either arm's singles")
-        if self.integration_time <= 0.0 or self.coincidence_window <= 0.0:
+        if not (self.integration_time > 0.0 and self.coincidence_window > 0.0):
             raise ConfigurationError("integration time and window must be positive")
 
 
@@ -133,7 +132,7 @@ def ideal_detection_matrix(family: StateFamily, basis: DiscriminationBasis) -> n
         raise ShapeMismatchError(
             f"family dimension {family.dim} does not match basis dimension {basis.dim}"
         )
-    if abs(family.theta - basis.theta) > 1e-9:
+    if not abs(family.theta - basis.theta) <= 1e-9:
         raise ShapeMismatchError(
             f"family theta {family.theta!r} does not match basis theta {basis.theta!r}"
         )
@@ -144,7 +143,7 @@ def ideal_detection_matrix(family: StateFamily, basis: DiscriminationBasis) -> n
 def apply_noise(ideal: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """Mix each outcome row with the uniform distribution over d+1 outcomes."""
     probs = np.asarray(ideal, dtype=float)
-    if np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-9:
+    if not np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9:
         raise ConfigurationError("ideal detection rows must sum to one")
     eps = config.crosstalk_epsilon
     return (1.0 - eps) * probs + eps / probs.shape[1]
@@ -152,7 +151,7 @@ def apply_noise(ideal: np.ndarray, config: ExperimentConfig) -> np.ndarray:
 
 def spiral_weights(mapping: OamMap, sigma: float) -> np.ndarray:
     """Gaussian spiral-bandwidth weights exp(-l^2/(2 sigma^2)), max-normalized."""
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ConfigurationError("spiral bandwidth sigma must be positive")
     ells = np.array(mapping.state_ells, dtype=float)
     weights = np.exp(-(ells**2) / (2.0 * sigma * sigma))
@@ -177,7 +176,7 @@ def _check_config_consistency(family: StateFamily, config: ExperimentConfig) -> 
         raise ShapeMismatchError(
             f"config dimension {config.dim} does not match family dimension {family.dim}"
         )
-    if abs(config.theta - family.theta) > 1e-9:
+    if not abs(config.theta - family.theta) <= 1e-9:
         raise ShapeMismatchError(
             f"config theta {config.theta!r} does not match family theta {family.theta!r}"
         )
@@ -268,43 +267,3 @@ def expected_record(
         seed=None,
         config=config,
     )
-
-
-def record_to_json(record: CountsRecord) -> str:
-    """Serialize a counts record (and its config, if known) to JSON."""
-    doc: dict = {
-        "dim": record.dim,
-        "theta_rad": float(record.theta),
-        "integration_time_s": float(record.integration_time),
-        "coincidence_window_s": float(record.coincidence_window),
-        "coincidences": np.asarray(record.coincidences).tolist(),
-        "singles_a": np.asarray(record.singles_a).tolist(),
-        "singles_b": np.asarray(record.singles_b).tolist(),
-        "seed": record.seed,
-    }
-    if record.config is not None:
-        doc["config"] = asdict(record.config)
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def record_from_json(text: str) -> CountsRecord:
-    doc = json.loads(text)
-    config = None
-    if doc.get("config") is not None:
-        config = ExperimentConfig(**doc["config"])
-    return CountsRecord(
-        dim=int(doc["dim"]),
-        theta=float(doc["theta_rad"]),
-        coincidences=doc["coincidences"],
-        singles_a=doc["singles_a"],
-        singles_b=doc["singles_b"],
-        integration_time=float(doc["integration_time_s"]),
-        coincidence_window=float(doc["coincidence_window_s"]),
-        seed=doc.get("seed"),
-        config=config,
-    )
-
-
-def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Copy of the configuration with a different RNG seed."""
-    return replace(config, rng_seed=seed)

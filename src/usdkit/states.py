@@ -34,6 +34,8 @@ from .errors import (
     LiftabilityError,
 )
 
+# Every validating check below is written so that NaN fails it.
+
 #: Tolerance for orthogonality / completeness checks.
 ORTHO_TOL = 1e-10
 #: Tolerance for closed-form comparisons and unit norms.
@@ -62,14 +64,14 @@ class StateFamily:
         if v.shape != (d, d):
             raise InvalidDimensionError(f"expected {(d, d)} vectors, got {v.shape}")
         norms = np.linalg.norm(v, axis=1)
-        if np.max(np.abs(norms - 1.0)) > EXACT_TOL:
+        if not np.max(np.abs(norms - 1.0)) <= EXACT_TOL:
             raise DegenerateFamilyError("state vectors must have unit norm")
-        if np.max(np.abs(v[:, -1] - math.cos(th))) > EXACT_TOL:
+        if not np.max(np.abs(v[:, -1] - math.cos(th))) <= EXACT_TOL:
             raise DegenerateFamilyError("last component of every state must equal cos(theta)")
         gram = v @ v.T
         target = (d * math.cos(th) ** 2 - 1.0) / (d - 1.0)
         off = gram[~np.eye(d, dtype=bool)]
-        if np.max(np.abs(off - target)) > EXACT_TOL:
+        if not np.max(np.abs(off - target)) <= EXACT_TOL:
             raise DegenerateFamilyError("pairwise overlaps must all equal the symmetric value")
 
 
@@ -88,7 +90,7 @@ class ComplementSet:
             raise InvalidDimensionError(f"expected {(d, d)} vectors, got {v.shape}")
         gram = v @ v.T
         off = gram[~np.eye(d, dtype=bool)]
-        if off.size and np.max(np.abs(off - off[0])) > ORTHO_TOL:
+        if off.size and not np.max(np.abs(off - off[0])) <= ORTHO_TOL:
             raise DegenerateFamilyError("complement overlaps must all be equal")
 
 
@@ -106,7 +108,7 @@ class DiscriminationBasis:
         if v.shape != (d + 1, d + 1):
             raise InvalidDimensionError(f"expected {(d + 1, d + 1)} vectors, got {v.shape}")
         gram = v @ v.T
-        if np.max(np.abs(gram - np.eye(d + 1))) > ORTHO_TOL:
+        if not np.max(np.abs(gram - np.eye(d + 1))) <= ORTHO_TOL:
             raise DegenerateFamilyError("measurement states must be orthonormal")
 
     def completeness_residual(self) -> float:
@@ -272,18 +274,6 @@ def to_json(obj: StateFamily | ComplementSet | DiscriminationBasis) -> str:
     )
 
 
-def family_from_json(text: str) -> StateFamily:
-    doc = json.loads(text)
-    return StateFamily(dim=int(doc["dim"]), theta=float(doc["theta_rad"]), vectors=doc["vectors"])
-
-
-def basis_from_json(text: str) -> DiscriminationBasis:
-    doc = json.loads(text)
-    return DiscriminationBasis(
-        dim=int(doc["dim"]), theta=float(doc["theta_rad"]), vectors=doc["vectors"]
-    )
-
-
 def oam_map_to_json(mapping: OamMap) -> str:
     return json.dumps(
         {
@@ -292,13 +282,4 @@ def oam_map_to_json(mapping: OamMap) -> str:
             "ancilla_ell": mapping.ancilla_ell,
         },
         indent=2,
-    )
-
-
-def oam_map_from_json(text: str) -> OamMap:
-    doc = json.loads(text)
-    return OamMap(
-        dim=int(doc["dim"]),
-        state_ells=tuple(int(ell) for ell in doc["state_ells"]),
-        ancilla_ell=int(doc["ancilla_ell"]),
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidDimensionError, UnsupportedConfigurationError
+from .errors import DomainError, InvalidDimensionError
 
 #: Absolute slack applied when comparing an angle against theta_max.
 THETA_TOL = 1e-12
@@ -85,48 +85,16 @@ def mesd_bound_from_overlap(s: float) -> float:
 def mesd_bound(d: int, theta: float) -> float:
     """Pairwise lower bound on the error of minimum-error discrimination.
 
-    For equal priors and equal pairwise overlap the pairwise trace-distance
-    bound (D. Qiu, Phys. Rev. A 77, 012328 (2008)) collapses to
-    (1 - sqrt(1 - |<Psi_i|Psi_j>|^2))/2, which depends on (d, theta) only
-    through the overlap.  It is the exact minimum error only for d = 2; for
-    d > 2 the minimum error is larger.
+    The pairwise trace-distance bound (D. Qiu, Phys. Rev. A 77, 012328
+    (2008)) reads P_E >= (1 - sum_{i<j} ||rho_i/d - rho_j/d||_1 / (d-1))/2
+    for equal priors 1/d.  Each of the (d^2 - d)/2 pairs of pure states with
+    overlap s = |<Psi_i|Psi_j>| contributes (2/d) sqrt(1 - s^2), so the pair
+    count cancels the 1/(d-1) and 2/d factors and the bound collapses to
+    (1 - sqrt(1 - s^2))/2, which depends on (d, theta) only through the
+    overlap.  It is the exact minimum error only for d = 2; for d > 2 the
+    minimum error is larger.
     """
     return mesd_bound_from_overlap(overlap(d, theta))
-
-
-def mesd_bound_general(priors: list[float] | tuple[float, ...], gram_offdiag: float, d: int) -> float:
-    """Minimum-error bound evaluated through the explicit pairwise sum.
-
-    Follows the reduction for equal priors eta_i = 1/d and pure states with a
-    common overlap: each of the (d^2 - d)/2 pairs contributes a trace distance
-    2*sqrt(1 - s^2), and the pair count cancels the 1/(d-1) and 2/d factors.
-
-    Args:
-        priors: a priori probabilities; must be uniform (each 1/d).
-        gram_offdiag: the common pairwise overlap s.
-        d: dimension / number of states.
-
-    Raises:
-        UnsupportedConfigurationError: for non-uniform priors, which fall
-            outside the symmetric scope of this toolkit.
-    """
-    d = _check_dim(d)
-    priors = [float(p) for p in priors]
-    if len(priors) != d:
-        raise UnsupportedConfigurationError(
-            f"expected {d} priors, got {len(priors)}"
-        )
-    if abs(sum(priors) - 1.0) > 1e-12:
-        raise UnsupportedConfigurationError(f"priors must sum to 1, got {sum(priors)!r}")
-    if any(abs(p - 1.0 / d) > 1e-12 for p in priors):
-        raise UnsupportedConfigurationError(
-            "non-uniform priors are outside the symmetric equal-prior scope"
-        )
-    if not 0.0 <= abs(gram_offdiag) <= 1.0:
-        raise DomainError(f"overlap must lie in [-1, 1], got {gram_offdiag!r}")
-    pair_count = (d * d - d) // 2
-    trace_term = 2.0 * math.sqrt(max(1.0 - gram_offdiag * gram_offdiag, 0.0))
-    return 0.5 * (1.0 - pair_count * trace_term / (d * (d - 1.0)))
 
 
 @dataclass(frozen=True)

@@ -333,11 +333,3 @@ def test_outcome_table_validation():
             sigmas=np.zeros((2, 3)),
             quantum_contrast=np.ones((2, 3)),
         )
-
-
-def test_outcome_table_json():
-    table = seeded_table(3, math.radians(30.0), seed=2)
-    text = analysis.outcome_to_json(table)
-    assert '"probabilities"' in text
-    summary = analysis.error_summary(table)
-    assert summary.verdict in analysis.summary_to_json(summary)

@@ -32,11 +32,12 @@ def test_build_writes_artifacts_and_residuals(tmp_path, capsys):
     )
     assert code == 0 and err == ""
     assert "orthonormality residual" in out and "zero-error residual" in out
-    basis = states.basis_from_json((tmp_path / "basis.json").read_text())
+    basis = json.loads((tmp_path / "basis.json").read_text())
     _, direct = states.build_family_and_basis(3, math.radians(33.0))
-    assert np.array_equal(np.asarray(basis.vectors), np.asarray(direct.vectors))
-    mapping = states.oam_map_from_json((tmp_path / "oam_map.json").read_text())
-    assert mapping.state_ells == (-1, 0, 1) and mapping.ancilla_ell == -2
+    assert basis["dim"] == 3 and basis["theta_rad"] == direct.theta
+    assert np.array_equal(np.array(basis["vectors"]), np.asarray(direct.vectors))
+    mapping = json.loads((tmp_path / "oam_map.json").read_text())
+    assert mapping == {"dim": 3, "state_ells": [-1, 0, 1], "ancilla_ell": -2}
 
 
 def test_build_invalid_dimension_exits_nonzero(capsys):

@@ -1,13 +1,14 @@
 """Virtual experiment: detection matrix, noise model, spiral envelope, counting."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from usdkit import experiment, states, theory
-from usdkit.errors import ConfigurationError, ShapeMismatchError
+from usdkit import analysis, experiment, states, theory
+from usdkit.errors import ConfigurationError, ShapeMismatchError, UsdError
 
 
 def make_setup(d, theta, **overrides):
@@ -110,7 +111,7 @@ def test_run_experiment_deterministic():
     assert np.array_equal(first.coincidences, second.coincidences)
     assert np.array_equal(first.singles_a, second.singles_a)
     assert np.array_equal(first.singles_b, second.singles_b)
-    third = experiment.run_experiment(family, basis, experiment.with_seed(config, 100))
+    third = experiment.run_experiment(family, basis, dataclasses.replace(config, rng_seed=100))
     assert not np.array_equal(first.coincidences, third.coincidences)
 
 
@@ -135,7 +136,9 @@ def test_run_repetitions_is_lazy_and_matches_run_experiment():
     family, basis, config = make_setup(4, 0.6, rng_seed=7)
     records = experiment.run_repetitions(family, basis, config, itertools.count(40))
     for seed, record in zip((40, 41, 42), records):
-        single = experiment.run_experiment(family, basis, experiment.with_seed(config, seed))
+        single = experiment.run_experiment(
+            family, basis, dataclasses.replace(config, rng_seed=seed)
+        )
         assert record.seed == record.config.rng_seed == seed
         assert record.config == single.config and record.theta == single.theta
         for name in ("coincidences", "singles_a", "singles_b"):
@@ -186,7 +189,7 @@ def test_mean_convergence_to_noisy_probability():
     rates = config.max_coincidence_rate * weights
     totals = np.zeros((d, d + 1))
     for k in range(reps):
-        record = experiment.run_experiment(family, basis, experiment.with_seed(config, k))
+        record = experiment.run_experiment(family, basis, dataclasses.replace(config, rng_seed=k))
         totals += np.asarray(record.coincidences)
     scale = rates[:, None] * config.integration_time
     measured = totals / reps / scale
@@ -208,7 +211,9 @@ def test_diagonal_counts_track_expected_rate():
     totals = np.zeros(d)
     runs = 100
     for seed in range(runs):
-        record = experiment.run_experiment(family, basis, experiment.with_seed(config, seed))
+        record = experiment.run_experiment(
+            family, basis, dataclasses.replace(config, rng_seed=seed)
+        )
         totals += np.diag(np.asarray(record.coincidences)[:, :d])
     means = totals / runs
     assert np.all(np.abs(means - lam) < 5.0 * np.sqrt(lam) / math.sqrt(runs))
@@ -261,16 +266,49 @@ def test_config_mismatch_rejected():
         )
 
 
-# --------------------------------------------------------- serialization
+# ---------------------------------------------------------- NaN rejection
+
+NAN = float("nan")
 
 
-def test_record_json_round_trip():
-    family, basis, config = make_setup(3, 0.5, rng_seed=11)
-    record = experiment.run_experiment(family, basis, config)
-    text = experiment.record_to_json(record)
-    back = experiment.record_from_json(text)
-    assert back.dim == record.dim and back.seed == 11
-    assert np.array_equal(back.coincidences, record.coincidences)
-    assert np.array_equal(back.singles_a, record.singles_a)
-    assert back.config == config
-    assert experiment.record_to_json(back) == text
+def nan_record(nan_cell=False, **changes):
+    record = experiment.expected_record(*make_setup(3, 0.5))
+    coincidences = np.array(record.coincidences)
+    if nan_cell:
+        coincidences[1, 2] = NAN
+    return dataclasses.replace(record, coincidences=coincidences, **changes)
+
+
+NAN_INPUTS = {
+    "family": lambda: states.StateFamily(dim=3, theta=0.5, vectors=np.full((3, 3), NAN)),
+    "complements": lambda: states.ComplementSet(dim=3, theta=0.5, vectors=np.full((3, 3), NAN)),
+    "basis": lambda: states.DiscriminationBasis(dim=3, theta=0.5, vectors=np.full((4, 4), NAN)),
+    "coincidence": lambda: nan_record(nan_cell=True),
+    "integration_time": lambda: nan_record(integration_time=NAN),
+    "coincidence_window": lambda: nan_record(coincidence_window=NAN),
+    "normalize_row": lambda: analysis.normalize_probabilities(np.array([[3.0, NAN, 1.0]])),
+    "outcome_table_row": lambda: analysis.OutcomeTable(
+        dim=1,
+        theta=0.5,
+        probabilities=[[NAN, 0.5]],
+        sigmas=np.zeros((1, 2)),
+        quantum_contrast=np.ones((1, 2)),
+    ),
+    "apply_noise_row": lambda: experiment.apply_noise(
+        np.array([[NAN, 0.5, 0.5]]), experiment.ExperimentConfig(dim=2, theta=0.5)
+    ),
+    "spiral_sigma": lambda: experiment.spiral_weights(states.oam_map(3), NAN),
+    "config_theta": lambda: experiment.run_experiment(
+        *make_setup(3, 0.5)[:2], experiment.ExperimentConfig(dim=3, theta=NAN)
+    ),
+    "basis_theta": lambda: experiment.ideal_detection_matrix(
+        states.build_state_family(3, 0.5),
+        dataclasses.replace(states.build_family_and_basis(3, 0.5)[1], theta=NAN),
+    ),
+}
+
+
+@pytest.mark.parametrize("build", NAN_INPUTS.values(), ids=NAN_INPUTS.keys())
+def test_nan_input_fails_validation(build):
+    with pytest.raises(UsdError):
+        build()

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from usdkit import theory
-from usdkit.errors import DomainError, InvalidDimensionError, UnsupportedConfigurationError
+from usdkit.errors import DomainError, InvalidDimensionError
 
 SQRT_HALF = 2.0**-0.5
 # (1 - sqrt(1/2))/2, evaluated directly
@@ -119,30 +119,6 @@ def test_monotonicity(d):
     bounds = [theory.mesd_bound(d, th) for th in grid]
     assert all(b > a for a, b in zip(p_suc, p_suc[1:]))
     assert all(b < a for a, b in zip(bounds, bounds[1:]))
-
-
-def test_mesd_bound_general_matches_symmetric_bound():
-    d = 6
-    theta = math.radians(40.0)
-    uniform = [1.0 / d] * d
-    expected = theory.mesd_bound(d, theta)
-    assert theory.mesd_bound_general(uniform, theory.overlap(d, theta), d) == pytest.approx(
-        expected, abs=1e-14
-    )
-
-
-def test_mesd_bound_general_examples():
-    assert theory.mesd_bound_general([1 / 3] * 3, 0.0, 3) == pytest.approx(0.0, abs=1e-14)
-    assert theory.mesd_bound_general([1 / 3] * 3, SQRT_HALF, 3) == pytest.approx(
-        MESD_AT_SQRT_HALF, abs=1e-12
-    )
-
-
-def test_mesd_bound_general_rejects_nonuniform_priors():
-    with pytest.raises(UnsupportedConfigurationError):
-        theory.mesd_bound_general([0.5, 0.3, 0.2], 0.5, 3)
-    with pytest.raises(UnsupportedConfigurationError):
-        theory.mesd_bound_general([0.5, 0.5], 0.5, 3)
 
 
 def test_theory_point_fields():
