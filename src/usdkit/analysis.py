@@ -87,7 +87,7 @@ def quantum_contrast(record: CountsRecord) -> np.ndarray:
 
 
 def _check_row_sums(p: np.ndarray) -> None:
-    if not np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12:
+    if not np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12:
         raise DegenerateRowError("probability rows must sum to one")
 
 

@@ -285,25 +285,24 @@ CHECK_GATES = {"completeness": 1e-10, "zero_error": 1e-20, "closure": 1e-12, "th
 def _residuals(family: states.StateFamily, basis: states.DiscriminationBasis) -> dict[str, float]:
     """Construction invariants of one built point, each a max absolute deviation.
 
-    orthonormality: basis Gram matrix from the identity; completeness: sum of
-    the basis projectors from the identity; zero_error: largest conclusive
-    probability of a wrong outcome; closure: success plus inconclusive
-    probability from one; theory_match: detection probabilities from the
-    closed-form p_suc and p_inc.
+    orthonormality: basis Gram matrix from the identity, as measured when the
+    basis was validated; completeness: sum of the basis projectors from the
+    identity; zero_error: largest conclusive probability of a wrong outcome;
+    closure: success plus inconclusive probability from one; theory_match:
+    detection probabilities from the closed-form p_suc and p_inc.
     """
     d = family.dim
-    vectors = np.asarray(basis.vectors)
     detection = experiment.ideal_detection_matrix(family, basis)
     success, inconclusive = np.diag(detection[:, :d]), detection[:, d]
     p_suc, _, p_inc = theory.usd_probabilities(d, family.theta)
     return {
-        "orthonormality": float(np.max(np.abs(vectors @ vectors.T - np.eye(d + 1)))),
+        "orthonormality": basis.orthonormality_residual,
         "completeness": basis.completeness_residual(),
-        "zero_error": float(np.max(detection[:, :d][~np.eye(d, dtype=bool)])),
-        "closure": float(np.max(np.abs(success + inconclusive - 1.0))),
+        "zero_error": float(detection[:, :d][~np.eye(d, dtype=bool)].max()),
+        "closure": float(np.abs(success + inconclusive - 1.0).max()),
         "theory_match": max(
-            float(np.max(np.abs(success - p_suc))),
-            float(np.max(np.abs(inconclusive - p_inc))),
+            float(np.abs(success - p_suc).max()),
+            float(np.abs(inconclusive - p_inc).max()),
         ),
     }
 

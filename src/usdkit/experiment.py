@@ -143,7 +143,7 @@ def ideal_detection_matrix(family: StateFamily, basis: DiscriminationBasis) -> n
 def apply_noise(ideal: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """Mix each outcome row with the uniform distribution over d+1 outcomes."""
     probs = np.asarray(ideal, dtype=float)
-    if not np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9:
+    if not np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9:
         raise ConfigurationError("ideal detection rows must sum to one")
     eps = config.crosstalk_epsilon
     return (1.0 - eps) * probs + eps / probs.shape[1]
@@ -153,8 +153,12 @@ def spiral_weights(mapping: OamMap, sigma: float) -> np.ndarray:
     """Gaussian spiral-bandwidth weights exp(-l^2/(2 sigma^2)), max-normalized."""
     if not sigma > 0.0:
         raise ConfigurationError("spiral bandwidth sigma must be positive")
+    two_sigma_sq = 2.0 * sigma * sigma
+    if not two_sigma_sq > 0.0:
+        raise ConfigurationError(f"spiral bandwidth sigma {sigma!r} underflows when squared")
     ells = np.array(mapping.state_ells, dtype=float)
-    weights = np.exp(-(ells**2) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # an l^2/(2 sigma^2) of inf is a zero weight
+        weights = np.exp(-(ells**2) / two_sigma_sq)
     return weights / weights.max()
 
 
@@ -165,9 +169,11 @@ def _expected_means(
     probs = apply_noise(ideal_detection_matrix(family, basis), config)
     weights = spiral_weights(oam_map(family.dim), config.spiral_bandwidth_sigma)
     rates = config.max_coincidence_rate * weights
-    accidental_rate = config.singles_rate_scale**2 * config.coincidence_window
+    # a product, not **2, so that a huge rate squares to inf for the overflow gate
+    singles_rate = config.singles_rate_scale
+    accidental_rate = singles_rate * singles_rate * config.coincidence_window
     lam = (rates[:, None] * probs + accidental_rate) * config.integration_time
-    singles_mean = config.singles_rate_scale * config.integration_time
+    singles_mean = singles_rate * config.integration_time
     return lam, singles_mean
 
 
@@ -216,9 +222,9 @@ def run_repetitions(
     _check_config_consistency(family, config)
     lam, singles_mean = _expected_means(family, basis, config)
     lam_max = float(lam.max())
-    if lam_max >= MAX_EXPECTED_COUNTS or singles_mean >= MAX_EXPECTED_COUNTS:
+    if not (lam_max < MAX_EXPECTED_COUNTS and singles_mean < MAX_EXPECTED_COUNTS):  # NaN fails
         raise ConfigurationError(
-            f"expected counts {max(lam_max, singles_mean)!r} overflow the integer draw"
+            f"expected counts not finite or > 2**62: cell {lam_max!r}, singles {singles_mean!r}"
         )
     if lam_max > 0.0 and singles_mean - lam_max < 10.0 * math.sqrt(singles_mean + lam_max):
         raise ConfigurationError(

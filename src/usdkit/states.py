@@ -16,14 +16,17 @@ information.  Basis indices map to orbital-angular-momentum mode labels
 through ``oam_map``.
 
 All construction functions are pure and the returned objects hold read-only
-arrays, so they are safe to share across concurrent readers.
+arrays, so they are safe to share across concurrent readers.  The projected
+simplex depends only on d, so ``build_projected_vectors`` memoizes it per
+dimension and every build at that d shares the one read-only array.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,15 +66,15 @@ class StateFamily:
         d, th, v = self.dim, self.theta, self.vectors
         if v.shape != (d, d):
             raise InvalidDimensionError(f"expected {(d, d)} vectors, got {v.shape}")
-        norms = np.linalg.norm(v, axis=1)
-        if not np.max(np.abs(norms - 1.0)) <= EXACT_TOL:
+        norms = np.sqrt((v * v).sum(axis=1))
+        if not np.abs(norms - 1.0).max() <= EXACT_TOL:
             raise DegenerateFamilyError("state vectors must have unit norm")
-        if not np.max(np.abs(v[:, -1] - math.cos(th))) <= EXACT_TOL:
+        if not np.abs(v[:, -1] - math.cos(th)).max() <= EXACT_TOL:
             raise DegenerateFamilyError("last component of every state must equal cos(theta)")
         gram = v @ v.T
         target = (d * math.cos(th) ** 2 - 1.0) / (d - 1.0)
         off = gram[~np.eye(d, dtype=bool)]
-        if not np.max(np.abs(off - target)) <= EXACT_TOL:
+        if not np.abs(off - target).max() <= EXACT_TOL:
             raise DegenerateFamilyError("pairwise overlaps must all equal the symmetric value")
 
 
@@ -90,7 +93,7 @@ class ComplementSet:
             raise InvalidDimensionError(f"expected {(d, d)} vectors, got {v.shape}")
         gram = v @ v.T
         off = gram[~np.eye(d, dtype=bool)]
-        if off.size and not np.max(np.abs(off - off[0])) <= ORTHO_TOL:
+        if off.size and not np.abs(off - off[0]).max() <= ORTHO_TOL:
             raise DegenerateFamilyError("complement overlaps must all be equal")
 
 
@@ -101,20 +104,23 @@ class DiscriminationBasis:
     dim: int
     theta: float
     vectors: np.ndarray
+    #: max elementwise deviation of the Gram matrix from the identity, set by the validation
+    orthonormality_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", _freeze(self.vectors))
         d, v = self.dim, self.vectors
         if v.shape != (d + 1, d + 1):
             raise InvalidDimensionError(f"expected {(d + 1, d + 1)} vectors, got {v.shape}")
-        gram = v @ v.T
-        if not np.max(np.abs(gram - np.eye(d + 1))) <= ORTHO_TOL:
+        residual = float(np.abs(v @ v.T - np.eye(d + 1)).max())
+        if not residual <= ORTHO_TOL:
             raise DegenerateFamilyError("measurement states must be orthonormal")
+        object.__setattr__(self, "orthonormality_residual", residual)
 
     def completeness_residual(self) -> float:
         """Max elementwise deviation of sum_j |D_j><D_j| from the identity."""
         resolution = self.vectors.T @ self.vectors
-        return float(np.max(np.abs(resolution - np.eye(self.dim + 1))))
+        return float(np.abs(resolution - np.eye(self.dim + 1)).max())
 
 
 @dataclass(frozen=True)
@@ -132,20 +138,27 @@ class OamMap:
 
 
 def build_projected_vectors(d: int) -> np.ndarray:
-    """The d maximally-separated unit vectors in d-1 dimensions.
+    """The d maximally-separated unit vectors in d-1 dimensions (read-only).
 
     Pairwise overlaps all equal -1/(d-1).  Vector k is zero beyond column k,
     its diagonal entry follows from normalization, and every later vector
     shares its leading k entries h, so the overlap condition with vector k
     gives all of column k below the diagonal as one value (-1/(d-1) - h.h)/v_kk.
+    The array is memoized per dimension and shared by every caller.
     """
-    d = theory._check_dim(d)
+    return _simplex(theory._check_dim(d))
+
+
+# keyed on the validated int; a sweep or check visits dimensions in turn
+@functools.lru_cache(maxsize=16)
+def _simplex(d: int) -> np.ndarray:
     target = -1.0 / (d - 1.0)
     v = np.zeros((d, d - 1))
     for k in range(d - 1):
         h = v[k, :k]
         v[k, k] = math.sqrt(1.0 - h @ h)
         v[k + 1 :, k] = (target - h @ h) / v[k, k]
+    v.setflags(write=False)
     return v
 
 
@@ -201,7 +214,7 @@ def lift_to_basis(complements: ComplementSet) -> DiscriminationBasis:
     d = complements.dim
     comp = np.asarray(complements.vectors)
     mutual = float(comp[0] @ comp[1])
-    scale = float(np.linalg.norm(comp[0]) * np.linalg.norm(comp[1]))
+    scale = math.sqrt(comp[0] @ comp[0]) * math.sqrt(comp[1] @ comp[1])
     if mutual > ORTHO_TOL * scale:
         raise LiftabilityError(
             "complement overlap is positive; the states admit no single-ancilla "
@@ -214,13 +227,13 @@ def lift_to_basis(complements: ComplementSet) -> DiscriminationBasis:
     vectors = np.empty((d + 1, d + 1))
     vectors[:d, :d] = comp
     vectors[:d, d] = ancilla
-    vectors[:d] /= np.linalg.norm(vectors[:d], axis=1)[:, None]
+    vectors[:d] /= np.sqrt((vectors[:d] * vectors[:d]).sum(axis=1))[:, None]
     try:
         vectors[d, :d] = -ancilla * np.linalg.solve(comp, np.ones(d))
     except np.linalg.LinAlgError as exc:
         raise DegenerateFamilyError("complement vectors are linearly dependent") from exc
     vectors[d, d] = 1.0
-    vectors[d] /= np.linalg.norm(vectors[d])
+    vectors[d] /= math.sqrt(vectors[d] @ vectors[d])
     return DiscriminationBasis(dim=d, theta=complements.theta, vectors=vectors)
 
 

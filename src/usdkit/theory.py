@@ -22,9 +22,12 @@ THETA_TOL = 1e-12
 
 
 def _check_dim(d: int) -> int:
-    if int(d) != d or d < 2:
-        raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d!r}")
-    return int(d)
+    try:
+        if int(d) == d and d >= 2:
+            return int(d)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, other non-numbers
+        pass
+    raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d!r}")
 
 
 def theta_max(d: int) -> float:

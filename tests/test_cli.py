@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,30 @@ def test_nonfinite_theta_error_is_strict_json(capsys, flag, value):
     assert payload["theta_deg"] == value.split(",")[0]
 
 
+def test_huge_singles_rate_is_a_config_error(capsys):
+    argv = ["run", "--dim", "3", "--theta-deg", "30", "--singles-rate", "1e200"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigurationError"
+    assert "finite" in payload["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("--sigma-spiral", "1e-300"), ("--singles-rate", "1e200")])
+def test_degenerate_config_leaves_one_json_line_on_stderr(flag, value):
+    # a fresh interpreter, so that numpy warnings reach stderr instead of pytest's recorder
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["run", "--dim", "3", "--theta-deg", "30", flag, value]
+    proc = subprocess.run(
+        [sys.executable, "-m", "usdkit.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "ConfigurationError"
+
+
 def test_env_var_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
     code, _, _ = invoke(
@@ -397,6 +425,20 @@ def test_malformed_or_empty_grid_names_its_flag(capsys, argv, flag):
 
 
 # ------------------------------------------------------------------ check
+
+
+def test_check_default_grid_is_not_vacuous(capsys):
+    code, out, _ = invoke(capsys, "check")
+    assert code == 0
+    *lines, verdict = out.splitlines()
+    assert verdict == "all invariants within tolerance"
+    assert [line[: line.index("  ")] for line in lines] == [f"d={d:2d}" for d in range(2, 15)]
+    gates = {key.replace("_", "-"): gate for key, gate in cli.CHECK_GATES.items()}
+    for line in lines:
+        cells = dict(cell.split() for cell in line.split("  ")[1:])
+        assert cells.keys() == gates.keys()
+        assert all(float(cells[key]) < gate for key, gate in gates.items()), line
+        assert any(float(value) > 0.0 for value in cells.values()), line
 
 
 def test_check_passes_for_small_grid(capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,11 +222,31 @@ def test_diagonal_counts_track_expected_rate():
 
 def test_overflow_raises_configuration_error():
     family, basis, _ = make_setup(2, 0.5)
-    config = experiment.ExperimentConfig(
-        dim=2, theta=0.5, max_coincidence_rate=1e60, singles_rate_scale=1e40
-    )
-    with pytest.raises(ConfigurationError):
+    # 1e200 Hz singles square to inf in the accidental rate: the gate, not an OverflowError
+    for rate, singles in [(1e60, 1e40), (350.0, 1e200)]:
+        config = experiment.ExperimentConfig(
+            dim=2, theta=0.5, max_coincidence_rate=rate, singles_rate_scale=singles
+        )
+        with pytest.raises(ConfigurationError):
+            experiment.run_experiment(family, basis, config)
+
+
+def test_overflow_gate_rejects_nan_expected_counts(monkeypatch):
+    family, basis, config = make_setup(3, 0.5)
+    lam = np.full((3, 4), math.nan)
+    monkeypatch.setattr(experiment, "_expected_means", lambda *args: (lam, 15000.0))
+    with pytest.raises(ConfigurationError, match="finite"):
         experiment.run_experiment(family, basis, config)
+
+
+def test_spiral_weights_tiny_sigma():
+    mapping = states.oam_map(3)
+    with pytest.raises(ConfigurationError, match="sigma"):
+        experiment.spiral_weights(mapping, 1e-300)  # 2 sigma^2 underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = experiment.spiral_weights(mapping, 1e-160)  # l^2 / (2 sigma^2) overflows
+    assert weights.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_low_singles_headroom_raises():

@@ -91,6 +91,24 @@ def test_projected_vectors_invalid_dimension():
         states.build_projected_vectors(1)
 
 
+@pytest.mark.parametrize(
+    "build", [theory.theta_max, states.build_projected_vectors, states.oam_map]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "3", 2.5, 3 + 0j])
+def test_non_integer_dimension_is_invalid(build, bad):
+    with pytest.raises(InvalidDimensionError):
+        build(bad)
+
+
+def test_projected_vectors_memoized_read_only():
+    v = states.build_projected_vectors(5)
+    # an unhashable d reaches the memo only as its validated int
+    assert states.build_projected_vectors(np.array(5)) is v
+    with pytest.raises(ValueError):
+        v[1, 0] = 0.0
+    assert states.build_projected_vectors(5)[1, 0] == -0.25
+
+
 # ------------------------------------------------------------------ family
 
 
