@@ -233,15 +233,15 @@ def _resolve_out(args, default_name: str | None = None) -> str | None:
 
 
 def _check_config_value(key: str, value) -> None:
-    """Reject a config-file value that the SweepSpec field cannot take."""
+    """Reject a config-file or flag value that the SweepSpec field cannot take."""
     if key == "percell_error" and value is None:
         return
     integer = key in ("seed", "repetitions")
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
-        raise UsdError(f"config key {key!r} must be {kind}, got {value!r}")
+        raise UsdError(f"sweep parameter {key!r} must be {kind}, got {value!r}")
     if not math.isfinite(value):
-        raise UsdError(f"config key {key!r} must be finite, got {value!r}")
+        raise UsdError(f"sweep parameter {key!r} must be finite, got {value!r}")
 
 
 def _spec_from_args(args) -> SweepSpec:
@@ -269,12 +269,12 @@ def _spec_from_args(args) -> SweepSpec:
         unknown = sorted(set(merged) - set(known))
         if unknown:
             raise UsdError(f"unknown config keys {unknown}; accepted: {sorted(known)}")
-        for key, value in merged.items():
-            _check_config_value(key, value)
     for key in known:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    for key, value in merged.items():
+        _check_config_value(key, value)
     return SweepSpec(dims=dims, thetas=thetas, fixed_overlap=fixed_overlap, **merged)
 
 
@@ -358,8 +358,13 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers share this class, so every usage error is JSON
+        raise UsdError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="usdkit", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="usdkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, experiment_flags=True):
@@ -412,9 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsdError, ValueError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

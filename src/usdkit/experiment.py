@@ -22,12 +22,15 @@ Modeling choices (all configurable, none dictated by the measured data):
 
 Every count has its own Poisson stream, keyed [seed, 2, i, j] for coincidence
 cell (i, j) and [seed, 0, i] / [seed, 1, j] for the singles of arm A / B, so a
-run is deterministic and independent of evaluation order.
+run is deterministic and independent of evaluation order.  The keys reach
+SeedSequence as the uint32 words it makes of these int lists, so the streams
+(and every seed recorded with the int-list keys) stay the same.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
@@ -191,19 +194,30 @@ def _check_config_consistency(family: StateFamily, config: ExperimentConfig) -> 
 def draw_counts(
     family: StateFamily, lam: np.ndarray, singles_mean: float, config: ExperimentConfig
 ) -> CountsRecord:
-    """Keyed Poisson draws around checked expected means, seeded by ``config.rng_seed``."""
-    d, seed = family.dim, config.rng_seed
+    """Keyed Poisson draws around checked expected means, seeded by ``config.rng_seed``.
 
-    def draw(mean, *key):
-        return np.random.default_rng([seed, *key]).poisson(mean)
+    Each key reaches SeedSequence as uint32 words: the seed's little-endian
+    32-bit words (seed 0 gives [0]), then (2, i, j), (0, i) or (1, j).  These
+    are the words of the int-list key [seed, 2, i, j], so the streams match it.
+    """
+    d, seed = family.dim, operator.index(config.rng_seed)
+    words = [(seed >> k) & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    cells = np.empty((d, d + 1, len(words) + 3), dtype=np.uint32)
+    cells[..., :-3], cells[..., -3] = words, 2
+    cells[..., -2], cells[..., -1] = np.arange(d)[:, None], np.arange(d + 1)
+    singles = np.empty((2, d + 1, len(words) + 2), dtype=np.uint32)
+    singles[..., :-2], singles[..., -2], singles[..., -1] = words, [[0], [1]], np.arange(d + 1)
 
-    counts = [[draw(lam[i, j], 2, i, j) for j in range(d + 1)] for i in range(d)]
+    def draw(mean, key):  # np.random.default_rng is looked up per call, so patching it works
+        return np.random.default_rng(key).poisson(mean)
+
+    counts = [[draw(lam[i, j], cells[i, j]) for j in range(d + 1)] for i in range(d)]
     return CountsRecord(
         dim=d,
         theta=family.theta,
         coincidences=np.array(counts, dtype=np.int64),
-        singles_a=np.array([draw(singles_mean, 0, i) for i in range(d)], dtype=np.int64),
-        singles_b=np.array([draw(singles_mean, 1, j) for j in range(d + 1)], dtype=np.int64),
+        singles_a=np.array([draw(singles_mean, key) for key in singles[0, :d]], dtype=np.int64),
+        singles_b=np.array([draw(singles_mean, key) for key in singles[1]], dtype=np.int64),
         integration_time=config.integration_time,
         coincidence_window=config.coincidence_window,
         seed=seed,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -288,11 +288,4 @@ def to_json(obj: StateFamily | ComplementSet | DiscriminationBasis) -> str:
 
 
 def oam_map_to_json(mapping: OamMap) -> str:
-    return json.dumps(
-        {
-            "dim": mapping.dim,
-            "state_ells": list(mapping.state_ells),
-            "ancilla_ell": mapping.ancilla_ell,
-        },
-        indent=2,
-    )
+    return json.dumps(asdict(mapping), indent=2)  # fields in order; tuples become lists

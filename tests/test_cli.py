@@ -290,19 +290,33 @@ def test_huge_singles_rate_is_a_config_error(capsys):
     assert "finite" in payload["message"]
 
 
-@pytest.mark.parametrize("flag, value", [("--sigma-spiral", "1e-300"), ("--singles-rate", "1e200")])
-def test_degenerate_config_leaves_one_json_line_on_stderr(flag, value):
+@pytest.mark.parametrize(
+    "flags, error, key",
+    [
+        pytest.param(flags, error, key, id="-".join(flags))
+        for flags, error, key in [
+            (("--sigma-spiral", "1e-300"), "ConfigurationError", None),
+            (("--singles-rate", "1e200"), "ConfigurationError", None),
+            # a non-finite flag meets the same value check as a --config key
+            (("--sigma-spiral", "inf"), "UsdError", "spiral_bandwidth_sigma"),
+            (("--max-rate", "inf", "--sigma-spiral", "1e-160"), "UsdError", "max_coincidence_rate"),
+        ]
+    ],
+)
+def test_degenerate_config_leaves_one_json_line_on_stderr(flags, error, key):
     # a fresh interpreter, so that numpy warnings reach stderr instead of pytest's recorder
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = ["run", "--dim", "3", "--theta-deg", "30", flag, value]
+    argv = ["run", "--dim", "3", "--theta-deg", "30", *flags]
     proc = subprocess.run(
         [sys.executable, "-m", "usdkit.cli", *argv], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 1 and proc.stdout == ""
     line, = proc.stderr.splitlines()
-    assert json.loads(line)["error"] == "ConfigurationError"
+    payload = json.loads(line)
+    assert payload["error"] == error
+    assert key is None or repr(key) in payload["message"]
 
 
 def test_env_var_out_dir(tmp_path, capsys, monkeypatch):
@@ -384,11 +398,33 @@ def test_config_file_must_be_an_object(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--integration-time", "--sigma-spiral"])
 def test_run_rejects_nan_config_as_json(capsys, flag):
+    # flags meet the --config value check, so NaN is rejected before any config is built
     code, out, err = invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", flag, "nan")
     assert code == 1 and out == ""
     payload = json.loads(err)
-    assert payload["error"] == "ConfigurationError"
-    assert "must be positive" in payload["message"]
+    assert payload["error"] == "UsdError"
+    assert "must be finite, got nan" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("run", "--dim", "nan", "--theta-deg", "30"), ("check", "--theta-points", "x")],
+    ids=["--dim-nan", "--theta-points-x"],
+)
+def test_unconvertible_flag_value_is_one_json_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    line, = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "UsdError"
+    assert f"argument {argv[1]}: invalid int value" in payload["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert "--sigma-spiral" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

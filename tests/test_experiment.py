@@ -116,8 +116,10 @@ def test_run_experiment_deterministic():
     assert not np.array_equal(first.coincidences, third.coincidences)
 
 
-def test_run_experiment_draws_from_documented_keyed_streams():
-    seed, d = 2024, 5
+# 2**32 and beyond split into several 32-bit SeedSequence words
+@pytest.mark.parametrize("seed", [2024, 0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_run_experiment_draws_from_documented_keyed_streams(seed):
+    d = 5
     family, basis, config = make_setup(d, 0.55, rng_seed=seed)
     record = experiment.run_experiment(family, basis, config)
     means = experiment.expected_record(family, basis, config)
