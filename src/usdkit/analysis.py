@@ -55,15 +55,15 @@ class OutcomeTable:
 
 @dataclass(frozen=True)
 class ErrorSummary:
-    """Mean total error rate of a run compared against the MESD bound."""
+    """Mean total error rate of a run (or a list per repetition) against the MESD bound."""
 
     dim: int
     theta: float
-    per_state_error: tuple[float, ...]
-    mean_total_error: float
-    mean_error_sigma: float
+    per_state_error: tuple[float, ...] | tuple[list[float], ...]
+    mean_total_error: float | list[float]
+    mean_error_sigma: float | list[float]
     mesd_bound: float
-    verdict: str
+    verdict: str | tuple[str, ...]
 
 
 def quantum_contrast(record: CountsRecord) -> np.ndarray:
@@ -71,23 +71,25 @@ def quantum_contrast(record: CountsRecord) -> np.ndarray:
 
     Q_ij = C_ij * T / (S_Ai * S_Bj * t) with S the singles totals over the
     integration time T and t the coincidence window; two uncorrelated
-    streams give Q = 1 in expectation.
+    streams give Q = 1 in expectation.  A stacked record gives one Q per
+    repetition; a zero singles count anywhere in the stack is an error.
     """
     sa = np.asarray(record.singles_a, dtype=float)
     sb = np.asarray(record.singles_b, dtype=float)
     for name, arr in (("S_A", sa), ("S_B", sb)):
-        zeros = np.where(arr <= 0.0)[0]
+        zeros = np.argwhere(arr <= 0.0)
         if zeros.size:
             raise InsufficientDataError(
-                f"{name} has zero singles at setting index {int(zeros[0])}; "
+                f"{name} has zero singles at setting index {zeros[0][-1]}; "
                 "quantum contrast is undefined"
             )
     c = np.asarray(record.coincidences, dtype=float)
-    return c * record.integration_time / (sa[:, None] * sb[None, :] * record.coincidence_window)
+    window = record.coincidence_window
+    return c * record.integration_time / (sa[..., :, None] * sb[..., None, :] * window)
 
 
 def _check_row_sums(p: np.ndarray) -> None:
-    if not np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12:
+    if not np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-12:
         raise DegenerateRowError("probability rows must sum to one")
 
 
@@ -97,17 +99,18 @@ def normalize_probabilities(contrast: np.ndarray) -> np.ndarray:
     Raises:
         DegenerateRowError: if a row of Q - 1 sums to a nonpositive value,
             meaning that preparation shows no correlated signal, or if a
-            nearly cancelling row fails to sum to one within 1e-12.
+            nearly cancelling row fails to sum to one within 1e-12.  A stack
+            reports the first failing row of its lowest failing repetition.
     """
     excess = np.asarray(contrast, dtype=float) - 1.0
-    denominators = excess.sum(axis=1)
-    bad = np.where(denominators <= 0.0)[0]
+    denominators = excess.sum(axis=-1)
+    bad = np.argwhere(denominators <= 0.0)
     if bad.size:
         raise DegenerateRowError(
-            f"row {int(bad[0])} has nonpositive contrast excess {denominators[bad[0]]!r}; "
-            "no correlated signal in that preparation"
+            f"row {bad[0][-1]} has nonpositive contrast excess "
+            f"{float(denominators[tuple(bad[0])])!r}; no correlated signal in that preparation"
         )
-    p = excess / denominators[:, None]
+    p = excess / denominators[..., None]
     _check_row_sums(p)
     return p
 
@@ -174,24 +177,21 @@ def summarize_probabilities(
     sample standard deviation of the per-state errors, i.e. the spread
     attached to the mean point when classifying it against the bound (by
     default ``theory.mesd_bound`` at (d, theta)), and the verdict is
-    below_by_one_sigma / overlapping / above accordingly.
+    below_by_one_sigma / overlapping / above accordingly.  An (R, d, d+1)
+    stack gives lists over the repetitions, each entry bit-equal to the
+    number its matrix alone gives.
     """
     p = np.asarray(probabilities)
-    d = p.shape[0]
-    off_diagonal = ~np.eye(d, dtype=bool)
-    per_state = np.where(off_diagonal, p[:, :d], 0.0).sum(axis=1)
-    mean_error = float(per_state.mean())
-    sigma = float(per_state.std(ddof=1)) if d > 1 else 0.0
+    d = p.shape[-2]
+    per_state = np.where(~np.eye(d, dtype=bool), p[..., :d], 0.0).sum(axis=-1)
+    mean_error = per_state.mean(axis=-1).tolist()
+    sigma = (per_state.std(axis=-1, ddof=1) if d > 1 else np.zeros(p.shape[:-2])).tolist()
     bound = theory.mesd_bound(d, theta) if mesd_bound is None else float(mesd_bound)
-    return ErrorSummary(
-        dim=d,
-        theta=theta,
-        per_state_error=tuple(float(e) for e in per_state),
-        mean_total_error=mean_error,
-        mean_error_sigma=sigma,
-        mesd_bound=bound,
-        verdict=classify(mean_error, sigma, bound),
-    )
+    if p.ndim == 2:
+        verdict = classify(mean_error, sigma, bound)
+    else:
+        verdict = tuple(classify(m, s, bound) for m, s in zip(mean_error, sigma))
+    return ErrorSummary(d, theta, tuple(per_state.tolist()), mean_error, sigma, bound, verdict)
 
 
 def error_summary(table: OutcomeTable, mesd_bound: float | None = None) -> ErrorSummary:

@@ -83,21 +83,13 @@ def _point_thetas(spec: SweepSpec, d: int) -> tuple[float, ...]:
     return (theory.theta_for_overlap(d, spec.fixed_overlap),)
 
 
-def _config_for(spec: SweepSpec, d: int, th: float, seed: int) -> experiment.ExperimentConfig:
-    eps = spec.crosstalk_epsilon
+def _config_for(spec: SweepSpec, d: int, th: float) -> experiment.ExperimentConfig:
+    """The experiment config of one point; source and noise fields share their names."""
+    shared = {f.name for f in fields(experiment.ExperimentConfig)} & {f.name for f in fields(spec)}
+    settings = {name: getattr(spec, name) for name in shared}
     if spec.percell_error is not None:
-        eps = experiment.epsilon_for_percell_error(d, spec.percell_error)
-    return experiment.ExperimentConfig(
-        dim=d,
-        theta=th,
-        integration_time=spec.integration_time,
-        coincidence_window=spec.coincidence_window,
-        max_coincidence_rate=spec.max_coincidence_rate,
-        spiral_bandwidth_sigma=spec.spiral_bandwidth_sigma,
-        crosstalk_epsilon=eps,
-        singles_rate_scale=spec.singles_rate_scale,
-        rng_seed=seed,
-    )
+        settings["crosstalk_epsilon"] = experiment.epsilon_for_percell_error(d, spec.percell_error)
+    return experiment.ExperimentConfig(dim=d, theta=th, **settings)
 
 
 def _row(
@@ -121,22 +113,28 @@ def _row(
 
 def theory_rows(spec: SweepSpec) -> list[dict]:
     """Closed-form rows over the requested (d, theta) grid."""
-    rows = []
-    for d in spec.dims:
-        for th in _point_thetas(spec, d):
-            rows.append(_row(theory.theory_point(d, th)))
-    return rows
+    return [_row(theory.theory_point(d, th)) for d in spec.dims for th in _point_thetas(spec, d)]
+
+
+def _summarize(
+    family: states.StateFamily, basis: states.DiscriminationBasis,
+    config: experiment.ExperimentConfig, seeds, point: theory.TheoryPoint,
+) -> analysis.ErrorSummary:
+    record = experiment.run_repetitions(family, basis, config, seeds)
+    p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
+    return analysis.summarize_probabilities(p, point.theta, point.mesd_bound)
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Simulate and analyze every sweep point; one row per repetition.
 
-    Repetitions use seeds seed, seed+1, ...; when there is more than one, an
-    aggregate row follows with the mean of the repetition means, the sample
-    standard deviation across repetitions as its sigma, the verdict
-    recomputed from those, and an empty seed column.  An error raised at a
-    point carries that point's dim, theta_deg and seed (None before the first
-    repetition starts) in its ``point`` attribute.
+    Repetitions use seeds seed, seed+1, ...; a point draws and analyzes them
+    as one stack.  When there is more than one, an aggregate row follows with
+    the mean of the repetition means, the sample standard deviation across
+    repetitions as its sigma, the verdict recomputed from those, and an empty
+    seed column.  An error raised at a point carries that point's dim,
+    theta_deg and seed (None before the first repetition starts) in its
+    ``point`` attribute; the seed is the lowest one whose run fails alone.
     """
     rows = []
     for d in spec.dims:
@@ -147,17 +145,18 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 point = theory.theory_point(d, th)
                 seeds = range(spec.seed, spec.seed + spec.repetitions)
                 seed = seeds[0]  # seed-independent failures name the first seed
-                config = _config_for(spec, d, th, seed)
-                records = experiment.run_repetitions(family, basis, config, seeds)
-                means = []
-                for seed in seeds:
-                    p = analysis.normalize_probabilities(analysis.quantum_contrast(next(records)))
-                    summary = analysis.summarize_probabilities(p, th, point.mesd_bound)
-                    means.append(summary.mean_total_error)
-                    rows.append(_row(point, seed, means[-1], summary.mean_error_sigma))
+                config = _config_for(spec, d, th)
+                try:
+                    summary = _summarize(family, basis, config, seeds, point)
+                except (UsdError, ValueError):
+                    for seed in seeds:  # rerun seed by seed to name the lowest failing one
+                        _summarize(family, basis, config, (seed,), point)
+                    raise
             except (UsdError, ValueError) as exc:
                 exc.point = {"dim": d, "theta_deg": math.degrees(th), "seed": seed}
                 raise
+            means = summary.mean_total_error
+            rows += [_row(point, *rep) for rep in zip(seeds, means, summary.mean_error_sigma)]
             if spec.repetitions > 1:
                 rows.append(_row(point, None, float(np.mean(means)), float(np.std(means, ddof=1))))
     return rows
@@ -182,14 +181,13 @@ def rows_to_json(rows: list[dict]) -> str:
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
-def write_rows(rows: list[dict], path: str | None, fmt: str) -> str:
+def write_rows(rows: list[dict], path: str | None, fmt: str) -> None:
     text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as handle:
             handle.write(text)
-    return text
 
 
 def _parse_dims(args) -> tuple[int, ...]:

@@ -23,16 +23,19 @@ Modeling choices (all configurable, none dictated by the measured data):
 Every count has its own Poisson stream, keyed [seed, 2, i, j] for coincidence
 cell (i, j) and [seed, 0, i] / [seed, 1, j] for the singles of arm A / B, so a
 run is deterministic and independent of evaluation order.  The keys reach
-SeedSequence as the uint32 words it makes of these int lists, so the streams
-(and every seed recorded with the int-list keys) stay the same.
+SeedSequence as the uint32 words it makes of these int lists, and each count
+comes from Generator(PCG64(SeedSequence(key))), the generator that
+np.random.default_rng(key) builds, so the streams (and every seed recorded
+with the int-list keys) stay the same.  ``run_repetitions`` draws the runs of
+many seeds into one record stacked along a leading repetition axis.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,7 +80,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CountsRecord:
-    """Raw counts of one run: coincidence matrix plus per-setting singles."""
+    """Raw counts of one run, or of R runs stacked along a leading axis.
+
+    Every check works on the trailing (d, d+1), (d,) and (d+1,) axes.
+    """
 
     dim: int
     theta: float
@@ -86,8 +92,6 @@ class CountsRecord:
     singles_b: np.ndarray
     integration_time: float
     coincidence_window: float = 25e-9
-    seed: int | None = None
-    config: ExperimentConfig | None = field(default=None, compare=False)
 
     def __post_init__(self):
         # integer dtype is preserved for generated records; synthetic records
@@ -102,14 +106,14 @@ class CountsRecord:
         object.__setattr__(self, "coincidences", c)
         object.__setattr__(self, "singles_a", sa)
         object.__setattr__(self, "singles_b", sb)
-        d = self.dim
-        if c.shape != (d, d + 1) or sa.shape != (d,) or sb.shape != (d + 1,):
+        d, lead = self.dim, c.shape[:-2]
+        if c.shape != (*lead, d, d + 1) or sa.shape != (*lead, d) or sb.shape != (*lead, d + 1):
             raise InvalidDimensionError(
                 f"inconsistent count shapes {c.shape}, {sa.shape}, {sb.shape} for d={d}"
             )
         if not (np.all(c >= 0.0) and np.all(sa >= 0.0) and np.all(sb >= 0.0)):
             raise ConfigurationError("counts must be nonnegative")
-        if np.any(c > np.minimum(sa[:, None], sb[None, :])):
+        if np.any(c > np.minimum(sa[..., :, None], sb[..., None, :])):
             raise ConfigurationError("coincidences cannot exceed either arm's singles")
         if not (self.integration_time > 0.0 and self.coincidence_window > 0.0):
             raise ConfigurationError("integration time and window must be positive")
@@ -169,6 +173,14 @@ def _expected_means(
     family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig
 ) -> tuple[np.ndarray, float]:
     """Per-cell expected coincidence counts and the expected singles count."""
+    if config.dim != family.dim:
+        raise ShapeMismatchError(
+            f"config dimension {config.dim} does not match family dimension {family.dim}"
+        )
+    if not abs(config.theta - family.theta) <= 1e-9:
+        raise ShapeMismatchError(
+            f"config theta {config.theta!r} does not match family theta {family.theta!r}"
+        )
     probs = apply_noise(ideal_detection_matrix(family, basis), config)
     weights = spiral_weights(oam_map(family.dim), config.spiral_bandwidth_sigma)
     rates = config.max_coincidence_rate * weights
@@ -180,60 +192,23 @@ def _expected_means(
     return lam, singles_mean
 
 
-def _check_config_consistency(family: StateFamily, config: ExperimentConfig) -> None:
-    if config.dim != family.dim:
-        raise ShapeMismatchError(
-            f"config dimension {config.dim} does not match family dimension {family.dim}"
-        )
-    if not abs(config.theta - family.theta) <= 1e-9:
-        raise ShapeMismatchError(
-            f"config theta {config.theta!r} does not match family theta {family.theta!r}"
-        )
-
-
-def draw_counts(
-    family: StateFamily, lam: np.ndarray, singles_mean: float, config: ExperimentConfig
+def run_repetitions(
+    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig, seeds: Iterable[int]
 ) -> CountsRecord:
-    """Keyed Poisson draws around checked expected means, seeded by ``config.rng_seed``.
+    """Draw the runs of all ``seeds`` into one record stacked along a leading axis.
+
+    Repetition r is the run of the r-th seed, as ``run_experiment`` draws it;
+    ``config.rng_seed`` is not read.  The seeds are checked, and the expected
+    means pass their overflow and singles-dominance gates, once for all.
 
     Each key reaches SeedSequence as uint32 words: the seed's little-endian
     32-bit words (seed 0 gives [0]), then (2, i, j), (0, i) or (1, j).  These
     are the words of the int-list key [seed, 2, i, j], so the streams match it.
+    The keys sit right-aligned in one table: a seed with fewer words starts later.
     """
-    d, seed = family.dim, operator.index(config.rng_seed)
-    words = [(seed >> k) & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
-    cells = np.empty((d, d + 1, len(words) + 3), dtype=np.uint32)
-    cells[..., :-3], cells[..., -3] = words, 2
-    cells[..., -2], cells[..., -1] = np.arange(d)[:, None], np.arange(d + 1)
-    singles = np.empty((2, d + 1, len(words) + 2), dtype=np.uint32)
-    singles[..., :-2], singles[..., -2], singles[..., -1] = words, [[0], [1]], np.arange(d + 1)
-
-    def draw(mean, key):  # np.random.default_rng is looked up per call, so patching it works
-        return np.random.default_rng(key).poisson(mean)
-
-    counts = [[draw(lam[i, j], cells[i, j]) for j in range(d + 1)] for i in range(d)]
-    return CountsRecord(
-        dim=d,
-        theta=family.theta,
-        coincidences=np.array(counts, dtype=np.int64),
-        singles_a=np.array([draw(singles_mean, key) for key in singles[0, :d]], dtype=np.int64),
-        singles_b=np.array([draw(singles_mean, key) for key in singles[1]], dtype=np.int64),
-        integration_time=config.integration_time,
-        coincidence_window=config.coincidence_window,
-        seed=seed,
-        config=config,
-    )
-
-
-def run_repetitions(
-    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig, seeds: Iterable[int]
-) -> Iterator[CountsRecord]:
-    """Lazily draw one counts record per seed, each replacing ``config.rng_seed``.
-
-    The expected means and their overflow and singles-dominance checks do not
-    depend on the seed, so they run once, when the first record is requested.
-    """
-    _check_config_consistency(family, config)
+    seeds = [operator.index(seed) for seed in seeds]
+    if not all(seed >= 0 for seed in seeds):
+        raise ConfigurationError(f"rng_seed must be nonnegative, got {min(seeds)!r}")
     lam, singles_mean = _expected_means(family, basis, config)
     lam_max = float(lam.max())
     if not (lam_max < MAX_EXPECTED_COUNTS and singles_mean < MAX_EXPECTED_COUNTS):  # NaN fails
@@ -246,8 +221,36 @@ def run_repetitions(
             f"singles {singles_mean!r} must dominate the largest cell mean {lam_max!r}; "
             "raise singles_rate_scale or lower the coincidence scale"
         )
-    for seed in seeds:
-        yield draw_counts(family, lam, singles_mean, replace(config, rng_seed=seed))
+    d = family.dim
+    cells, n = d * (d + 1), (d + 1) ** 2 + d
+    words = [[(s >> k) & 0xFFFFFFFF for k in range(0, max(s.bit_length(), 1), 32)] for s in seeds]
+    w = max(map(len, words), default=1)
+    starts = [w - len(seed_words) for seed_words in words]
+    keys = np.zeros((len(seeds), n, w + 3), dtype=np.uint32)
+    keys[:, :cells, w:] = [(2, i, j) for i in range(d) for j in range(d + 1)]
+    keys[:, cells:, w + 1 :] = [(0, i) for i in range(d)] + [(1, j) for j in range(d + 1)]
+    for row, start, seed_words in zip(keys, starts, words):
+        row[:cells, start:w] = row[cells:, start + 1 : w + 1] = seed_words
+    Generator, PCG64, SeedSequence = np.random.Generator, np.random.PCG64, np.random.SeedSequence
+
+    def draw(rows, means):
+        return [Generator(PCG64(SeedSequence(key))).poisson(m) for key, m in zip(rows, means)]
+
+    means, singles = lam.ravel().tolist(), [singles_mean] * (n - cells)
+    counts = [
+        draw(row[:cells, start:], means) + draw(row[cells:, start + 1 :], singles)
+        for row, start in zip(keys, starts)
+    ]
+    counts = np.array(counts, dtype=np.int64).reshape(len(seeds), n)
+    return CountsRecord(
+        dim=d,
+        theta=family.theta,
+        coincidences=counts[:, :cells].reshape(-1, d, d + 1),
+        singles_a=counts[:, cells : cells + d],
+        singles_b=counts[:, cells + d :],
+        integration_time=config.integration_time,
+        coincidence_window=config.coincidence_window,
+    )
 
 
 def run_experiment(
@@ -261,7 +264,9 @@ def run_experiment(
     background Poisson streams; the background must dominate the coincidence
     counts so that every generated record satisfies C_ij <= min(S_Ai, S_Bj).
     """
-    return next(run_repetitions(family, basis, config, (config.rng_seed,)))
+    stack = run_repetitions(family, basis, config, (config.rng_seed,))
+    counts = ("coincidences", "singles_a", "singles_b")
+    return replace(stack, **{name: getattr(stack, name)[0] for name in counts})
 
 
 def expected_record(
@@ -273,7 +278,6 @@ def expected_record(
     and the singles carry their background means; feeding this record through
     the analysis chain reproduces the noisy detection matrix exactly.
     """
-    _check_config_consistency(family, config)
     lam, singles_mean = _expected_means(family, basis, config)
     d = family.dim
     return CountsRecord(
@@ -284,6 +288,4 @@ def expected_record(
         singles_b=np.full(d + 1, singles_mean),
         integration_time=config.integration_time,
         coincidence_window=config.coincidence_window,
-        seed=None,
-        config=config,
     )

@@ -99,6 +99,27 @@ def test_normalize_degenerate_row_raises():
     assert "row 1" in str(err.value)
 
 
+def test_normalize_stack_names_first_failing_row_of_lowest_failing_repetition():
+    good = np.array([[1.2, 1.1, 1.3], [1.4, 1.0, 1.1]])
+    stack = np.stack([good, [[1.5, 1.25, 1.25], [0.75, 1.0, 1.0]], [[0.5, 1.0, 1.0], good[1]]])
+    with pytest.raises(DegenerateRowError) as err:
+        analysis.normalize_probabilities(stack)
+    # repetition 1's row 1, not repetition 2's row 0; a plain float, not np.float64(...)
+    assert str(err.value).startswith("row 1 has nonpositive contrast excess -0.25;")
+    p = analysis.normalize_probabilities(stack[[0, 0]])
+    assert p.shape == (2, 2, 3) and np.array_equal(p[1], analysis.normalize_probabilities(good))
+
+
+def test_contrast_of_stack_rejects_zero_singles_in_any_repetition():
+    counts = np.zeros((2, 2, 3))
+    singles_b = np.full((2, 3), 100)
+    record = synthetic_record(counts, [[100, 100], [100, 100]], singles_b, dim=2)
+    assert analysis.quantum_contrast(record).shape == (2, 2, 3)
+    bad = synthetic_record(counts, [[100, 100], [100, 0]], singles_b, dim=2)
+    with pytest.raises(InsufficientDataError, match="S_A has zero singles at setting index 1"):
+        analysis.quantum_contrast(bad)
+
+
 # ------------------------------------------------------- pipeline identity
 
 

@@ -1,5 +1,7 @@
 """CLI verbs, sweep output schema, determinism, and error reporting."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -193,7 +195,7 @@ def reference_sweep(spec):
             point = theory.theory_point(d, th)
             means = []
             for seed in range(spec.seed, spec.seed + spec.repetitions):
-                config = cli._config_for(spec, d, th, seed)
+                config = dataclasses.replace(cli._config_for(spec, d, th), rng_seed=seed)
                 record = experiment.run_experiment(family, basis, config)
                 summary = analysis.error_summary(analysis.outcome_table(record))
                 means.append(summary.mean_total_error)
@@ -521,6 +523,47 @@ def test_run_error_names_failing_point(capsys):
     )
 
 
+def test_failing_repetition_names_its_own_seed(capsys):
+    # seeds 110..119 draw as one stack; only the sixth repetition, seed 115, has no signal
+    code, out, err = invoke(
+        capsys,
+        "run", "--dims", "14", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
+        "--max-rate", "22", "--sigma-spiral", "2.4", "--seed", "110", "--reps", "10",
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "DegenerateRowError"
+    assert payload["dim"] == 14 and payload["seed"] == 115
+    # a plain float, not numpy's np.float64(...) repr
+    assert "-4.260303108076334" in payload["message"]
+    assert "np.float64" not in payload["message"]
+
+
+def test_lowest_of_several_failing_seeds_is_named(capsys):
+    # at d = 16 the l = 8 row often draws no signal; a one-seed run is the oracle
+    spec = SweepSpec(dims=(16,), repetitions=10, seed=10, **ACCEPTANCE)
+    th = theory.theta_for_overlap(16, spec.fixed_overlap)
+    family, basis = states.build_family_and_basis(16, th)
+    failures = {}
+    for seed in range(10, 20):
+        config = dataclasses.replace(cli._config_for(spec, 16, th), rng_seed=seed)
+        record = experiment.run_experiment(family, basis, config)
+        try:
+            analysis.normalize_probabilities(analysis.quantum_contrast(record))
+        except UsdError as exc:
+            failures[seed] = str(exc)
+    assert len(failures) >= 2
+    code, _, err = invoke(
+        capsys,
+        "run", "--dims", "16", "--overlap", repr(spec.fixed_overlap), "--percell-error", "0.01",
+        "--max-rate", "22", "--sigma-spiral", "2.4", "--seed", "10", "--reps", "10",
+    )
+    payload = json.loads(err)
+    assert code == 1 and payload["seed"] == min(failures)
+    assert payload["message"] == failures[min(failures)]
+
+
 def test_run_negative_seed_is_a_config_error(capsys):
     code, out, err = invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", "--seed", "-1")
     assert code == 1 and out == ""
@@ -544,3 +587,29 @@ def test_docstring_theory_example_runs(tmp_path, capsys):
     assert code == 0, err
     lines = (tmp_path / "theory.csv").read_text().splitlines()
     assert len(lines) == 1 + 13 * 9
+
+
+# ------------------------------------------------------------- golden bytes
+
+#: SHA-256 of two small sweeps' CSV, pinned under numpy 2.4.6; the second crosses
+#: seed 2**32, where the keys grow from one 32-bit seed word to two
+GOLDEN_SWEEPS = {
+    "534a6a81884e2c6bda1e756e7df694fc6f40aaf0ab6b346d39466a12258af7ce": (
+        "--dims", "2:6", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
+        "--max-rate", "22", "--sigma-spiral", "2.4", "--reps", "3", "--seed", "7",
+    ),
+    "cd6ca6d0848945898f285b1a6769f443accbb182ebc7434c27e9e5f2a96a2f16": (
+        "--dims", "2:4", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
+        "--reps", "4", "--seed", "4294967294",
+    ),
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6", reason=f"hashes pinned under numpy 2.4.6, found {np.__version__}"
+)
+@pytest.mark.parametrize("digest", GOLDEN_SWEEPS)
+def test_sweep_bytes_match_pinned_hash(capsys, digest):
+    code, out, err = invoke(capsys, "run", *GOLDEN_SWEEPS[digest])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

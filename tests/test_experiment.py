@@ -1,15 +1,16 @@
 """Virtual experiment: detection matrix, noise model, spiral envelope, counting."""
 
 import dataclasses
-import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from usdkit import analysis, experiment, states, theory
-from usdkit.errors import ConfigurationError, ShapeMismatchError, UsdError
+from usdkit.errors import ConfigurationError, InvalidDimensionError, ShapeMismatchError, UsdError
 
 
 def make_setup(d, theta, **overrides):
@@ -135,25 +136,55 @@ def test_run_experiment_draws_from_documented_keyed_streams(seed):
         assert record.singles_b[j] == draw(means.singles_b[j], 1, j)
 
 
-def test_run_repetitions_is_lazy_and_matches_run_experiment():
-    family, basis, config = make_setup(4, 0.6, rng_seed=7)
-    records = experiment.run_repetitions(family, basis, config, itertools.count(40))
-    for seed, record in zip((40, 41, 42), records):
+# from base seed 2**32 - 2 the key grows from one 32-bit word to two inside the point
+@settings(max_examples=15, deadline=None)
+@example(d=14, reps=5, base=2**32 - 2)
+@example(d=2, reps=1, base=0)
+@given(
+    d=st.integers(2, 14),
+    reps=st.integers(1, 5),
+    base=st.sampled_from([0, 2**32 - 2, 2**64 - 3]) | st.integers(0, 2**70),
+)
+def test_stacked_repetitions_match_single_seed_runs(d, reps, base):
+    family, basis, config = make_setup(d, theory.theta_for_overlap(d, 2**-0.5))
+    seeds = range(base, base + reps)
+    stack = experiment.run_repetitions(family, basis, config, seeds)
+    assert stack.coincidences.shape == (reps, d, d + 1)
+    assert stack.singles_a.shape == (reps, d) and stack.singles_b.shape == (reps, d + 1)
+    probabilities = analysis.normalize_probabilities(analysis.quantum_contrast(stack))
+    summary = analysis.summarize_probabilities(probabilities, config.theta)
+    for r, seed in enumerate(seeds):
         single = experiment.run_experiment(
             family, basis, dataclasses.replace(config, rng_seed=seed)
         )
-        assert record.seed == record.config.rng_seed == seed
-        assert record.config == single.config and record.theta == single.theta
         for name in ("coincidences", "singles_a", "singles_b"):
-            assert np.array_equal(getattr(record, name), getattr(single, name))
+            assert np.array_equal(getattr(stack, name)[r], getattr(single, name))
+        p = analysis.normalize_probabilities(analysis.quantum_contrast(single))
+        alone = analysis.summarize_probabilities(p, config.theta)
+        # bit-equal, not approximately equal
+        assert np.array_equal(probabilities[r], p)
+        assert summary.mean_total_error[r] == alone.mean_total_error
+        assert summary.mean_error_sigma[r] == alone.mean_error_sigma
+        assert tuple(summary.per_state_error[r]) == alone.per_state_error
+        assert summary.verdict[r] == alone.verdict
 
 
 def test_run_repetitions_checks_each_seed_config():
     family, basis, config = make_setup(3, 0.5)
-    records = experiment.run_repetitions(family, basis, config, (0, -1))
-    next(records)
-    with pytest.raises(ConfigurationError, match="rng_seed"):
-        next(records)
+    with pytest.raises(ConfigurationError, match="rng_seed must be nonnegative, got -1"):
+        experiment.run_repetitions(family, basis, config, (0, -1))
+
+
+def test_counts_record_checks_stacks_on_trailing_axes():
+    stack = experiment.run_repetitions(*make_setup(3, 0.5), (1, 2))
+    coincidences = np.array(stack.coincidences)
+    coincidences[1, 2, 0] = stack.singles_a[1, 2] + 1
+    with pytest.raises(ConfigurationError, match="exceed"):
+        dataclasses.replace(stack, coincidences=coincidences)
+    with pytest.raises(InvalidDimensionError):
+        dataclasses.replace(stack, singles_a=stack.singles_a[:1])
+    with pytest.raises(InvalidDimensionError):
+        dataclasses.replace(stack, coincidences=stack.coincidences[:, :, :3])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17])
@@ -190,10 +221,7 @@ def test_mean_convergence_to_noisy_probability():
     noisy = experiment.apply_noise(experiment.ideal_detection_matrix(family, basis), config)
     weights = experiment.spiral_weights(states.oam_map(d), config.spiral_bandwidth_sigma)
     rates = config.max_coincidence_rate * weights
-    totals = np.zeros((d, d + 1))
-    for k in range(reps):
-        record = experiment.run_experiment(family, basis, dataclasses.replace(config, rng_seed=k))
-        totals += np.asarray(record.coincidences)
+    totals = experiment.run_repetitions(family, basis, config, range(reps)).coincidences.sum(axis=0)
     scale = rates[:, None] * config.integration_time
     measured = totals / reps / scale
     lam = scale * noisy + config.singles_rate_scale**2 * config.coincidence_window * config.integration_time
@@ -211,13 +239,9 @@ def test_diagonal_counts_track_expected_rate():
     weights = experiment.spiral_weights(states.oam_map(d), config.spiral_bandwidth_sigma)
     accidental = config.singles_rate_scale**2 * config.coincidence_window * config.integration_time
     lam = 350.0 * 30.0 * 0.4958110933998417 * weights + accidental
-    totals = np.zeros(d)
     runs = 100
-    for seed in range(runs):
-        record = experiment.run_experiment(
-            family, basis, dataclasses.replace(config, rng_seed=seed)
-        )
-        totals += np.diag(np.asarray(record.coincidences)[:, :d])
+    stack = experiment.run_repetitions(family, basis, config, range(runs))
+    totals = np.diagonal(stack.coincidences, axis1=1, axis2=2).sum(axis=0)
     means = totals / runs
     assert np.all(np.abs(means - lam) < 5.0 * np.sqrt(lam) / math.sqrt(runs))
 
