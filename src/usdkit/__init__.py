@@ -11,7 +11,6 @@ from .analysis import (
     ErrorSummary,
     OutcomeTable,
     classify,
-    error_summary,
     gaussian_propagation,
     normalize_probabilities,
     outcome_table,

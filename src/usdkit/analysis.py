@@ -28,10 +28,8 @@ VERDICT_ABOVE = "above"
 
 @dataclass(frozen=True)
 class OutcomeTable:
-    """Normalized outcome probabilities with propagated uncertainties."""
+    """Normalized outcome probabilities with propagated uncertainties, each (d, d+1)."""
 
-    dim: int
-    theta: float
     probabilities: np.ndarray
     sigmas: np.ndarray
     quantum_contrast: np.ndarray
@@ -45,8 +43,7 @@ class OutcomeTable:
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "sigmas", s)
         object.__setattr__(self, "quantum_contrast", q)
-        d = self.dim
-        if p.shape != (d, d + 1) or s.shape != (d, d + 1) or q.shape != (d, d + 1):
+        if p.ndim != 2 or p.shape[1] != p.shape[0] + 1 or s.shape != p.shape or q.shape != p.shape:
             raise InvalidDimensionError("outcome matrices must have shape (d, d+1)")
         _check_row_sums(p)
         if np.any(s < 0.0) or not np.all(np.isfinite(s)):
@@ -57,8 +54,6 @@ class OutcomeTable:
 class ErrorSummary:
     """Mean total error rate of a run (or a list per repetition) against the MESD bound."""
 
-    dim: int
-    theta: float
     per_state_error: tuple[float, ...] | tuple[list[float], ...]
     mean_total_error: float | list[float]
     mean_error_sigma: float | list[float]
@@ -150,8 +145,6 @@ def outcome_table(record: CountsRecord) -> OutcomeTable:
     """Full analysis of one counts record: contrast, probabilities, sigmas."""
     q = quantum_contrast(record)
     return OutcomeTable(
-        dim=record.dim,
-        theta=record.theta,
         probabilities=normalize_probabilities(q),
         sigmas=gaussian_propagation(record),
         quantum_contrast=q,
@@ -191,9 +184,4 @@ def summarize_probabilities(
         verdict = classify(mean_error, sigma, bound)
     else:
         verdict = tuple(classify(m, s, bound) for m, s in zip(mean_error, sigma))
-    return ErrorSummary(d, theta, tuple(per_state.tolist()), mean_error, sigma, bound, verdict)
-
-
-def error_summary(table: OutcomeTable, mesd_bound: float | None = None) -> ErrorSummary:
-    """``summarize_probabilities`` of an outcome table's probabilities."""
-    return summarize_probabilities(table.probabilities, table.theta, mesd_bound)
+    return ErrorSummary(tuple(per_state.tolist()), mean_error, sigma, bound, verdict)

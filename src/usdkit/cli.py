@@ -72,7 +72,7 @@ class SweepSpec:
         if not self.dims:
             raise UsdError("sweep needs at least one dimension")
         if (self.thetas is None) == (self.fixed_overlap is None):
-            raise UsdError("exactly one of thetas / fixed_overlap must be given")
+            raise UsdError("give exactly one of --theta-deg, --theta-grid or --overlap")
         if self.repetitions < 1:
             raise UsdError("repetitions must be >= 1")
 
@@ -83,13 +83,12 @@ def _point_thetas(spec: SweepSpec, d: int) -> tuple[float, ...]:
     return (theory.theta_for_overlap(d, spec.fixed_overlap),)
 
 
-def _config_for(spec: SweepSpec, d: int, th: float) -> experiment.ExperimentConfig:
-    """The experiment config of one point; source and noise fields share their names."""
-    shared = {f.name for f in fields(experiment.ExperimentConfig)} & {f.name for f in fields(spec)}
-    settings = {name: getattr(spec, name) for name in shared}
+def _config_for(spec: SweepSpec, d: int) -> experiment.ExperimentConfig:
+    """The experiment config at dimension d; every config field has a spec field of its name."""
+    settings = {f.name: getattr(spec, f.name) for f in fields(experiment.ExperimentConfig)}
     if spec.percell_error is not None:
         settings["crosstalk_epsilon"] = experiment.epsilon_for_percell_error(d, spec.percell_error)
-    return experiment.ExperimentConfig(dim=d, theta=th, **settings)
+    return experiment.ExperimentConfig(**settings)
 
 
 def _row(
@@ -145,7 +144,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 point = theory.theory_point(d, th)
                 seeds = range(spec.seed, spec.seed + spec.repetitions)
                 seed = seeds[0]  # seed-independent failures name the first seed
-                config = _config_for(spec, d, th)
+                config = _config_for(spec, d)
                 try:
                     summary = _summarize(family, basis, config, seeds, point)
                 except (UsdError, ValueError):
@@ -191,10 +190,12 @@ def write_rows(rows: list[dict], path: str | None, fmt: str) -> None:
 
 
 def _parse_dims(args) -> tuple[int, ...]:
-    if not args.dims:
+    if args.dims is None:
         if args.dim is None:
             raise UsdError("provide --dim or --dims")
         return (int(args.dim),)
+    if args.dim is not None:
+        raise UsdError("give --dim or --dims, not both")
     lo, colon, hi = args.dims.partition(":")
     try:
         dims = tuple(range(int(lo), int(hi) + 1) if colon else map(int, args.dims.split(",")))
@@ -243,18 +244,18 @@ def _check_config_value(key: str, value) -> None:
 
 
 def _spec_from_args(args) -> SweepSpec:
-    """Resolve the sweep request; flags (dest = SweepSpec field) beat --config keys."""
+    """Resolve the sweep request; flags (dest = SweepSpec field) beat --config keys.
+
+    Two ways of giving the same quantity (d, the angles, or epsilon) are an error.
+    """
     dims = _parse_dims(args)
+    if args.theta_deg is not None and args.theta_grid is not None:
+        raise UsdError("give --theta-deg or --theta-grid, not both")
     thetas = None
-    fixed_overlap = None
-    if args.theta_grid:
+    if args.theta_grid is not None:
         thetas = _parse_theta_grid(args.theta_grid)
     elif args.theta_deg is not None:
         thetas = (math.radians(args.theta_deg),)
-    elif args.overlap is not None:
-        fixed_overlap = args.overlap
-    else:
-        raise UsdError("provide --theta-deg, --theta-grid, or --overlap")
     known = tuple(
         f.name for f in fields(SweepSpec) if f.name not in ("dims", "thetas", "fixed_overlap")
     )
@@ -273,7 +274,9 @@ def _spec_from_args(args) -> SweepSpec:
             merged[key] = value
     for key, value in merged.items():
         _check_config_value(key, value)
-    return SweepSpec(dims=dims, thetas=thetas, fixed_overlap=fixed_overlap, **merged)
+    if "crosstalk_epsilon" in merged and merged.get("percell_error") is not None:
+        raise UsdError("give --epsilon (crosstalk_epsilon) or --percell-error, not both")
+    return SweepSpec(dims=dims, thetas=thetas, fixed_overlap=args.overlap, **merged)
 
 
 #: Bounds of ``usdkit check``: every residual it reports must stay below its bound.

@@ -48,17 +48,17 @@ MAX_EXPECTED_COUNTS = float(2**62)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Source, noise, and counting parameters for one virtual experiment."""
+    """Source, noise, and counting parameters for one virtual experiment.
 
-    dim: int
-    theta: float
+    (d, theta) belong to the ``StateFamily``; the seed is an argument of the draw.
+    """
+
     integration_time: float = 30.0
     coincidence_window: float = 25e-9
     max_coincidence_rate: float = 350.0
     spiral_bandwidth_sigma: float = 2.4
     crosstalk_epsilon: float = 0.0
     singles_rate_scale: float = 500.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         # every check is written so that NaN fails it
@@ -74,19 +74,16 @@ class ExperimentConfig:
             raise ConfigurationError("max_coincidence_rate must be positive")
         if not self.singles_rate_scale >= 0.0:
             raise ConfigurationError("singles_rate_scale must be nonnegative")
-        if not self.rng_seed >= 0:
-            raise ConfigurationError(f"rng_seed must be nonnegative, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)
 class CountsRecord:
     """Raw counts of one run, or of R runs stacked along a leading axis.
 
-    Every check works on the trailing (d, d+1), (d,) and (d+1,) axes.
+    d is the second-to-last axis of ``coincidences``; every check works on the
+    trailing (d, d+1), (d,) and (d+1,) axes.
     """
 
-    dim: int
-    theta: float
     coincidences: np.ndarray
     singles_a: np.ndarray
     singles_b: np.ndarray
@@ -106,10 +103,10 @@ class CountsRecord:
         object.__setattr__(self, "coincidences", c)
         object.__setattr__(self, "singles_a", sa)
         object.__setattr__(self, "singles_b", sb)
-        d, lead = self.dim, c.shape[:-2]
+        lead, d = c.shape[:-2], c.shape[-2] if c.ndim >= 2 else -1  # -1 matches no shape
         if c.shape != (*lead, d, d + 1) or sa.shape != (*lead, d) or sb.shape != (*lead, d + 1):
             raise InvalidDimensionError(
-                f"inconsistent count shapes {c.shape}, {sa.shape}, {sb.shape} for d={d}"
+                f"inconsistent count shapes {c.shape}, {sa.shape}, {sb.shape}"
             )
         if not (np.all(c >= 0.0) and np.all(sa >= 0.0) and np.all(sb >= 0.0)):
             raise ConfigurationError("counts must be nonnegative")
@@ -173,14 +170,6 @@ def _expected_means(
     family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig
 ) -> tuple[np.ndarray, float]:
     """Per-cell expected coincidence counts and the expected singles count."""
-    if config.dim != family.dim:
-        raise ShapeMismatchError(
-            f"config dimension {config.dim} does not match family dimension {family.dim}"
-        )
-    if not abs(config.theta - family.theta) <= 1e-9:
-        raise ShapeMismatchError(
-            f"config theta {config.theta!r} does not match family theta {family.theta!r}"
-        )
     probs = apply_noise(ideal_detection_matrix(family, basis), config)
     weights = spiral_weights(oam_map(family.dim), config.spiral_bandwidth_sigma)
     rates = config.max_coincidence_rate * weights
@@ -197,9 +186,9 @@ def run_repetitions(
 ) -> CountsRecord:
     """Draw the runs of all ``seeds`` into one record stacked along a leading axis.
 
-    Repetition r is the run of the r-th seed, as ``run_experiment`` draws it;
-    ``config.rng_seed`` is not read.  The seeds are checked, and the expected
-    means pass their overflow and singles-dominance gates, once for all.
+    Repetition r is the run of the r-th seed, as ``run_experiment`` draws it.
+    The seeds are checked, and the expected means pass their overflow and
+    singles-dominance gates, once for all.
 
     Each key reaches SeedSequence as uint32 words: the seed's little-endian
     32-bit words (seed 0 gives [0]), then (2, i, j), (0, i) or (1, j).  These
@@ -208,7 +197,7 @@ def run_repetitions(
     """
     seeds = [operator.index(seed) for seed in seeds]
     if not all(seed >= 0 for seed in seeds):
-        raise ConfigurationError(f"rng_seed must be nonnegative, got {min(seeds)!r}")
+        raise ConfigurationError(f"seed must be nonnegative, got {min(seeds)!r}")
     lam, singles_mean = _expected_means(family, basis, config)
     lam_max = float(lam.max())
     if not (lam_max < MAX_EXPECTED_COUNTS and singles_mean < MAX_EXPECTED_COUNTS):  # NaN fails
@@ -243,8 +232,6 @@ def run_repetitions(
     ]
     counts = np.array(counts, dtype=np.int64).reshape(len(seeds), n)
     return CountsRecord(
-        dim=d,
-        theta=family.theta,
         coincidences=counts[:, :cells].reshape(-1, d, d + 1),
         singles_a=counts[:, cells : cells + d],
         singles_b=counts[:, cells + d :],
@@ -254,17 +241,18 @@ def run_repetitions(
 
 
 def run_experiment(
-    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig
+    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig, seed: int
 ) -> CountsRecord:
-    """Draw one seeded counts record for all d*(d+1) preparation/measurement pairs.
+    """Draw the counts record of ``seed`` for all d*(d+1) preparation/measurement pairs.
 
     The coincidence count of cell (i, j) is Poisson with mean
     R_i * p_noisy(i, j) * T + accidental floor, where R_i is the heralding
     rate of state i after the spiral-bandwidth envelope.  Singles are
     background Poisson streams; the background must dominate the coincidence
     counts so that every generated record satisfies C_ij <= min(S_Ai, S_Bj).
+    It is repetition 0 of ``run_repetitions`` over ``(seed,)``.
     """
-    stack = run_repetitions(family, basis, config, (config.rng_seed,))
+    stack = run_repetitions(family, basis, config, (seed,))
     counts = ("coincidences", "singles_a", "singles_b")
     return replace(stack, **{name: getattr(stack, name)[0] for name in counts})
 
@@ -281,8 +269,6 @@ def expected_record(
     lam, singles_mean = _expected_means(family, basis, config)
     d = family.dim
     return CountsRecord(
-        dim=d,
-        theta=family.theta,
         coincidences=lam,
         singles_a=np.full(d, singles_mean),
         singles_b=np.full(d + 1, singles_mean),

@@ -114,14 +114,14 @@ class TheoryPoint:
 
 
 def theory_point(d: int, theta: float) -> TheoryPoint:
-    """Evaluate all closed-form quantities at (d, theta)."""
+    """Evaluate all closed-form quantities at (d, theta); p_inc is the overlap."""
     p_suc, p_err, p_inc = usd_probabilities(d, theta)
     return TheoryPoint(
-        dim=_check_dim(d),
+        dim=int(d),
         theta=float(theta),
-        overlap=overlap(d, theta),
+        overlap=p_inc,
         p_suc=p_suc,
         p_err=p_err,
         p_inc=p_inc,
-        mesd_bound=mesd_bound(d, theta),
+        mesd_bound=mesd_bound_from_overlap(p_inc),
     )

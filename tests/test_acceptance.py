@@ -115,9 +115,9 @@ def test_criterion_5_pipeline_fidelity_noiseless():
     theta = math.radians(40.0)
     family, basis = states.build_family_and_basis(6, theta)
     passing = 0
+    config = experiment.ExperimentConfig()
     for seed in range(100):
-        config = experiment.ExperimentConfig(dim=6, theta=theta, rng_seed=seed)
-        table = analysis.outcome_table(experiment.run_experiment(family, basis, config))
+        table = analysis.outcome_table(experiment.run_experiment(family, basis, config, seed))
         p, s = table.probabilities, table.sigmas
         good = all(
             abs(p[i, i] - PSUC_6_40) <= 3.0 * s[i, i]
@@ -168,15 +168,12 @@ def test_criterion_7_error_propagation(d, deg):
     theta = math.radians(deg)
     family, basis = states.build_family_and_basis(d, theta)
     epsilon = 0.2
-    probe = experiment.ExperimentConfig(dim=d, theta=theta, crosstalk_epsilon=epsilon)
-    expected = np.asarray(experiment.expected_record(family, basis, probe).coincidences)
+    config = experiment.ExperimentConfig(crosstalk_epsilon=epsilon)
+    expected = np.asarray(experiment.expected_record(family, basis, config).coincidences)
     assert np.min(expected) >= 100.0, "criterion requires >= 100 expected counts per cell"
     probabilities, sigmas = [], []
     for k in range(1000):
-        config = experiment.ExperimentConfig(
-            dim=d, theta=theta, crosstalk_epsilon=epsilon, rng_seed=10_000 + k
-        )
-        record = experiment.run_experiment(family, basis, config)
+        record = experiment.run_experiment(family, basis, config, 10_000 + k)
         probabilities.append(analysis.normalize_probabilities(analysis.quantum_contrast(record)))
         sigmas.append(analysis.gaussian_propagation(record))
     ensemble = np.std(probabilities, axis=0, ddof=1)

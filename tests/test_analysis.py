@@ -12,12 +12,8 @@ from usdkit import analysis, experiment, states, theory
 from usdkit.errors import DegenerateRowError, InsufficientDataError
 
 
-def synthetic_record(counts, singles_a, singles_b, T=1.0, window=25e-9, dim=None, theta=0.5):
-    counts = np.asarray(counts)
-    dim = counts.shape[0] if dim is None else dim
+def synthetic_record(counts, singles_a, singles_b, T=1.0, window=25e-9):
     return experiment.CountsRecord(
-        dim=dim,
-        theta=theta,
         coincidences=counts,
         singles_a=singles_a,
         singles_b=singles_b,
@@ -28,8 +24,8 @@ def synthetic_record(counts, singles_a, singles_b, T=1.0, window=25e-9, dim=None
 
 def seeded_table(d, theta, seed, **overrides):
     family, basis = states.build_family_and_basis(d, theta)
-    config = experiment.ExperimentConfig(dim=d, theta=theta, rng_seed=seed, **overrides)
-    return analysis.outcome_table(experiment.run_experiment(family, basis, config))
+    config = experiment.ExperimentConfig(**overrides)
+    return analysis.outcome_table(experiment.run_experiment(family, basis, config, seed))
 
 
 # -------------------------------------------------------- quantum contrast
@@ -113,9 +109,9 @@ def test_normalize_stack_names_first_failing_row_of_lowest_failing_repetition():
 def test_contrast_of_stack_rejects_zero_singles_in_any_repetition():
     counts = np.zeros((2, 2, 3))
     singles_b = np.full((2, 3), 100)
-    record = synthetic_record(counts, [[100, 100], [100, 100]], singles_b, dim=2)
+    record = synthetic_record(counts, [[100, 100], [100, 100]], singles_b)
     assert analysis.quantum_contrast(record).shape == (2, 2, 3)
-    bad = synthetic_record(counts, [[100, 100], [100, 0]], singles_b, dim=2)
+    bad = synthetic_record(counts, [[100, 100], [100, 0]], singles_b)
     with pytest.raises(InsufficientDataError, match="S_A has zero singles at setting index 1"):
         analysis.quantum_contrast(bad)
 
@@ -127,9 +123,7 @@ def test_contrast_of_stack_rejects_zero_singles_in_any_repetition():
 def test_expected_counts_reproduce_noisy_matrix(epsilon):
     theta = math.radians(40.0)
     family, basis = states.build_family_and_basis(6, theta)
-    config = experiment.ExperimentConfig(
-        dim=6, theta=theta, crosstalk_epsilon=epsilon, spiral_bandwidth_sigma=1.3
-    )
+    config = experiment.ExperimentConfig(crosstalk_epsilon=epsilon, spiral_bandwidth_sigma=1.3)
     record = experiment.expected_record(family, basis, config)
     probabilities = analysis.normalize_probabilities(analysis.quantum_contrast(record))
     noisy = experiment.apply_noise(experiment.ideal_detection_matrix(family, basis), config)
@@ -143,8 +137,6 @@ def noisy_point(draw):
     theta = draw(st.floats(min_value=0.02, max_value=1.0)) * theory.theta_max(d)
     family, basis = states.build_family_and_basis(d, theta)
     config = experiment.ExperimentConfig(
-        dim=d,
-        theta=theta,
         crosstalk_epsilon=draw(st.floats(min_value=0.0, max_value=0.49)),
         spiral_bandwidth_sigma=draw(st.floats(min_value=0.5, max_value=3.0)) * d,
     )
@@ -182,10 +174,8 @@ def test_common_brightness_factor_leaves_sweep_probabilities_unchanged(point, fa
 def test_common_brightness_scaling_leaves_probabilities_unchanged():
     theta = math.radians(35.0)
     family, basis = states.build_family_and_basis(4, theta)
-    base = experiment.ExperimentConfig(dim=4, theta=theta, crosstalk_epsilon=0.1)
+    base = experiment.ExperimentConfig(crosstalk_epsilon=0.1)
     scaled = experiment.ExperimentConfig(
-        dim=4,
-        theta=theta,
         crosstalk_epsilon=0.1,
         max_coincidence_rate=4.0 * base.max_coincidence_rate,
         singles_rate_scale=2.0 * base.singles_rate_scale,
@@ -202,18 +192,6 @@ def test_common_brightness_scaling_leaves_probabilities_unchanged():
 # --------------------------------------------------------- error summary
 
 
-def make_table(p, theta=0.5):
-    p = np.asarray(p, dtype=float)
-    d = p.shape[0]
-    return analysis.OutcomeTable(
-        dim=d,
-        theta=theta,
-        probabilities=p,
-        sigmas=np.full_like(p, 0.01),
-        quantum_contrast=np.ones_like(p),
-    )
-
-
 def test_error_summary_ideal_matrix():
     d = 4
     theta = 0.7
@@ -221,7 +199,7 @@ def test_error_summary_ideal_matrix():
     p = np.zeros((d, d + 1))
     p[:, :d] = np.eye(d) * p_suc
     p[:, d] = p_inc
-    summary = analysis.error_summary(make_table(p, theta))
+    summary = analysis.summarize_probabilities(p, theta)
     assert summary.mean_total_error == 0.0
     assert summary.mean_error_sigma == 0.0
     assert summary.verdict == analysis.VERDICT_BELOW
@@ -232,7 +210,7 @@ def test_error_summary_uniform_one_percent_d6():
     for i in range(6):
         p[i, i] = 0.45
         p[i, 6] = 1.0 - 0.45 - 5 * 0.01
-    summary = analysis.error_summary(make_table(p, theta=0.5))
+    summary = analysis.summarize_probabilities(p, theta=0.5)
     assert np.allclose(summary.per_state_error, 0.05, atol=1e-12)
     assert summary.mean_total_error == pytest.approx(0.05, abs=1e-12)
     assert summary.mean_error_sigma == pytest.approx(0.0, abs=1e-12)
@@ -247,8 +225,9 @@ def test_verdict_rule():
 
 
 def test_error_summary_uses_theory_bound():
-    table = seeded_table(6, theory.theta_for_overlap(6, 2**-0.5), seed=3)
-    summary = analysis.error_summary(table)
+    theta = theory.theta_for_overlap(6, 2**-0.5)
+    table = seeded_table(6, theta, seed=3)
+    summary = analysis.summarize_probabilities(table.probabilities, theta)
     assert summary.mesd_bound == pytest.approx(0.1464466094067262, abs=1e-12)
 
 
@@ -265,9 +244,10 @@ def loop_propagation(record):
     sb = np.asarray(record.singles_b, dtype=float)
     var_c, var_sa, var_sb = np.maximum(c, 1.0), np.maximum(sa, 1.0), np.maximum(sb, 1.0)
     dq_dc = record.integration_time / (sa[:, None] * sb[None, :] * record.coincidence_window)
-    identity = np.eye(record.dim + 1)
+    d = p.shape[0]
+    identity = np.eye(d + 1)
     variances = np.zeros_like(p)
-    for i in range(record.dim):
+    for i in range(d):
         # selector[j, k] = delta_jk - P_ij: how cell k of the row moves P_ij
         selector = identity - p[i][:, None]
         coincidence_terms = (selector * dq_dc[i][None, :] / denominators[i]) ** 2 @ var_c[i]
@@ -305,9 +285,9 @@ def test_propagation_scales_as_sqrt_counts():
     # relative sigma must halve
     theta = math.radians(40.0)
     family, basis = states.build_family_and_basis(3, theta)
-    short = experiment.ExperimentConfig(dim=3, theta=theta, crosstalk_epsilon=0.2)
+    short = experiment.ExperimentConfig(crosstalk_epsilon=0.2)
     long = experiment.ExperimentConfig(
-        dim=3, theta=theta, crosstalk_epsilon=0.2, integration_time=4.0 * short.integration_time
+        crosstalk_epsilon=0.2, integration_time=4.0 * short.integration_time
     )
     rec_short = experiment.expected_record(family, basis, short)
     rec_long = experiment.expected_record(family, basis, long)
@@ -333,11 +313,9 @@ def test_propagation_tracks_ensemble_spread():
     d, theta, n_seeds = 3, math.radians(30.0), 300
     family, basis = states.build_family_and_basis(d, theta)
     probs, sigmas = [], []
+    config = experiment.ExperimentConfig(crosstalk_epsilon=0.2)
     for seed in range(n_seeds):
-        config = experiment.ExperimentConfig(
-            dim=d, theta=theta, crosstalk_epsilon=0.2, rng_seed=seed
-        )
-        record = experiment.run_experiment(family, basis, config)
+        record = experiment.run_experiment(family, basis, config, seed)
         probs.append(analysis.normalize_probabilities(analysis.quantum_contrast(record)))
         sigmas.append(analysis.gaussian_propagation(record))
     ensemble = np.std(probs, axis=0, ddof=1)
@@ -348,8 +326,6 @@ def test_propagation_tracks_ensemble_spread():
 def test_outcome_table_validation():
     with pytest.raises(DegenerateRowError):
         analysis.OutcomeTable(
-            dim=2,
-            theta=0.5,
             probabilities=np.array([[0.6, 0.3, 0.2], [0.5, 0.3, 0.2]]),
             sigmas=np.zeros((2, 3)),
             quantum_contrast=np.ones((2, 3)),

@@ -1,10 +1,10 @@
 """CLI verbs, sweep output schema, determinism, and error reporting."""
 
-import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,10 +194,11 @@ def reference_sweep(spec):
             family, basis = states.build_family_and_basis(d, th)
             point = theory.theory_point(d, th)
             means = []
+            config = cli._config_for(spec, d)
             for seed in range(spec.seed, spec.seed + spec.repetitions):
-                config = dataclasses.replace(cli._config_for(spec, d, th), rng_seed=seed)
-                record = experiment.run_experiment(family, basis, config)
-                summary = analysis.error_summary(analysis.outcome_table(record))
+                record = experiment.run_experiment(family, basis, config, seed)
+                table = analysis.outcome_table(record)
+                summary = analysis.summarize_probabilities(table.probabilities, th)
                 means.append(summary.mean_total_error)
                 rows.append(
                     {**cli._row(point, seed), "mean_total_error": summary.mean_total_error,
@@ -440,6 +441,36 @@ def test_theory_rejects_empty_theta_grid(capsys, count):
 
 
 @pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("theory", "--dim", "3", "--theta-deg", "30", "--overlap", "0.5"),
+         {"--theta-deg", "--overlap"}),
+        (("theory", "--dim", "3", "--theta-deg", "30", "--theta-grid", "10,20"),
+         {"--theta-deg", "--theta-grid"}),
+        (("theory", "--dim", "4", "--dims", "3", "--theta-deg", "30"), {"--dim", "--dims"}),
+        (("check", "--dim", "4", "--dims", "3"), {"--dim", "--dims"}),
+        (("run", "--dim", "3", "--theta-deg", "30", "--epsilon", "0.3", "--percell-error", "0.01"),
+         {"--epsilon", "--percell-error"}),
+        (("run", "--dim", "3", "--theta-deg", "30", "--config", "{config}",
+          "--percell-error", "0.01"), {"--epsilon", "--percell-error"}),
+    ],
+    ids=["theta-deg+overlap", "theta-deg+theta-grid", "dim+dims", "check-dim+dims",
+         "epsilon+percell-error", "config-epsilon+percell-error"],
+)
+def test_conflicting_flags_are_one_json_error(tmp_path, capsys, argv, flags):
+    # each pair sets one quantity twice; neither flag may silently win
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({"crosstalk_epsilon": 0.3}))
+    argv = [str(config_path) if arg == "{config}" else arg for arg in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    line, = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "UsdError"
+    assert flags <= set(re.findall(r"--[a-z-]+", payload["message"]))
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (("theory", "--dim", "3", "--theta-grid", "5:45"), "--theta-grid"),
@@ -546,9 +577,9 @@ def test_lowest_of_several_failing_seeds_is_named(capsys):
     th = theory.theta_for_overlap(16, spec.fixed_overlap)
     family, basis = states.build_family_and_basis(16, th)
     failures = {}
+    config = cli._config_for(spec, 16)
     for seed in range(10, 20):
-        config = dataclasses.replace(cli._config_for(spec, 16, th), rng_seed=seed)
-        record = experiment.run_experiment(family, basis, config)
+        record = experiment.run_experiment(family, basis, config, seed)
         try:
             analysis.normalize_probabilities(analysis.quantum_contrast(record))
         except UsdError as exc:
@@ -569,7 +600,7 @@ def test_run_negative_seed_is_a_config_error(capsys):
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "ConfigurationError"
-    assert "rng_seed" in payload["message"]
+    assert payload["message"] == "seed must be nonnegative, got -1"
     assert payload["dim"] == 3 and payload["seed"] == -1
     assert payload["theta_deg"] == pytest.approx(30.0, abs=1e-12)
 
@@ -591,16 +622,26 @@ def test_docstring_theory_example_runs(tmp_path, capsys):
 
 # ------------------------------------------------------------- golden bytes
 
-#: SHA-256 of two small sweeps' CSV, pinned under numpy 2.4.6; the second crosses
-#: seed 2**32, where the keys grow from one 32-bit seed word to two
-GOLDEN_SWEEPS = {
+#: SHA-256 of the stdout of small runs of each verb, pinned under numpy 2.4.6; the
+#: second sweep crosses seed 2**32, where the keys grow from one 32-bit seed word to two
+GOLDEN_OUTPUTS = {
     "534a6a81884e2c6bda1e756e7df694fc6f40aaf0ab6b346d39466a12258af7ce": (
-        "--dims", "2:6", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
+        "run", "--dims", "2:6", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
         "--max-rate", "22", "--sigma-spiral", "2.4", "--reps", "3", "--seed", "7",
     ),
     "cd6ca6d0848945898f285b1a6769f443accbb182ebc7434c27e9e5f2a96a2f16": (
-        "--dims", "2:4", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
+        "run", "--dims", "2:4", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
         "--reps", "4", "--seed", "4294967294",
+    ),
+    "14b498bd0691810c128b42287f394259d9aca704b4c8503046ee0e3a5e1dcd1e": (
+        "theory", "--dims", "2:14", "--theta-grid", "5:45:9",
+    ),
+    "d97103d007856cc743ad520504d41fc6fefa8cd5f0c15805c2ba053f4c0814db": (
+        "check", "--dims", "2:14",
+    ),
+    "1acfc4b80dd6befa9fc4132a2e293366cfc8c61a12dfcacc1f933324ec2fe716": (
+        "run", "--dim", "6", "--theta-deg", "40", "--reps", "3", "--seed", "11",
+        "--epsilon", "0.07", "--format", "json",
     ),
 }
 
@@ -608,8 +649,8 @@ GOLDEN_SWEEPS = {
 @pytest.mark.skipif(
     np.__version__ != "2.4.6", reason=f"hashes pinned under numpy 2.4.6, found {np.__version__}"
 )
-@pytest.mark.parametrize("digest", GOLDEN_SWEEPS)
+@pytest.mark.parametrize("digest", GOLDEN_OUTPUTS)
 def test_sweep_bytes_match_pinned_hash(capsys, digest):
-    code, out, err = invoke(capsys, "run", *GOLDEN_SWEEPS[digest])
+    code, out, err = invoke(capsys, *GOLDEN_OUTPUTS[digest])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -15,8 +15,7 @@ from usdkit.errors import ConfigurationError, InvalidDimensionError, ShapeMismat
 
 def make_setup(d, theta, **overrides):
     family, basis = states.build_family_and_basis(d, theta)
-    config = experiment.ExperimentConfig(dim=d, theta=theta, **overrides)
-    return family, basis, config
+    return family, basis, experiment.ExperimentConfig(**overrides)
 
 
 # ------------------------------------------------------- detection matrix
@@ -107,13 +106,13 @@ def test_spiral_weights_d5_sigma2():
 
 
 def test_run_experiment_deterministic():
-    family, basis, config = make_setup(4, 0.6, rng_seed=99)
-    first = experiment.run_experiment(family, basis, config)
-    second = experiment.run_experiment(family, basis, config)
+    family, basis, config = make_setup(4, 0.6)
+    first = experiment.run_experiment(family, basis, config, 99)
+    second = experiment.run_experiment(family, basis, config, 99)
     assert np.array_equal(first.coincidences, second.coincidences)
     assert np.array_equal(first.singles_a, second.singles_a)
     assert np.array_equal(first.singles_b, second.singles_b)
-    third = experiment.run_experiment(family, basis, dataclasses.replace(config, rng_seed=100))
+    third = experiment.run_experiment(family, basis, config, 100)
     assert not np.array_equal(first.coincidences, third.coincidences)
 
 
@@ -121,8 +120,8 @@ def test_run_experiment_deterministic():
 @pytest.mark.parametrize("seed", [2024, 0, 2**32 - 1, 2**32, 2**64 + 5])
 def test_run_experiment_draws_from_documented_keyed_streams(seed):
     d = 5
-    family, basis, config = make_setup(d, 0.55, rng_seed=seed)
-    record = experiment.run_experiment(family, basis, config)
+    family, basis, config = make_setup(d, 0.55)
+    record = experiment.run_experiment(family, basis, config, seed)
     means = experiment.expected_record(family, basis, config)
 
     def draw(mean, *key):
@@ -152,15 +151,13 @@ def test_stacked_repetitions_match_single_seed_runs(d, reps, base):
     assert stack.coincidences.shape == (reps, d, d + 1)
     assert stack.singles_a.shape == (reps, d) and stack.singles_b.shape == (reps, d + 1)
     probabilities = analysis.normalize_probabilities(analysis.quantum_contrast(stack))
-    summary = analysis.summarize_probabilities(probabilities, config.theta)
+    summary = analysis.summarize_probabilities(probabilities, family.theta)
     for r, seed in enumerate(seeds):
-        single = experiment.run_experiment(
-            family, basis, dataclasses.replace(config, rng_seed=seed)
-        )
+        single = experiment.run_experiment(family, basis, config, seed)
         for name in ("coincidences", "singles_a", "singles_b"):
             assert np.array_equal(getattr(stack, name)[r], getattr(single, name))
         p = analysis.normalize_probabilities(analysis.quantum_contrast(single))
-        alone = analysis.summarize_probabilities(p, config.theta)
+        alone = analysis.summarize_probabilities(p, family.theta)
         # bit-equal, not approximately equal
         assert np.array_equal(probabilities[r], p)
         assert summary.mean_total_error[r] == alone.mean_total_error
@@ -171,7 +168,7 @@ def test_stacked_repetitions_match_single_seed_runs(d, reps, base):
 
 def test_run_repetitions_checks_each_seed_config():
     family, basis, config = make_setup(3, 0.5)
-    with pytest.raises(ConfigurationError, match="rng_seed must be nonnegative, got -1"):
+    with pytest.raises(ConfigurationError, match="^seed must be nonnegative, got -1$"):
         experiment.run_repetitions(family, basis, config, (0, -1))
 
 
@@ -189,8 +186,8 @@ def test_counts_record_checks_stacks_on_trailing_axes():
 
 @pytest.mark.parametrize("seed", [0, 1, 17])
 def test_counts_record_invariants(seed):
-    family, basis, config = make_setup(6, math.radians(40.0), rng_seed=seed)
-    record = experiment.run_experiment(family, basis, config)
+    family, basis, config = make_setup(6, math.radians(40.0))
+    record = experiment.run_experiment(family, basis, config, seed)
     counts = np.asarray(record.coincidences)
     assert counts.dtype == np.int64 and np.all(counts >= 0)
     bound = np.minimum(record.singles_a[:, None], record.singles_b[None, :])
@@ -200,9 +197,9 @@ def test_counts_record_invariants(seed):
 def test_zero_error_limit_counts():
     d = 3
     family, basis, config = make_setup(
-        d, theory.theta_max(d), max_coincidence_rate=350.0, singles_rate_scale=800.0, rng_seed=5
+        d, theory.theta_max(d), max_coincidence_rate=350.0, singles_rate_scale=800.0
     )
-    record = experiment.run_experiment(family, basis, config)
+    record = experiment.run_experiment(family, basis, config, 5)
     off = np.asarray(record.coincidences)[:, :d][~np.eye(d, dtype=bool)]
     # zero signal plus a sub-count accidental floor
     assert np.max(off) <= 3
@@ -250,11 +247,9 @@ def test_overflow_raises_configuration_error():
     family, basis, _ = make_setup(2, 0.5)
     # 1e200 Hz singles square to inf in the accidental rate: the gate, not an OverflowError
     for rate, singles in [(1e60, 1e40), (350.0, 1e200)]:
-        config = experiment.ExperimentConfig(
-            dim=2, theta=0.5, max_coincidence_rate=rate, singles_rate_scale=singles
-        )
+        config = experiment.ExperimentConfig(max_coincidence_rate=rate, singles_rate_scale=singles)
         with pytest.raises(ConfigurationError):
-            experiment.run_experiment(family, basis, config)
+            experiment.run_experiment(family, basis, config, 0)
 
 
 def test_overflow_gate_rejects_nan_expected_counts(monkeypatch):
@@ -262,7 +257,7 @@ def test_overflow_gate_rejects_nan_expected_counts(monkeypatch):
     lam = np.full((3, 4), math.nan)
     monkeypatch.setattr(experiment, "_expected_means", lambda *args: (lam, 15000.0))
     with pytest.raises(ConfigurationError, match="finite"):
-        experiment.run_experiment(family, basis, config)
+        experiment.run_experiment(family, basis, config, 0)
 
 
 def test_spiral_weights_tiny_sigma():
@@ -277,9 +272,9 @@ def test_spiral_weights_tiny_sigma():
 
 def test_low_singles_headroom_raises():
     family, basis, _ = make_setup(3, 0.5)
-    config = experiment.ExperimentConfig(dim=3, theta=0.5, singles_rate_scale=10.0)
+    config = experiment.ExperimentConfig(singles_rate_scale=10.0)
     with pytest.raises(ConfigurationError) as err:
-        experiment.run_experiment(family, basis, config)
+        experiment.run_experiment(family, basis, config, 0)
     assert "singles_rate_scale" in str(err.value)
 
 
@@ -295,22 +290,9 @@ def test_config_validation():
         {"max_coincidence_rate": math.nan},
         {"max_coincidence_rate": 0.0},
         {"singles_rate_scale": math.nan},
-        {"rng_seed": -1},
     ):
         with pytest.raises(ConfigurationError):
-            experiment.ExperimentConfig(dim=3, theta=0.5, **overrides)
-
-
-def test_config_mismatch_rejected():
-    family, basis, _ = make_setup(3, 0.5)
-    with pytest.raises(ShapeMismatchError):
-        experiment.run_experiment(
-            family, basis, experiment.ExperimentConfig(dim=4, theta=0.5)
-        )
-    with pytest.raises(ShapeMismatchError):
-        experiment.run_experiment(
-            family, basis, experiment.ExperimentConfig(dim=3, theta=0.6)
-        )
+            experiment.ExperimentConfig(**overrides)
 
 
 # ---------------------------------------------------------- NaN rejection
@@ -335,19 +317,14 @@ NAN_INPUTS = {
     "coincidence_window": lambda: nan_record(coincidence_window=NAN),
     "normalize_row": lambda: analysis.normalize_probabilities(np.array([[3.0, NAN, 1.0]])),
     "outcome_table_row": lambda: analysis.OutcomeTable(
-        dim=1,
-        theta=0.5,
         probabilities=[[NAN, 0.5]],
         sigmas=np.zeros((1, 2)),
         quantum_contrast=np.ones((1, 2)),
     ),
     "apply_noise_row": lambda: experiment.apply_noise(
-        np.array([[NAN, 0.5, 0.5]]), experiment.ExperimentConfig(dim=2, theta=0.5)
+        np.array([[NAN, 0.5, 0.5]]), experiment.ExperimentConfig()
     ),
     "spiral_sigma": lambda: experiment.spiral_weights(states.oam_map(3), NAN),
-    "config_theta": lambda: experiment.run_experiment(
-        *make_setup(3, 0.5)[:2], experiment.ExperimentConfig(dim=3, theta=NAN)
-    ),
     "basis_theta": lambda: experiment.ideal_detection_matrix(
         states.build_state_family(3, 0.5),
         dataclasses.replace(states.build_family_and_basis(3, 0.5)[1], theta=NAN),
