@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     InvalidDimensionError,
-    LiftabilityError,
     ShapeMismatchError,
     UsdError,
 )
@@ -40,16 +39,14 @@ from .experiment import (
     spiral_weights,
 )
 from .states import (
-    ComplementSet,
     DiscriminationBasis,
     OamMap,
     StateFamily,
-    build_complements,
+    build_basis,
     build_family_and_basis,
     build_projected_vectors,
     build_state_family,
     embedded_vectors,
-    lift_to_basis,
     oam_map,
 )
 from .theory import (

@@ -64,7 +64,7 @@ class SweepSpec:
     coincidence_window: float = experiment.ExperimentConfig.coincidence_window
     max_coincidence_rate: float = experiment.ExperimentConfig.max_coincidence_rate
     spiral_bandwidth_sigma: float = experiment.ExperimentConfig.spiral_bandwidth_sigma
-    crosstalk_epsilon: float = experiment.ExperimentConfig.crosstalk_epsilon
+    crosstalk_epsilon: float | None = None  # None: ExperimentConfig's default
     percell_error: float | None = None
     singles_rate_scale: float = experiment.ExperimentConfig.singles_rate_scale
 
@@ -75,6 +75,8 @@ class SweepSpec:
             raise UsdError("give exactly one of --theta-deg, --theta-grid or --overlap")
         if self.repetitions < 1:
             raise UsdError("repetitions must be >= 1")
+        if self.crosstalk_epsilon is not None and self.percell_error is not None:
+            raise UsdError("give --epsilon (crosstalk_epsilon) or --percell-error, not both")
 
 
 def _point_thetas(spec: SweepSpec, d: int) -> tuple[float, ...]:
@@ -88,6 +90,8 @@ def _config_for(spec: SweepSpec, d: int) -> experiment.ExperimentConfig:
     settings = {f.name: getattr(spec, f.name) for f in fields(experiment.ExperimentConfig)}
     if spec.percell_error is not None:
         settings["crosstalk_epsilon"] = experiment.epsilon_for_percell_error(d, spec.percell_error)
+    elif spec.crosstalk_epsilon is None:
+        del settings["crosstalk_epsilon"]  # ExperimentConfig's default applies
     return experiment.ExperimentConfig(**settings)
 
 
@@ -274,8 +278,6 @@ def _spec_from_args(args) -> SweepSpec:
             merged[key] = value
     for key, value in merged.items():
         _check_config_value(key, value)
-    if "crosstalk_epsilon" in merged and merged.get("percell_error") is not None:
-        raise UsdError("give --epsilon (crosstalk_epsilon) or --percell-error, not both")
     return SweepSpec(dims=dims, thetas=thetas, fixed_overlap=args.overlap, **merged)
 
 
@@ -340,7 +342,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    dims = _parse_dims(args) if (args.dims or args.dim is not None) else tuple(range(2, 15))
+    given = args.dims is not None or args.dim is not None
+    dims = _parse_dims(args) if given else tuple(range(2, 15))
     points = args.theta_points
     if points < 1:
         raise UsdError(f"--theta-points must be >= 1, got {points}")

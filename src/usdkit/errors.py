@@ -14,13 +14,8 @@ class DomainError(UsdError, ValueError):
 
 
 class DegenerateFamilyError(UsdError, ValueError):
-    """Raised when states or complements are too close to collinear, or a vector
-    set fails its structural checks."""
-
-
-class LiftabilityError(UsdError, ValueError):
-    """Raised when complement states cannot be lifted to an orthonormal basis
-    with a single ancilla dimension (positive mutual overlap)."""
+    """Raised when the states are too close to collinear to be discriminated, or
+    a vector set fails its structural checks."""
 
 
 class ShapeMismatchError(UsdError, ValueError):

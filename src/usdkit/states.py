@@ -1,15 +1,16 @@
 """Construction of the symmetric input states and the discrimination basis.
 
-The pipeline is: d maximally-separated unit vectors |p_i> in d-1 dimensions
-are lifted by an angle theta onto a common axis |e> to form the input states
-|Psi_i> = sin(theta) |p_i> + cos(theta) |e>.  The complement states
-|Psi-perp_i>, orthogonal to every |Psi_j> with j != i, have the closed form
-(d-1) cos(theta) |p_i> + sin(theta) |e> (Chefles and Barnett, "Optimum
-unambiguous discrimination between linearly independent symmetric states",
-Phys. Lett. A 250, 223 (1998)).  Appending one ancilla component
-sqrt(-<Psi-perp_1|Psi-perp_2>) and normalizing produces d orthonormal
-measurement states |D_i>, completed by the inconclusive state |D_{d+1}>,
-which is the unit vector orthogonal to all of them.
+The pipeline is family -> basis.  d maximally-separated unit vectors |p_i>
+in d-1 dimensions are lifted by an angle theta onto a common axis |e> to form
+the input states |Psi_i> = sin(theta) |p_i> + cos(theta) |e>.  The
+measurement basis then follows in closed form (``build_basis``).  Its
+derivation: the complement states |Psi-perp_i>, orthogonal to every |Psi_j>
+with j != i, are (d-1) cos(theta) |p_i> + sin(theta) |e> (Chefles and
+Barnett, "Optimum unambiguous discrimination between linearly independent
+symmetric states", Phys. Lett. A 250, 223 (1998)).  Appending one ancilla
+component sqrt(-<Psi-perp_1|Psi-perp_2>) and normalizing produces d
+orthonormal measurement states |D_i>, completed by the inconclusive state
+|D_{d+1}>, which is the unit vector orthogonal to all of them.
 
 Measuring |D_i> identifies |Psi_i> with certainty; |D_{d+1}> gives no
 information.  Basis indices map to orbital-angular-momentum mode labels
@@ -31,11 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import theory
-from .errors import (
-    DegenerateFamilyError,
-    InvalidDimensionError,
-    LiftabilityError,
-)
+from .errors import DegenerateFamilyError, InvalidDimensionError
 
 # Every validating check below is written so that NaN fails it.
 
@@ -76,25 +73,6 @@ class StateFamily:
         off = gram[~np.eye(d, dtype=bool)]
         if not np.abs(off - target).max() <= EXACT_TOL:
             raise DegenerateFamilyError("pairwise overlaps must all equal the symmetric value")
-
-
-@dataclass(frozen=True)
-class ComplementSet:
-    """Unnormalized complements; row i is orthogonal to every |Psi_j>, j != i."""
-
-    dim: int
-    theta: float
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", _freeze(self.vectors))
-        d, v = self.dim, self.vectors
-        if v.shape != (d, d):
-            raise InvalidDimensionError(f"expected {(d, d)} vectors, got {v.shape}")
-        gram = v @ v.T
-        off = gram[~np.eye(d, dtype=bool)]
-        if off.size and not np.abs(off - off[0]).max() <= ORTHO_TOL:
-            raise DegenerateFamilyError("complement overlaps must all be equal")
 
 
 @dataclass(frozen=True)
@@ -177,70 +155,41 @@ def build_state_family(d: int, theta: float) -> StateFamily:
     return StateFamily(dim=d, theta=theta, vectors=vectors)
 
 
-def build_complements(family: StateFamily) -> ComplementSet:
-    """Complement vectors in closed form.
+def build_basis(family: StateFamily) -> DiscriminationBasis:
+    """The measurement basis of a symmetric family, entry by entry in closed form.
 
-    With |Psi_i> = sin(theta) |p_i> + cos(theta) |e>, where the p_i are the
-    projected vectors and e the lift axis, row i is sin(theta) times
-    (d-1) cos(theta) |p_i> + sin(theta) |e>.  The p_i overlaps of -1/(d-1)
-    make it orthogonal to every |Psi_j>, j != i, while
-    <Psi-perp_i|Psi_i> = d sin^2(theta) cos(theta) is positive (Chefles and
-    Barnett, Phys. Lett. A 250, 223 (1998)).  Scaling the family's own rows
-    needs no division, so no cancellation enters as theta -> 0.
+    Only the family's d and theta are read; the rows are built on the same
+    memoized simplex |p_i> as ``build_state_family``.  With t = tan(theta)
+    and a = sqrt(d - 1 - t^2), row i is
+    sqrt((d-1)/d) |p_i> + (t |e> + a |d+1>) / sqrt(d (d-1)) and the
+    inconclusive row is (-a |e> + t |d+1>) / sqrt(d-1): the normalized
+    complements lifted by the ancilla, and the unit vector orthogonal to them.
+    a is clamped to an exact zero within float roundoff of theta_max, where
+    the states are orthogonal and need no ancilla.  Every row is renormalized,
+    which keeps the simplex's roundoff out of the orthonormality residual at
+    large d.
     """
     if family.theta < MIN_THETA:
         raise DegenerateFamilyError(
-            f"theta={family.theta!r} leaves all states coincident; no complements exist"
+            f"theta={family.theta!r} leaves all states coincident; no measurement basis exists"
         )
-    d, theta = family.dim, family.theta
-    vectors = np.array(family.vectors)
-    vectors[:, : d - 1] *= (d - 1) * math.cos(theta)
-    vectors[:, d - 1] = math.sin(theta) ** 2
-    return ComplementSet(dim=d, theta=theta, vectors=vectors)
-
-
-def lift_to_basis(complements: ComplementSet) -> DiscriminationBasis:
-    """Extend the complements by one ancilla dimension into an orthonormal basis.
-
-    Each measurement state is the normalized |Psi-perp_i> + a |d+1> with
-    a = sqrt(-<Psi-perp_1|Psi-perp_2>); the common ancilla weight cancels the
-    equal negative overlaps.  The inconclusive state is the normalized
-    (-a C^-1 1, 1), where C holds the complements as rows: it is orthogonal to
-    every lifted row and keeps its ancilla component positive.  For the
-    complements of a symmetric family it equals
-    (0, ..., 0, -sqrt((d-1) cos^2(theta) - sin^2(theta)), sin(theta)) /
-    (cos(theta) sqrt(d-1)).
-    """
-    d = complements.dim
-    comp = np.asarray(complements.vectors)
-    mutual = float(comp[0] @ comp[1])
-    scale = math.sqrt(comp[0] @ comp[0]) * math.sqrt(comp[1] @ comp[1])
-    if mutual > ORTHO_TOL * scale:
-        raise LiftabilityError(
-            "complement overlap is positive; the states admit no single-ancilla "
-            f"orthonormal lift (<perp_1|perp_2> = {mutual!r})"
-        )
-    # sqrt would amplify a float-level residual overlap into a visible
-    # ancilla weight; the fully orthogonal case gets an exact zero.  Both
-    # thresholds are relative: complement norms shrink like sin(theta)^2.
-    ancilla = 0.0 if -mutual <= 1e-13 * scale else math.sqrt(-mutual)
-    vectors = np.empty((d + 1, d + 1))
-    vectors[:d, :d] = comp
-    vectors[:d, d] = ancilla
-    vectors[:d] /= np.sqrt((vectors[:d] * vectors[:d]).sum(axis=1))[:, None]
-    try:
-        vectors[d, :d] = -ancilla * np.linalg.solve(comp, np.ones(d))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFamilyError("complement vectors are linearly dependent") from exc
-    vectors[d, d] = 1.0
-    vectors[d] /= math.sqrt(vectors[d] @ vectors[d])
-    return DiscriminationBasis(dim=d, theta=complements.theta, vectors=vectors)
+    d = family.dim
+    t = math.tan(family.theta)
+    slack = d - 1.0 - t * t
+    a = 0.0 if slack <= 1e-13 * (d - 1.0) else math.sqrt(slack)
+    vectors = np.zeros((d + 1, d + 1))
+    vectors[:d, : d - 1] = math.sqrt((d - 1.0) / d) * build_projected_vectors(d)
+    vectors[:d, d - 1] = t / math.sqrt(d * (d - 1.0))
+    vectors[:d, d] = a / math.sqrt(d * (d - 1.0))
+    vectors[d, d - 1 :] = -a, t
+    vectors /= np.sqrt((vectors * vectors).sum(axis=1))[:, None]
+    return DiscriminationBasis(dim=d, theta=family.theta, vectors=vectors)
 
 
 def build_family_and_basis(d: int, theta: float) -> tuple[StateFamily, DiscriminationBasis]:
     """One-call construction of the input states and their measurement basis."""
     family = build_state_family(d, theta)
-    return family, lift_to_basis(build_complements(family))
+    return family, build_basis(family)
 
 
 def embedded_vectors(family: StateFamily) -> np.ndarray:
@@ -273,7 +222,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def to_json(obj: StateFamily | ComplementSet | DiscriminationBasis) -> str:
+def to_json(obj: StateFamily | DiscriminationBasis) -> str:
     """Serialize a vector set to JSON with 17-significant-digit amplitudes."""
     rows = ",\n    ".join(
         "[" + ", ".join(_fmt(x) for x in row) + "]" for row in np.asarray(obj.vectors)

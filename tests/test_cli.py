@@ -254,7 +254,7 @@ def test_seed_independent_error_names_first_seed(capsys):
     assert err == (
         '{"error": "ConfigurationError", "message": "singles_rate_scale is too low for the '
         "coincidence rates: expected singles 30.0 must dominate the largest cell mean "
-        '6562.500000749998; raise singles_rate_scale or lower the coincidence scale", '
+        '6562.50000075; raise singles_rate_scale or lower the coincidence scale", '
         '"dim": 3, "theta_deg": 29.999999999999996, "seed": 5}\n'
     )
 
@@ -351,6 +351,18 @@ def test_spec_validation():
         SweepSpec(dims=(3,), thetas=(0.5,), fixed_overlap=0.5)
     with pytest.raises(UsdError):
         SweepSpec(dims=())
+    # a directly built spec meets the same epsilon / per-cell check as the flags
+    with pytest.raises(UsdError, match="--epsilon .*--percell-error"):
+        SweepSpec(dims=(3,), thetas=(0.5,), crosstalk_epsilon=0.3, percell_error=0.01)
+
+
+def test_spec_epsilon_reaches_config():
+    def epsilon(**given):
+        return cli._config_for(SweepSpec(dims=(3,), thetas=(0.5,), **given), 3).crosstalk_epsilon
+
+    assert epsilon() == experiment.ExperimentConfig.crosstalk_epsilon
+    assert epsilon(crosstalk_epsilon=0.3) == 0.3
+    assert epsilon(percell_error=0.01) == experiment.epsilon_for_percell_error(3, 0.01)
 
 
 @pytest.mark.parametrize(
@@ -480,6 +492,7 @@ def test_conflicting_flags_are_one_json_error(tmp_path, capsys, argv, flags):
         (("theory", "--dims", "2:3:4", "--theta-deg", "10"), "--dims"),
         (("theory", "--dims", "2,,3", "--theta-deg", "10"), "--dims"),
         (("check", "--dims", "2:x"), "--dims"),
+        (("check", "--dims", ""), "--dims"),
         (("theory", "--dims", "5:2", "--theta-deg", "10"), "--dims"),
         (("run", "--dims", "5:2", "--theta-deg", "10"), "--dims"),
         (("check", "--dims", "5:2"), "--dims"),
@@ -636,7 +649,7 @@ GOLDEN_OUTPUTS = {
     "14b498bd0691810c128b42287f394259d9aca704b4c8503046ee0e3a5e1dcd1e": (
         "theory", "--dims", "2:14", "--theta-grid", "5:45:9",
     ),
-    "d97103d007856cc743ad520504d41fc6fefa8cd5f0c15805c2ba053f4c0814db": (
+    "0c1aa2a2b89f312943d9948f068badb10285312a72973fcdec05ae82d64fa7e5": (
         "check", "--dims", "2:14",
     ),
     "1acfc4b80dd6befa9fc4132a2e293366cfc8c61a12dfcacc1f933324ec2fe716": (
@@ -654,3 +667,14 @@ def test_sweep_bytes_match_pinned_hash(capsys, digest):
     code, out, err = invoke(capsys, *GOLDEN_OUTPUTS[digest])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6", reason=f"hash pinned under numpy 2.4.6, found {np.__version__}"
+)
+def test_build_basis_bytes_match_pinned_hash(tmp_path, capsys):
+    # any change to the basis construction shows here, down to the last printed digit
+    code, _, err = invoke(capsys, "build", "--dim", "14", "--theta-deg", "20", "--out", str(tmp_path))
+    assert code == 0, err
+    digest = hashlib.sha256((tmp_path / "basis.json").read_bytes()).hexdigest()
+    assert digest == "80ce11539d5d00fba24be8653e28bdeff07f8ad9cc6b33ca8ca79bdf5ffb4309"

@@ -310,7 +310,6 @@ def nan_record(nan_cell=False, **changes):
 
 NAN_INPUTS = {
     "family": lambda: states.StateFamily(dim=3, theta=0.5, vectors=np.full((3, 3), NAN)),
-    "complements": lambda: states.ComplementSet(dim=3, theta=0.5, vectors=np.full((3, 3), NAN)),
     "basis": lambda: states.DiscriminationBasis(dim=3, theta=0.5, vectors=np.full((4, 4), NAN)),
     "coincidence": lambda: nan_record(nan_cell=True),
     "integration_time": lambda: nan_record(integration_time=NAN),

@@ -1,4 +1,4 @@
-"""Construction of symmetric states, complements, and the lifted basis."""
+"""Construction of the symmetric states and their closed-form measurement basis."""
 
 import json
 import math
@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usdkit import states, theory
-from usdkit.errors import (
-    DegenerateFamilyError,
-    DomainError,
-    InvalidDimensionError,
-    LiftabilityError,
-)
+from usdkit.errors import DegenerateFamilyError, DomainError, InvalidDimensionError
 
 CHECK_DIMS = list(range(2, 15))
 
@@ -153,33 +148,39 @@ def test_family_validation_catches_bad_vectors():
 
 
 # ------------------------------------------------------------- complements
+# The first d entries of measurement row i are the normalized complement
+# |Psi-perp_i>: orthogonal to every |Psi_j>, j != i, with positive overlap
+# on |Psi_i>.
+
+
+def basis_rows(d, theta):
+    """Measurement rows and the input states embedded beside the ancilla."""
+    family, basis = states.build_family_and_basis(d, theta)
+    return np.asarray(basis.vectors), states.embedded_vectors(family)
 
 
 def test_complements_d3_closed_form_direction():
     theta = math.radians(33.0)
-    family = states.build_state_family(3, theta)
-    comp = states.build_complements(family)
+    vectors, embedded = basis_rows(3, theta)
     reference = np.array(
         [math.sqrt(3) * math.cos(theta) * math.sin(theta), 0.0, math.sqrt(3) / 2 * math.sin(theta) ** 2]
     )
-    got = comp.vectors[0] / np.linalg.norm(comp.vectors[0])
+    got = vectors[0, :3] / np.linalg.norm(vectors[0, :3])
     assert np.allclose(got, reference / np.linalg.norm(reference), atol=1e-12)
-    assert comp.vectors[0] @ family.vectors[0] > 0.0
+    assert vectors[0] @ embedded[0] > 0.0
 
 
 def test_complements_d2_perpendicular():
-    family = states.build_state_family(2, math.radians(45.0))
-    comp = states.build_complements(family)
-    assert abs(comp.vectors[0] @ family.vectors[1]) < 1e-14
-    assert comp.vectors[0] @ family.vectors[0] > 0.0
+    vectors, embedded = basis_rows(2, math.radians(45.0))
+    assert abs(vectors[0] @ embedded[1]) < 1e-14
+    assert vectors[0] @ embedded[0] > 0.0
 
 
 def test_complements_d4_orthogonality():
-    family = states.build_state_family(4, math.radians(30.0))
-    comp = states.build_complements(family)
+    vectors, embedded = basis_rows(4, math.radians(30.0))
     for i in range(4):
         for j in range(4):
-            inner = comp.vectors[i] @ family.vectors[j]
+            inner = vectors[i] @ embedded[j]
             if i == j:
                 assert inner > 0.0
             else:
@@ -188,22 +189,27 @@ def test_complements_d4_orthogonality():
 
 @pytest.mark.parametrize("d", [2, 5, 9, 14])
 def test_complements_mutual_overlaps_equal_and_nonpositive(d):
-    family = states.build_state_family(d, 0.6 * theory.theta_max(d))
-    comp = states.build_complements(family)
-    gram = comp.vectors @ comp.vectors.T
+    vectors, _ = basis_rows(d, 0.6 * theory.theta_max(d))
+    comp = vectors[:d, :d]
+    gram = comp @ comp.T
     off = gram[~np.eye(d, dtype=bool)]
     assert np.max(np.abs(off - off[0])) < 1e-10
     assert np.all(off <= 1e-12)
+    # one shared ancilla weight cancels those equal overlaps
+    ancilla = vectors[:d, d]
+    assert np.max(np.abs(ancilla - ancilla[0])) < 1e-15
+    assert ancilla[0] >= 0.0
+    assert abs(off[0] + ancilla[0] ** 2) < 1e-15
 
 
 def test_complements_reject_degenerate_theta():
     with pytest.raises(DegenerateFamilyError):
-        states.build_complements(states.build_state_family(3, 0.0))
+        states.build_basis(states.build_state_family(3, 0.0))
     with pytest.raises(DegenerateFamilyError):
-        states.build_complements(states.build_state_family(3, 1e-10))
+        states.build_family_and_basis(3, 1e-10)
 
 
-# -------------------------------------------------------------------- lift
+# ------------------------------------------------------------------- basis
 
 
 @pytest.mark.parametrize("deg", [15.0, 33.0, 45.0])
@@ -217,16 +223,18 @@ def test_basis_matches_closed_form_d3(deg):
 
 
 def test_basis_at_theta_max_has_no_ancilla_weight():
-    d = 5
-    family = states.build_state_family(d, theory.theta_max(d))
-    comp = states.build_complements(family)
-    basis = states.lift_to_basis(comp)
-    vectors = np.asarray(basis.vectors)
-    assert np.max(np.abs(vectors[:d, d])) < 1e-12
-    assert np.allclose(vectors[d], np.eye(d + 1)[d], atol=1e-12)
-    embedded = states.embedded_vectors(family)
-    p_inc = (embedded @ vectors[d]) ** 2
-    assert np.max(p_inc) < 1e-20
+    for d in (2, 3, 5, 14, 100):
+        vectors, embedded = basis_rows(d, theory.theta_max(d))
+        assert np.all(vectors[:d, d] == 0.0)
+        assert np.array_equal(vectors[d], np.eye(d + 1)[d])
+        p_inc = (embedded @ vectors[d]) ** 2
+        assert np.max(p_inc) < 1e-20
+
+
+@pytest.mark.parametrize("d, deg", [(2, 20.0), (3, 33.0), (6, 40.0), (14, 10.0), (40, 60.0)])
+def test_inconclusive_row_lies_in_lift_and_ancilla_plane(d, deg):
+    vectors, _ = basis_rows(d, math.radians(deg))
+    assert np.all(vectors[d, : d - 1] == 0.0)
 
 
 def test_basis_gram_identity_d6():
@@ -240,23 +248,6 @@ def test_basis_sign_conventions():
     vectors = np.asarray(basis.vectors)
     assert np.all(vectors[:4, 4] > 0.0)
     assert vectors[4, 4] > 0.0
-
-
-def test_lift_rejects_positive_complement_overlap():
-    bad = states.ComplementSet(
-        dim=2, theta=0.4, vectors=np.array([[1.0, 0.3], [0.3, 1.0]])
-    )
-    with pytest.raises(LiftabilityError):
-        states.lift_to_basis(bad)
-
-
-def test_lift_rejects_linearly_dependent_complements():
-    # complements of linearly independent states are independent themselves
-    dependent = states.ComplementSet(
-        dim=2, theta=0.4, vectors=np.array([[1.0, -1.0], [-1.0, 1.0]])
-    )
-    with pytest.raises(DegenerateFamilyError):
-        states.lift_to_basis(dependent)
 
 
 @st.composite
@@ -282,7 +273,7 @@ def test_invariants_hold_over_whole_domain(point):
     d, theta = point
     family, basis = states.build_family_and_basis(d, theta)
     vectors = np.asarray(basis.vectors)
-    assert np.max(np.abs(vectors @ vectors.T - np.eye(d + 1))) < 1e-10
+    assert np.max(np.abs(vectors @ vectors.T - np.eye(d + 1))) < 1e-14
     assert basis.completeness_residual() < 1e-10
     probs = (states.embedded_vectors(family) @ vectors.T) ** 2
     assert np.max(probs[:, :d][~np.eye(d, dtype=bool)]) < 1e-20
