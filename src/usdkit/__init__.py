@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     InvalidDimensionError,
-    ShapeMismatchError,
     UsdError,
 )
 from .experiment import (
@@ -43,7 +42,6 @@ from .states import (
     OamMap,
     StateFamily,
     build_basis,
-    build_family_and_basis,
     build_projected_vectors,
     build_state_family,
     embedded_vectors,

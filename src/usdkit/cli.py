@@ -105,7 +105,7 @@ def _row(
         "theta_deg": math.degrees(point.theta),
         "overlap": point.overlap,
         "p_suc_theory": point.p_suc,
-        "p_inc_theory": point.p_inc,
+        "p_inc_theory": point.overlap,  # ideal USD's inconclusive rate is the overlap
         "mesd_bound": point.mesd_bound,
         "mean_total_error": mean,
         "mean_error_sigma": sigma,
@@ -120,10 +120,10 @@ def theory_rows(spec: SweepSpec) -> list[dict]:
 
 
 def _summarize(
-    family: states.StateFamily, basis: states.DiscriminationBasis,
-    config: experiment.ExperimentConfig, seeds, point: theory.TheoryPoint,
+    basis: states.DiscriminationBasis, config: experiment.ExperimentConfig, seeds,
+    point: theory.TheoryPoint,
 ) -> analysis.ErrorSummary:
-    record = experiment.run_repetitions(family, basis, config, seeds)
+    record = experiment.run_repetitions(basis, config, seeds)
     p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
     return analysis.summarize_probabilities(p, point.theta, point.mesd_bound)
 
@@ -144,16 +144,16 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         for th in _point_thetas(spec, d):
             seed = None
             try:
-                family, basis = states.build_family_and_basis(d, th)
+                basis = states.build_basis(d, th)
                 point = theory.theory_point(d, th)
                 seeds = range(spec.seed, spec.seed + spec.repetitions)
                 seed = seeds[0]  # seed-independent failures name the first seed
                 config = _config_for(spec, d)
                 try:
-                    summary = _summarize(family, basis, config, seeds, point)
+                    summary = _summarize(basis, config, seeds, point)
                 except (UsdError, ValueError):
                     for seed in seeds:  # rerun seed by seed to name the lowest failing one
-                        _summarize(family, basis, config, (seed,), point)
+                        _summarize(basis, config, (seed,), point)
                     raise
             except (UsdError, ValueError) as exc:
                 exc.point = {"dim": d, "theta_deg": math.degrees(th), "seed": seed}
@@ -285,7 +285,7 @@ def _spec_from_args(args) -> SweepSpec:
 CHECK_GATES = {"completeness": 1e-10, "zero_error": 1e-20, "closure": 1e-12, "theory_match": 1e-12}
 
 
-def _residuals(family: states.StateFamily, basis: states.DiscriminationBasis) -> dict[str, float]:
+def _residuals(basis: states.DiscriminationBasis) -> dict[str, float]:
     """Construction invariants of one built point, each a max absolute deviation.
 
     orthonormality: basis Gram matrix from the identity, as measured when the
@@ -294,10 +294,10 @@ def _residuals(family: states.StateFamily, basis: states.DiscriminationBasis) ->
     closure: success plus inconclusive probability from one; theory_match:
     detection probabilities from the closed-form p_suc and p_inc.
     """
-    d = family.dim
-    detection = experiment.ideal_detection_matrix(family, basis)
+    d = basis.family.dim
+    detection = experiment.ideal_detection_matrix(basis)
     success, inconclusive = np.diag(detection[:, :d]), detection[:, d]
-    p_suc, _, p_inc = theory.usd_probabilities(d, family.theta)
+    p_suc, p_inc = theory.usd_probabilities(d, basis.family.theta)
     return {
         "orthonormality": basis.orthonormality_residual,
         "completeness": basis.completeness_residual(),
@@ -312,19 +312,19 @@ def _residuals(family: states.StateFamily, basis: states.DiscriminationBasis) ->
 
 def cmd_build(args) -> int:
     d = int(args.dim)
-    family, basis = states.build_family_and_basis(d, math.radians(args.theta_deg))
+    basis = states.build_basis(d, math.radians(args.theta_deg))
     mapping = states.oam_map(d)
     outdir = _resolve_out(args, default_name="") or "."
     os.makedirs(outdir, exist_ok=True)
     artifacts = {
-        "family.json": states.to_json(family),
+        "family.json": states.to_json(basis.family),
         "basis.json": states.to_json(basis),
         "oam_map.json": states.oam_map_to_json(mapping),
     }
     for name, text in artifacts.items():
         with open(os.path.join(outdir, name), "w") as handle:
             handle.write(text + "\n")
-    residuals = _residuals(family, basis)
+    residuals = _residuals(basis)
     print(f"wrote family.json basis.json oam_map.json to {outdir}")
     print(f"orthonormality residual: {residuals['orthonormality']:.3e}")
     print(f"zero-error residual: {residuals['zero_error']:.3e}")
@@ -352,7 +352,7 @@ def cmd_check(args) -> int:
         tmax = theory.theta_max(d)
         worst = dict.fromkeys(CHECK_GATES, 0.0)
         for k in range(1, points + 1):
-            residuals = _residuals(*states.build_family_and_basis(d, k * tmax / points))
+            residuals = _residuals(states.build_basis(d, k * tmax / points))
             for key in CHECK_GATES:
                 worst[key] = max(worst[key], residuals[key])
         cells = "  ".join(f"{key.replace('_', '-')} {worst[key]:.2e}" for key in CHECK_GATES)

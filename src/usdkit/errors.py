@@ -18,10 +18,6 @@ class DegenerateFamilyError(UsdError, ValueError):
     a vector set fails its structural checks."""
 
 
-class ShapeMismatchError(UsdError, ValueError):
-    """Raised when two objects built for different (d, theta) are combined."""
-
-
 class ConfigurationError(UsdError, ValueError):
     """Raised when an experiment configuration is unusable as given."""
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidDimensionError, ShapeMismatchError
-from .states import DiscriminationBasis, OamMap, StateFamily, embedded_vectors, oam_map
+from .errors import ConfigurationError, InvalidDimensionError
+from .states import DiscriminationBasis, OamMap, embedded_vectors, oam_map
 
 #: Expected counts beyond this overflow the int64 draw.
 MAX_EXPECTED_COUNTS = float(2**62)
@@ -50,7 +50,7 @@ MAX_EXPECTED_COUNTS = float(2**62)
 class ExperimentConfig:
     """Source, noise, and counting parameters for one virtual experiment.
 
-    (d, theta) belong to the ``StateFamily``; the seed is an argument of the draw.
+    (d, theta) belong to the basis's ``StateFamily``; the seed is an argument of the draw.
     """
 
     integration_time: float = 30.0
@@ -130,17 +130,9 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
     return eps
 
 
-def ideal_detection_matrix(family: StateFamily, basis: DiscriminationBasis) -> np.ndarray:
-    """Probability matrix |<D_j|Psi_i>|^2; rows sum to one."""
-    if family.dim != basis.dim:
-        raise ShapeMismatchError(
-            f"family dimension {family.dim} does not match basis dimension {basis.dim}"
-        )
-    if not abs(family.theta - basis.theta) <= 1e-9:
-        raise ShapeMismatchError(
-            f"family theta {family.theta!r} does not match basis theta {basis.theta!r}"
-        )
-    amplitudes = embedded_vectors(family) @ np.asarray(basis.vectors).T
+def ideal_detection_matrix(basis: DiscriminationBasis) -> np.ndarray:
+    """Probability matrix |<D_j|Psi_i>|^2 of the basis's own states; rows sum to one."""
+    amplitudes = embedded_vectors(basis.family) @ basis.vectors.T
     return amplitudes**2
 
 
@@ -167,11 +159,11 @@ def spiral_weights(mapping: OamMap, sigma: float) -> np.ndarray:
 
 
 def _expected_means(
-    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig
+    basis: DiscriminationBasis, config: ExperimentConfig
 ) -> tuple[np.ndarray, float]:
     """Per-cell expected coincidence counts and the expected singles count."""
-    probs = apply_noise(ideal_detection_matrix(family, basis), config)
-    weights = spiral_weights(oam_map(family.dim), config.spiral_bandwidth_sigma)
+    probs = apply_noise(ideal_detection_matrix(basis), config)
+    weights = spiral_weights(oam_map(basis.family.dim), config.spiral_bandwidth_sigma)
     rates = config.max_coincidence_rate * weights
     # a product, not **2, so that a huge rate squares to inf for the overflow gate
     singles_rate = config.singles_rate_scale
@@ -182,7 +174,7 @@ def _expected_means(
 
 
 def run_repetitions(
-    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig, seeds: Iterable[int]
+    basis: DiscriminationBasis, config: ExperimentConfig, seeds: Iterable[int]
 ) -> CountsRecord:
     """Draw the runs of all ``seeds`` into one record stacked along a leading axis.
 
@@ -198,7 +190,7 @@ def run_repetitions(
     seeds = [operator.index(seed) for seed in seeds]
     if not all(seed >= 0 for seed in seeds):
         raise ConfigurationError(f"seed must be nonnegative, got {min(seeds)!r}")
-    lam, singles_mean = _expected_means(family, basis, config)
+    lam, singles_mean = _expected_means(basis, config)
     lam_max = float(lam.max())
     if not (lam_max < MAX_EXPECTED_COUNTS and singles_mean < MAX_EXPECTED_COUNTS):  # NaN fails
         raise ConfigurationError(
@@ -210,7 +202,7 @@ def run_repetitions(
             f"singles {singles_mean!r} must dominate the largest cell mean {lam_max!r}; "
             "raise singles_rate_scale or lower the coincidence scale"
         )
-    d = family.dim
+    d = basis.family.dim
     cells, n = d * (d + 1), (d + 1) ** 2 + d
     words = [[(s >> k) & 0xFFFFFFFF for k in range(0, max(s.bit_length(), 1), 32)] for s in seeds]
     w = max(map(len, words), default=1)
@@ -240,34 +232,30 @@ def run_repetitions(
     )
 
 
-def run_experiment(
-    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig, seed: int
-) -> CountsRecord:
+def run_experiment(basis: DiscriminationBasis, config: ExperimentConfig, seed: int) -> CountsRecord:
     """Draw the counts record of ``seed`` for all d*(d+1) preparation/measurement pairs.
 
     The coincidence count of cell (i, j) is Poisson with mean
     R_i * p_noisy(i, j) * T + accidental floor, where R_i is the heralding
-    rate of state i after the spiral-bandwidth envelope.  Singles are
+    rate of state i of ``basis.family`` after the spiral envelope.  Singles are
     background Poisson streams; the background must dominate the coincidence
     counts so that every generated record satisfies C_ij <= min(S_Ai, S_Bj).
     It is repetition 0 of ``run_repetitions`` over ``(seed,)``.
     """
-    stack = run_repetitions(family, basis, config, (seed,))
+    stack = run_repetitions(basis, config, (seed,))
     counts = ("coincidences", "singles_a", "singles_b")
     return replace(stack, **{name: getattr(stack, name)[0] for name in counts})
 
 
-def expected_record(
-    family: StateFamily, basis: DiscriminationBasis, config: ExperimentConfig
-) -> CountsRecord:
+def expected_record(basis: DiscriminationBasis, config: ExperimentConfig) -> CountsRecord:
     """Noiseless record holding the exact expected values instead of draws.
 
     Coincidence cells carry the Poisson means (signal plus accidental floor)
     and the singles carry their background means; feeding this record through
     the analysis chain reproduces the noisy detection matrix exactly.
     """
-    lam, singles_mean = _expected_means(family, basis, config)
-    d = family.dim
+    lam, singles_mean = _expected_means(basis, config)
+    d = basis.family.dim
     return CountsRecord(
         coincidences=lam,
         singles_a=np.full(d, singles_mean),

@@ -1,16 +1,18 @@
-"""Construction of the symmetric input states and the discrimination basis.
+"""Construction of the symmetric input states and their discrimination basis.
 
-The pipeline is family -> basis.  d maximally-separated unit vectors |p_i>
-in d-1 dimensions are lifted by an angle theta onto a common axis |e> to form
-the input states |Psi_i> = sin(theta) |p_i> + cos(theta) |e>.  The
-measurement basis then follows in closed form (``build_basis``).  Its
-derivation: the complement states |Psi-perp_i>, orthogonal to every |Psi_j>
-with j != i, are (d-1) cos(theta) |p_i> + sin(theta) |e> (Chefles and
-Barnett, "Optimum unambiguous discrimination between linearly independent
-symmetric states", Phys. Lett. A 250, 223 (1998)).  Appending one ancilla
-component sqrt(-<Psi-perp_1|Psi-perp_2>) and normalizing produces d
-orthonormal measurement states |D_i>, completed by the inconclusive state
-|D_{d+1}>, which is the unit vector orthogonal to all of them.
+``build_basis(d, theta)`` is the one construction call; it runs family ->
+basis.  d maximally-separated unit vectors |p_i> in d-1 dimensions are lifted
+by an angle theta onto a common axis |e> to form the input states
+|Psi_i> = sin(theta) |p_i> + cos(theta) |e> (``build_state_family``).  The
+measurement basis then follows in closed form and holds that family, the one
+owner of (d, theta).  Its derivation: the complement states |Psi-perp_i>,
+orthogonal to every |Psi_j> with j != i, are
+(d-1) cos(theta) |p_i> + sin(theta) |e> (Chefles and Barnett, "Optimum
+unambiguous discrimination between linearly independent symmetric states",
+Phys. Lett. A 250, 223 (1998)).  Appending one ancilla component
+sqrt(-<Psi-perp_1|Psi-perp_2>) and normalizing produces d orthonormal
+measurement states |D_i>, completed by the inconclusive state |D_{d+1}>,
+which is the unit vector orthogonal to all of them.
 
 Measuring |D_i> identifies |Psi_i> with certainty; |D_{d+1}> gives no
 information.  Basis indices map to orbital-angular-momentum mode labels
@@ -77,17 +79,16 @@ class StateFamily:
 
 @dataclass(frozen=True)
 class DiscriminationBasis:
-    """Orthonormal (d+1)-dimensional measurement basis; last row is inconclusive."""
+    """Orthonormal (d+1)-dimensional measurement basis of ``family``; last row is inconclusive."""
 
-    dim: int
-    theta: float
+    family: StateFamily
     vectors: np.ndarray
     #: max elementwise deviation of the Gram matrix from the identity, set by the validation
     orthonormality_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", _freeze(self.vectors))
-        d, v = self.dim, self.vectors
+        d, v = self.family.dim, self.vectors
         if v.shape != (d + 1, d + 1):
             raise InvalidDimensionError(f"expected {(d + 1, d + 1)} vectors, got {v.shape}")
         residual = float(np.abs(v @ v.T - np.eye(d + 1)).max())
@@ -98,7 +99,7 @@ class DiscriminationBasis:
     def completeness_residual(self) -> float:
         """Max elementwise deviation of sum_j |D_j><D_j| from the identity."""
         resolution = self.vectors.T @ self.vectors
-        return float(np.abs(resolution - np.eye(self.dim + 1)).max())
+        return float(np.abs(resolution - np.eye(len(self.vectors))).max())
 
 
 @dataclass(frozen=True)
@@ -155,20 +156,22 @@ def build_state_family(d: int, theta: float) -> StateFamily:
     return StateFamily(dim=d, theta=theta, vectors=vectors)
 
 
-def build_basis(family: StateFamily) -> DiscriminationBasis:
-    """The measurement basis of a symmetric family, entry by entry in closed form.
+def build_basis(d: int, theta: float) -> DiscriminationBasis:
+    """The input states of (d, theta) and their measurement basis, in closed form.
 
-    Only the family's d and theta are read; the rows are built on the same
-    memoized simplex |p_i> as ``build_state_family``.  With t = tan(theta)
-    and a = sqrt(d - 1 - t^2), row i is
+    The family comes from ``build_state_family``; the rows are built on the
+    same memoized simplex |p_i>.  With t = tan(theta) and
+    a = sqrt(d - 1 - t^2), row i is
     sqrt((d-1)/d) |p_i> + (t |e> + a |d+1>) / sqrt(d (d-1)) and the
     inconclusive row is (-a |e> + t |d+1>) / sqrt(d-1): the normalized
     complements lifted by the ancilla, and the unit vector orthogonal to them.
-    a is clamped to an exact zero within float roundoff of theta_max, where
-    the states are orthogonal and need no ancilla.  Every row is renormalized,
-    which keeps the simplex's roundoff out of the orthonormality residual at
-    large d.
+    Within float roundoff of theta_max, where the states are orthogonal and
+    need no ancilla, a is clamped to an exact zero and t to its limit
+    sqrt(d - 1) together, so the rows stay orthogonal.  Every row is
+    renormalized, which keeps the simplex's roundoff out of the
+    orthonormality residual at large d.
     """
+    family = build_state_family(d, theta)
     if family.theta < MIN_THETA:
         raise DegenerateFamilyError(
             f"theta={family.theta!r} leaves all states coincident; no measurement basis exists"
@@ -176,20 +179,16 @@ def build_basis(family: StateFamily) -> DiscriminationBasis:
     d = family.dim
     t = math.tan(family.theta)
     slack = d - 1.0 - t * t
-    a = 0.0 if slack <= 1e-13 * (d - 1.0) else math.sqrt(slack)
+    if slack <= 1e-13 * (d - 1.0):
+        t, slack = math.sqrt(d - 1.0), 0.0
+    a = math.sqrt(slack)
     vectors = np.zeros((d + 1, d + 1))
     vectors[:d, : d - 1] = math.sqrt((d - 1.0) / d) * build_projected_vectors(d)
     vectors[:d, d - 1] = t / math.sqrt(d * (d - 1.0))
     vectors[:d, d] = a / math.sqrt(d * (d - 1.0))
     vectors[d, d - 1 :] = -a, t
     vectors /= np.sqrt((vectors * vectors).sum(axis=1))[:, None]
-    return DiscriminationBasis(dim=d, theta=family.theta, vectors=vectors)
-
-
-def build_family_and_basis(d: int, theta: float) -> tuple[StateFamily, DiscriminationBasis]:
-    """One-call construction of the input states and their measurement basis."""
-    family = build_state_family(d, theta)
-    return family, build_basis(family)
+    return DiscriminationBasis(family=family, vectors=vectors)
 
 
 def embedded_vectors(family: StateFamily) -> np.ndarray:
@@ -223,14 +222,18 @@ def _fmt(x: float) -> str:
 
 
 def to_json(obj: StateFamily | DiscriminationBasis) -> str:
-    """Serialize a vector set to JSON with 17-significant-digit amplitudes."""
+    """Serialize a vector set to JSON with 17-significant-digit amplitudes.
+
+    A basis's dim and theta header is that of its family.
+    """
+    family = obj if isinstance(obj, StateFamily) else obj.family
     rows = ",\n    ".join(
         "[" + ", ".join(_fmt(x) for x in row) + "]" for row in np.asarray(obj.vectors)
     )
     return (
         "{\n"
-        f'  "dim": {obj.dim},\n'
-        f'  "theta_rad": {_fmt(obj.theta)},\n'
+        f'  "dim": {family.dim},\n'
+        f'  "theta_rad": {_fmt(family.theta)},\n'
         f'  "vectors": [\n    {rows}\n  ]\n'
         "}"
     )

@@ -53,17 +53,17 @@ def overlap(d: int, theta: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def usd_probabilities(d: int, theta: float) -> tuple[float, float, float]:
-    """Success, error, and inconclusive probabilities of ideal USD.
+def usd_probabilities(d: int, theta: float) -> tuple[float, float]:
+    """Success and inconclusive probabilities of ideal USD.
 
-    p_suc = d sin^2(theta)/(d-1), p_err = 0, p_inc = overlap(d, theta).
-    The three sum to one; the error probability is zero by construction.
+    p_suc = d sin^2(theta)/(d-1), p_inc = overlap(d, theta).  The two sum to
+    one; the error probability is zero by construction.
     """
     d = _check_dim(d)
     theta = _check_theta(d, theta)
     p_suc = min(d * math.sin(theta) ** 2 / (d - 1.0), 1.0)
     p_inc = overlap(d, theta)
-    return p_suc, 0.0, p_inc
+    return p_suc, p_inc
 
 
 def theta_for_overlap(d: int, target: float) -> float:
@@ -102,26 +102,22 @@ def mesd_bound(d: int, theta: float) -> float:
 
 @dataclass(frozen=True)
 class TheoryPoint:
-    """Closed-form quantities at one (d, theta) point."""
+    """Closed-form quantities at one (d, theta) point; ``overlap`` is also p_inc."""
 
     dim: int
     theta: float
     overlap: float
     p_suc: float
-    p_err: float
-    p_inc: float
     mesd_bound: float
 
 
 def theory_point(d: int, theta: float) -> TheoryPoint:
     """Evaluate all closed-form quantities at (d, theta); p_inc is the overlap."""
-    p_suc, p_err, p_inc = usd_probabilities(d, theta)
+    p_suc, p_inc = usd_probabilities(d, theta)
     return TheoryPoint(
         dim=int(d),
         theta=float(theta),
         overlap=p_inc,
         p_suc=p_suc,
-        p_err=p_err,
-        p_inc=p_inc,
         mesd_bound=mesd_bound_from_overlap(p_inc),
     )

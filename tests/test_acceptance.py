@@ -32,7 +32,7 @@ def _grid():
             tmax = theory.theta_max(d)
             for k in range(1, GRID_POINTS + 1):
                 theta = k * tmax / GRID_POINTS
-                grid[(d, k)] = (theta, *states.build_family_and_basis(d, theta))
+                grid[(d, k)] = (theta, states.build_basis(d, theta))
         _cache["grid"] = grid
     return _cache["grid"]
 
@@ -49,9 +49,9 @@ def test_criterion_1_construction_oracle():
         tmax = theory.theta_max(d)
         for k in range(1, GRID_POINTS + 1):
             theta = k * tmax / GRID_POINTS
-            family, basis = states.build_family_and_basis(d, theta)
+            basis = states.build_basis(d, theta)
             worst_completeness = max(worst_completeness, basis.completeness_residual())
-            probs = (states.embedded_vectors(family) @ np.asarray(basis.vectors).T) ** 2
+            probs = (states.embedded_vectors(basis.family) @ np.asarray(basis.vectors).T) ** 2
             off = probs[:, :d][~np.eye(d, dtype=bool)]
             worst_zero_error = max(worst_zero_error, float(np.max(off)))
     elapsed = time.perf_counter() - start
@@ -68,7 +68,7 @@ def test_criterion_2_closed_form_d3():
     worst = 0.0
     for deg in (15.0, 33.0, 45.0):
         theta = math.radians(deg)
-        _, basis = states.build_family_and_basis(3, theta)
+        basis = states.build_basis(3, theta)
         tan, sec = math.tan(theta), 1.0 / math.cos(theta)
         q = 3.0 * math.cos(theta) ** 2 - 1.0
         reference = np.array(
@@ -87,9 +87,9 @@ def test_criterion_2_closed_form_d3():
 
 def test_criterion_3_probability_formulas():
     worst = 0.0
-    for (d, _), (theta, family, basis) in _grid().items():
-        probs = (states.embedded_vectors(family) @ np.asarray(basis.vectors).T) ** 2
-        p_suc, _, p_inc = theory.usd_probabilities(d, theta)
+    for (d, _), (theta, basis) in _grid().items():
+        probs = (states.embedded_vectors(basis.family) @ np.asarray(basis.vectors).T) ** 2
+        p_suc, p_inc = theory.usd_probabilities(d, theta)
         worst = max(worst, float(np.max(np.abs(np.diag(probs[:, :d]) - p_suc))))
         worst = max(worst, float(np.max(np.abs(probs[:, d] - p_inc))))
     _report("criterion-3 probability-formulas", worst < 1e-12, f"worst deviation {worst:.2e}")
@@ -113,11 +113,11 @@ def test_criterion_4_mesd_bound_and_angle():
 def test_criterion_5_pipeline_fidelity_noiseless():
     start = time.perf_counter()
     theta = math.radians(40.0)
-    family, basis = states.build_family_and_basis(6, theta)
+    basis = states.build_basis(6, theta)
     passing = 0
     config = experiment.ExperimentConfig()
     for seed in range(100):
-        table = analysis.outcome_table(experiment.run_experiment(family, basis, config, seed))
+        table = analysis.outcome_table(experiment.run_experiment(basis, config, seed))
         p, s = table.probabilities, table.sigmas
         good = all(
             abs(p[i, i] - PSUC_6_40) <= 3.0 * s[i, i]
@@ -166,14 +166,14 @@ def test_criterion_6_dimension_sweep_classification():
 @pytest.mark.parametrize("d,deg", [(3, 30.0), (6, 40.0)])
 def test_criterion_7_error_propagation(d, deg):
     theta = math.radians(deg)
-    family, basis = states.build_family_and_basis(d, theta)
+    basis = states.build_basis(d, theta)
     epsilon = 0.2
     config = experiment.ExperimentConfig(crosstalk_epsilon=epsilon)
-    expected = np.asarray(experiment.expected_record(family, basis, config).coincidences)
+    expected = np.asarray(experiment.expected_record(basis, config).coincidences)
     assert np.min(expected) >= 100.0, "criterion requires >= 100 expected counts per cell"
     probabilities, sigmas = [], []
     for k in range(1000):
-        record = experiment.run_experiment(family, basis, config, 10_000 + k)
+        record = experiment.run_experiment(basis, config, 10_000 + k)
         probabilities.append(analysis.normalize_probabilities(analysis.quantum_contrast(record)))
         sigmas.append(analysis.gaussian_propagation(record))
     ensemble = np.std(probabilities, axis=0, ddof=1)

@@ -23,9 +23,9 @@ def synthetic_record(counts, singles_a, singles_b, T=1.0, window=25e-9):
 
 
 def seeded_table(d, theta, seed, **overrides):
-    family, basis = states.build_family_and_basis(d, theta)
+    basis = states.build_basis(d, theta)
     config = experiment.ExperimentConfig(**overrides)
-    return analysis.outcome_table(experiment.run_experiment(family, basis, config, seed))
+    return analysis.outcome_table(experiment.run_experiment(basis, config, seed))
 
 
 # -------------------------------------------------------- quantum contrast
@@ -122,11 +122,11 @@ def test_contrast_of_stack_rejects_zero_singles_in_any_repetition():
 @pytest.mark.parametrize("epsilon", [0.0, 0.12])
 def test_expected_counts_reproduce_noisy_matrix(epsilon):
     theta = math.radians(40.0)
-    family, basis = states.build_family_and_basis(6, theta)
+    basis = states.build_basis(6, theta)
     config = experiment.ExperimentConfig(crosstalk_epsilon=epsilon, spiral_bandwidth_sigma=1.3)
-    record = experiment.expected_record(family, basis, config)
+    record = experiment.expected_record(basis, config)
     probabilities = analysis.normalize_probabilities(analysis.quantum_contrast(record))
-    noisy = experiment.apply_noise(experiment.ideal_detection_matrix(family, basis), config)
+    noisy = experiment.apply_noise(experiment.ideal_detection_matrix(basis), config)
     assert np.max(np.abs(probabilities - noisy)) < 1e-10
 
 
@@ -135,12 +135,12 @@ def noisy_point(draw):
     """A setup whose every row carries signal: d in [2, 40], sigma >= d/2."""
     d = draw(st.integers(min_value=2, max_value=40))
     theta = draw(st.floats(min_value=0.02, max_value=1.0)) * theory.theta_max(d)
-    family, basis = states.build_family_and_basis(d, theta)
+    basis = states.build_basis(d, theta)
     config = experiment.ExperimentConfig(
         crosstalk_epsilon=draw(st.floats(min_value=0.0, max_value=0.49)),
         spiral_bandwidth_sigma=draw(st.floats(min_value=0.5, max_value=3.0)) * d,
     )
-    return family, basis, config
+    return basis, config
 
 
 def sweep_probabilities(record):
@@ -151,29 +151,29 @@ def sweep_probabilities(record):
 @settings(max_examples=60, deadline=None)
 @given(noisy_point())
 def test_sweep_path_of_expected_record_reproduces_noisy_matrix(point):
-    family, basis, config = point
-    probabilities = sweep_probabilities(experiment.expected_record(family, basis, config))
-    noisy = experiment.apply_noise(experiment.ideal_detection_matrix(family, basis), config)
+    basis, config = point
+    probabilities = sweep_probabilities(experiment.expected_record(basis, config))
+    noisy = experiment.apply_noise(experiment.ideal_detection_matrix(basis), config)
     assert np.max(np.abs(probabilities - noisy)) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)
 @given(noisy_point(), st.floats(min_value=0.01, max_value=100.0))
 def test_common_brightness_factor_leaves_sweep_probabilities_unchanged(point, factor):
-    family, basis, config = point
+    basis, config = point
     scaled = dataclasses.replace(
         config,
         max_coincidence_rate=factor * config.max_coincidence_rate,
         singles_rate_scale=factor * config.singles_rate_scale,
     )
-    base = sweep_probabilities(experiment.expected_record(family, basis, config))
-    other = sweep_probabilities(experiment.expected_record(family, basis, scaled))
+    base = sweep_probabilities(experiment.expected_record(basis, config))
+    other = sweep_probabilities(experiment.expected_record(basis, scaled))
     assert np.max(np.abs(base - other)) < 1e-12
 
 
 def test_common_brightness_scaling_leaves_probabilities_unchanged():
     theta = math.radians(35.0)
-    family, basis = states.build_family_and_basis(4, theta)
+    basis = states.build_basis(4, theta)
     base = experiment.ExperimentConfig(crosstalk_epsilon=0.1)
     scaled = experiment.ExperimentConfig(
         crosstalk_epsilon=0.1,
@@ -181,10 +181,10 @@ def test_common_brightness_scaling_leaves_probabilities_unchanged():
         singles_rate_scale=2.0 * base.singles_rate_scale,
     )
     p_base = analysis.normalize_probabilities(
-        analysis.quantum_contrast(experiment.expected_record(family, basis, base))
+        analysis.quantum_contrast(experiment.expected_record(basis, base))
     )
     p_scaled = analysis.normalize_probabilities(
-        analysis.quantum_contrast(experiment.expected_record(family, basis, scaled))
+        analysis.quantum_contrast(experiment.expected_record(basis, scaled))
     )
     assert np.max(np.abs(p_base - p_scaled)) < 1e-12
 
@@ -195,7 +195,7 @@ def test_common_brightness_scaling_leaves_probabilities_unchanged():
 def test_error_summary_ideal_matrix():
     d = 4
     theta = 0.7
-    p_suc, _, p_inc = theory.usd_probabilities(d, theta)
+    p_suc, p_inc = theory.usd_probabilities(d, theta)
     p = np.zeros((d, d + 1))
     p[:, :d] = np.eye(d) * p_suc
     p[:, d] = p_inc
@@ -284,13 +284,13 @@ def test_propagation_scales_as_sqrt_counts():
     # quadrupling the integration time quadruples every count, so every
     # relative sigma must halve
     theta = math.radians(40.0)
-    family, basis = states.build_family_and_basis(3, theta)
+    basis = states.build_basis(3, theta)
     short = experiment.ExperimentConfig(crosstalk_epsilon=0.2)
     long = experiment.ExperimentConfig(
         crosstalk_epsilon=0.2, integration_time=4.0 * short.integration_time
     )
-    rec_short = experiment.expected_record(family, basis, short)
-    rec_long = experiment.expected_record(family, basis, long)
+    rec_short = experiment.expected_record(basis, short)
+    rec_long = experiment.expected_record(basis, long)
     p = analysis.normalize_probabilities(analysis.quantum_contrast(rec_short))
     p_long = analysis.normalize_probabilities(analysis.quantum_contrast(rec_long))
     assert np.max(np.abs(p_long - p)) < 1e-12  # common count scaling leaves P alone
@@ -311,11 +311,11 @@ def test_propagation_zero_count_floor():
 
 def test_propagation_tracks_ensemble_spread():
     d, theta, n_seeds = 3, math.radians(30.0), 300
-    family, basis = states.build_family_and_basis(d, theta)
+    basis = states.build_basis(d, theta)
     probs, sigmas = [], []
     config = experiment.ExperimentConfig(crosstalk_epsilon=0.2)
     for seed in range(n_seeds):
-        record = experiment.run_experiment(family, basis, config, seed)
+        record = experiment.run_experiment(basis, config, seed)
         probs.append(analysis.normalize_probabilities(analysis.quantum_contrast(record)))
         sigmas.append(analysis.gaussian_propagation(record))
     ensemble = np.std(probs, axis=0, ddof=1)

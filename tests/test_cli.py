@@ -39,8 +39,8 @@ def test_build_writes_artifacts_and_residuals(tmp_path, capsys):
     assert code == 0 and err == ""
     assert "orthonormality residual" in out and "zero-error residual" in out
     basis = json.loads((tmp_path / "basis.json").read_text())
-    _, direct = states.build_family_and_basis(3, math.radians(33.0))
-    assert basis["dim"] == 3 and basis["theta_rad"] == direct.theta
+    direct = states.build_basis(3, math.radians(33.0))
+    assert basis["dim"] == 3 and basis["theta_rad"] == direct.family.theta
     assert np.array_equal(np.array(basis["vectors"]), np.asarray(direct.vectors))
     mapping = json.loads((tmp_path / "oam_map.json").read_text())
     assert mapping == {"dim": 3, "state_ells": [-1, 0, 1], "ancilla_ell": -2}
@@ -191,12 +191,12 @@ def reference_sweep(spec):
     rows = []
     for d in spec.dims:
         for th in cli._point_thetas(spec, d):
-            family, basis = states.build_family_and_basis(d, th)
+            basis = states.build_basis(d, th)
             point = theory.theory_point(d, th)
             means = []
             config = cli._config_for(spec, d)
             for seed in range(spec.seed, spec.seed + spec.repetitions):
-                record = experiment.run_experiment(family, basis, config, seed)
+                record = experiment.run_experiment(basis, config, seed)
                 table = analysis.outcome_table(record)
                 summary = analysis.summarize_probabilities(table.probabilities, th)
                 means.append(summary.mean_total_error)
@@ -234,9 +234,9 @@ def test_run_sweep_computes_expected_means_once_per_point(monkeypatch):
     calls = []
     original = experiment._expected_means
 
-    def counted(family, basis, config):
-        calls.append(family.dim)
-        return original(family, basis, config)
+    def counted(basis, config):
+        calls.append(basis.family.dim)
+        return original(basis, config)
 
     monkeypatch.setattr(experiment, "_expected_means", counted)
     rows = run_sweep(SweepSpec(dims=(2, 4), repetitions=5, seed=0, **ACCEPTANCE))
@@ -588,11 +588,11 @@ def test_lowest_of_several_failing_seeds_is_named(capsys):
     # at d = 16 the l = 8 row often draws no signal; a one-seed run is the oracle
     spec = SweepSpec(dims=(16,), repetitions=10, seed=10, **ACCEPTANCE)
     th = theory.theta_for_overlap(16, spec.fixed_overlap)
-    family, basis = states.build_family_and_basis(16, th)
+    basis = states.build_basis(16, th)
     failures = {}
     config = cli._config_for(spec, 16)
     for seed in range(10, 20):
-        record = experiment.run_experiment(family, basis, config, seed)
+        record = experiment.run_experiment(basis, config, seed)
         try:
             analysis.normalize_probabilities(analysis.quantum_contrast(record))
         except UsdError as exc:
@@ -649,7 +649,7 @@ GOLDEN_OUTPUTS = {
     "14b498bd0691810c128b42287f394259d9aca704b4c8503046ee0e3a5e1dcd1e": (
         "theory", "--dims", "2:14", "--theta-grid", "5:45:9",
     ),
-    "0c1aa2a2b89f312943d9948f068badb10285312a72973fcdec05ae82d64fa7e5": (
+    "4ee269d954540eedd214dd01c247474f87cf3e4b86f57d6a7008ea110929d4ac": (
         "check", "--dims", "2:14",
     ),
     "1acfc4b80dd6befa9fc4132a2e293366cfc8c61a12dfcacc1f933324ec2fe716": (

@@ -10,12 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from usdkit import analysis, experiment, states, theory
-from usdkit.errors import ConfigurationError, InvalidDimensionError, ShapeMismatchError, UsdError
+from usdkit.errors import ConfigurationError, InvalidDimensionError, UsdError
 
 
 def make_setup(d, theta, **overrides):
-    family, basis = states.build_family_and_basis(d, theta)
-    return family, basis, experiment.ExperimentConfig(**overrides)
+    basis = states.build_basis(d, theta)
+    return basis, experiment.ExperimentConfig(**overrides)
 
 
 # ------------------------------------------------------- detection matrix
@@ -23,44 +23,34 @@ def make_setup(d, theta, **overrides):
 
 def test_detection_matrix_orthogonal_limit():
     d = 4
-    family, basis, _ = make_setup(d, theory.theta_max(d))
-    matrix = experiment.ideal_detection_matrix(family, basis)
+    basis, _ = make_setup(d, theory.theta_max(d))
+    matrix = experiment.ideal_detection_matrix(basis)
     assert np.allclose(matrix[:, :d], np.eye(d), atol=1e-12)
     assert np.max(matrix[:, d]) < 1e-12
 
 
 def test_detection_matrix_near_zero_theta_is_inconclusive():
-    family, basis, _ = make_setup(5, 1e-6)
-    matrix = experiment.ideal_detection_matrix(family, basis)
+    basis, _ = make_setup(5, 1e-6)
+    matrix = experiment.ideal_detection_matrix(basis)
     assert np.min(matrix[:, 5]) > 1.0 - 1e-10
     off = matrix[:, :5][~np.eye(5, dtype=bool)]
     assert np.max(off) < 1e-20
 
 
 def test_detection_matrix_frozen_values_d6():
-    family, basis, _ = make_setup(6, math.radians(40.0))
-    matrix = experiment.ideal_detection_matrix(family, basis)
+    basis, _ = make_setup(6, math.radians(40.0))
+    matrix = experiment.ideal_detection_matrix(basis)
     assert np.allclose(np.diag(matrix[:, :6]), 0.4958110933998417, atol=1e-12)
     assert np.allclose(matrix[:, 6], 0.5041889066001582, atol=1e-12)
     assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) < 1e-12
-
-
-def test_detection_matrix_rejects_mismatch():
-    family3, _ = states.build_family_and_basis(3, 0.5)
-    _, basis4 = states.build_family_and_basis(4, 0.5)
-    with pytest.raises(ShapeMismatchError):
-        experiment.ideal_detection_matrix(family3, basis4)
-    _, basis3 = states.build_family_and_basis(3, 0.6)
-    with pytest.raises(ShapeMismatchError):
-        experiment.ideal_detection_matrix(family3, basis3)
 
 
 # ------------------------------------------------------------ noise model
 
 
 def test_apply_noise_identity_at_zero_epsilon():
-    family, basis, config = make_setup(3, 0.5)
-    matrix = experiment.ideal_detection_matrix(family, basis)
+    basis, config = make_setup(3, 0.5)
+    matrix = experiment.ideal_detection_matrix(basis)
     assert np.array_equal(experiment.apply_noise(matrix, config), matrix)
 
 
@@ -68,8 +58,8 @@ def test_apply_noise_percell_error_d6():
     theta = math.radians(40.0)
     eps = experiment.epsilon_for_percell_error(6)
     assert eps == pytest.approx(0.07, abs=1e-15)
-    family, basis, config = make_setup(6, theta, crosstalk_epsilon=eps)
-    noisy = experiment.apply_noise(experiment.ideal_detection_matrix(family, basis), config)
+    basis, config = make_setup(6, theta, crosstalk_epsilon=eps)
+    noisy = experiment.apply_noise(experiment.ideal_detection_matrix(basis), config)
     off = noisy[:, :6][~np.eye(6, dtype=bool)]
     assert np.allclose(off, 0.01, atol=1e-12)
     assert np.max(np.abs(noisy.sum(axis=1) - 1.0)) < 1e-12
@@ -106,13 +96,13 @@ def test_spiral_weights_d5_sigma2():
 
 
 def test_run_experiment_deterministic():
-    family, basis, config = make_setup(4, 0.6)
-    first = experiment.run_experiment(family, basis, config, 99)
-    second = experiment.run_experiment(family, basis, config, 99)
+    basis, config = make_setup(4, 0.6)
+    first = experiment.run_experiment(basis, config, 99)
+    second = experiment.run_experiment(basis, config, 99)
     assert np.array_equal(first.coincidences, second.coincidences)
     assert np.array_equal(first.singles_a, second.singles_a)
     assert np.array_equal(first.singles_b, second.singles_b)
-    third = experiment.run_experiment(family, basis, config, 100)
+    third = experiment.run_experiment(basis, config, 100)
     assert not np.array_equal(first.coincidences, third.coincidences)
 
 
@@ -120,9 +110,9 @@ def test_run_experiment_deterministic():
 @pytest.mark.parametrize("seed", [2024, 0, 2**32 - 1, 2**32, 2**64 + 5])
 def test_run_experiment_draws_from_documented_keyed_streams(seed):
     d = 5
-    family, basis, config = make_setup(d, 0.55)
-    record = experiment.run_experiment(family, basis, config, seed)
-    means = experiment.expected_record(family, basis, config)
+    basis, config = make_setup(d, 0.55)
+    record = experiment.run_experiment(basis, config, seed)
+    means = experiment.expected_record(basis, config)
 
     def draw(mean, *key):
         return np.random.default_rng([seed, *key]).poisson(mean)
@@ -145,19 +135,19 @@ def test_run_experiment_draws_from_documented_keyed_streams(seed):
     base=st.sampled_from([0, 2**32 - 2, 2**64 - 3]) | st.integers(0, 2**70),
 )
 def test_stacked_repetitions_match_single_seed_runs(d, reps, base):
-    family, basis, config = make_setup(d, theory.theta_for_overlap(d, 2**-0.5))
+    basis, config = make_setup(d, theory.theta_for_overlap(d, 2**-0.5))
     seeds = range(base, base + reps)
-    stack = experiment.run_repetitions(family, basis, config, seeds)
+    stack = experiment.run_repetitions(basis, config, seeds)
     assert stack.coincidences.shape == (reps, d, d + 1)
     assert stack.singles_a.shape == (reps, d) and stack.singles_b.shape == (reps, d + 1)
     probabilities = analysis.normalize_probabilities(analysis.quantum_contrast(stack))
-    summary = analysis.summarize_probabilities(probabilities, family.theta)
+    summary = analysis.summarize_probabilities(probabilities, basis.family.theta)
     for r, seed in enumerate(seeds):
-        single = experiment.run_experiment(family, basis, config, seed)
+        single = experiment.run_experiment(basis, config, seed)
         for name in ("coincidences", "singles_a", "singles_b"):
             assert np.array_equal(getattr(stack, name)[r], getattr(single, name))
         p = analysis.normalize_probabilities(analysis.quantum_contrast(single))
-        alone = analysis.summarize_probabilities(p, family.theta)
+        alone = analysis.summarize_probabilities(p, basis.family.theta)
         # bit-equal, not approximately equal
         assert np.array_equal(probabilities[r], p)
         assert summary.mean_total_error[r] == alone.mean_total_error
@@ -167,9 +157,9 @@ def test_stacked_repetitions_match_single_seed_runs(d, reps, base):
 
 
 def test_run_repetitions_checks_each_seed_config():
-    family, basis, config = make_setup(3, 0.5)
+    basis, config = make_setup(3, 0.5)
     with pytest.raises(ConfigurationError, match="^seed must be nonnegative, got -1$"):
-        experiment.run_repetitions(family, basis, config, (0, -1))
+        experiment.run_repetitions(basis, config, (0, -1))
 
 
 def test_counts_record_checks_stacks_on_trailing_axes():
@@ -186,8 +176,8 @@ def test_counts_record_checks_stacks_on_trailing_axes():
 
 @pytest.mark.parametrize("seed", [0, 1, 17])
 def test_counts_record_invariants(seed):
-    family, basis, config = make_setup(6, math.radians(40.0))
-    record = experiment.run_experiment(family, basis, config, seed)
+    basis, config = make_setup(6, math.radians(40.0))
+    record = experiment.run_experiment(basis, config, seed)
     counts = np.asarray(record.coincidences)
     assert counts.dtype == np.int64 and np.all(counts >= 0)
     bound = np.minimum(record.singles_a[:, None], record.singles_b[None, :])
@@ -196,10 +186,10 @@ def test_counts_record_invariants(seed):
 
 def test_zero_error_limit_counts():
     d = 3
-    family, basis, config = make_setup(
+    basis, config = make_setup(
         d, theory.theta_max(d), max_coincidence_rate=350.0, singles_rate_scale=800.0
     )
-    record = experiment.run_experiment(family, basis, config, 5)
+    record = experiment.run_experiment(basis, config, 5)
     off = np.asarray(record.coincidences)[:, :d][~np.eye(d, dtype=bool)]
     # zero signal plus a sub-count accidental floor
     assert np.max(off) <= 3
@@ -208,17 +198,17 @@ def test_zero_error_limit_counts():
 def test_mean_convergence_to_noisy_probability():
     d, reps = 3, 10_000
     theta = math.radians(30.0)
-    family, basis, config = make_setup(
+    basis, config = make_setup(
         d,
         theta,
         max_coincidence_rate=10.0,
         singles_rate_scale=15.0,
         crosstalk_epsilon=0.05,
     )
-    noisy = experiment.apply_noise(experiment.ideal_detection_matrix(family, basis), config)
+    noisy = experiment.apply_noise(experiment.ideal_detection_matrix(basis), config)
     weights = experiment.spiral_weights(states.oam_map(d), config.spiral_bandwidth_sigma)
     rates = config.max_coincidence_rate * weights
-    totals = experiment.run_repetitions(family, basis, config, range(reps)).coincidences.sum(axis=0)
+    totals = experiment.run_repetitions(basis, config, range(reps)).coincidences.sum(axis=0)
     scale = rates[:, None] * config.integration_time
     measured = totals / reps / scale
     lam = scale * noisy + config.singles_rate_scale**2 * config.coincidence_window * config.integration_time
@@ -232,32 +222,32 @@ def test_diagonal_counts_track_expected_rate():
     # rate * weight * p_suc * T at d=6, theta=40deg, 30 s, 350 Hz
     d = 6
     theta = math.radians(40.0)
-    family, basis, config = make_setup(d, theta)
+    basis, config = make_setup(d, theta)
     weights = experiment.spiral_weights(states.oam_map(d), config.spiral_bandwidth_sigma)
     accidental = config.singles_rate_scale**2 * config.coincidence_window * config.integration_time
     lam = 350.0 * 30.0 * 0.4958110933998417 * weights + accidental
     runs = 100
-    stack = experiment.run_repetitions(family, basis, config, range(runs))
+    stack = experiment.run_repetitions(basis, config, range(runs))
     totals = np.diagonal(stack.coincidences, axis1=1, axis2=2).sum(axis=0)
     means = totals / runs
     assert np.all(np.abs(means - lam) < 5.0 * np.sqrt(lam) / math.sqrt(runs))
 
 
 def test_overflow_raises_configuration_error():
-    family, basis, _ = make_setup(2, 0.5)
+    basis, _ = make_setup(2, 0.5)
     # 1e200 Hz singles square to inf in the accidental rate: the gate, not an OverflowError
     for rate, singles in [(1e60, 1e40), (350.0, 1e200)]:
         config = experiment.ExperimentConfig(max_coincidence_rate=rate, singles_rate_scale=singles)
         with pytest.raises(ConfigurationError):
-            experiment.run_experiment(family, basis, config, 0)
+            experiment.run_experiment(basis, config, 0)
 
 
 def test_overflow_gate_rejects_nan_expected_counts(monkeypatch):
-    family, basis, config = make_setup(3, 0.5)
+    basis, config = make_setup(3, 0.5)
     lam = np.full((3, 4), math.nan)
     monkeypatch.setattr(experiment, "_expected_means", lambda *args: (lam, 15000.0))
     with pytest.raises(ConfigurationError, match="finite"):
-        experiment.run_experiment(family, basis, config, 0)
+        experiment.run_experiment(basis, config, 0)
 
 
 def test_spiral_weights_tiny_sigma():
@@ -271,10 +261,10 @@ def test_spiral_weights_tiny_sigma():
 
 
 def test_low_singles_headroom_raises():
-    family, basis, _ = make_setup(3, 0.5)
+    basis, _ = make_setup(3, 0.5)
     config = experiment.ExperimentConfig(singles_rate_scale=10.0)
     with pytest.raises(ConfigurationError) as err:
-        experiment.run_experiment(family, basis, config, 0)
+        experiment.run_experiment(basis, config, 0)
     assert "singles_rate_scale" in str(err.value)
 
 
@@ -310,7 +300,9 @@ def nan_record(nan_cell=False, **changes):
 
 NAN_INPUTS = {
     "family": lambda: states.StateFamily(dim=3, theta=0.5, vectors=np.full((3, 3), NAN)),
-    "basis": lambda: states.DiscriminationBasis(dim=3, theta=0.5, vectors=np.full((4, 4), NAN)),
+    "basis": lambda: states.DiscriminationBasis(
+        family=states.build_state_family(3, 0.5), vectors=np.full((4, 4), NAN)
+    ),
     "coincidence": lambda: nan_record(nan_cell=True),
     "integration_time": lambda: nan_record(integration_time=NAN),
     "coincidence_window": lambda: nan_record(coincidence_window=NAN),
@@ -324,10 +316,6 @@ NAN_INPUTS = {
         np.array([[NAN, 0.5, 0.5]]), experiment.ExperimentConfig()
     ),
     "spiral_sigma": lambda: experiment.spiral_weights(states.oam_map(3), NAN),
-    "basis_theta": lambda: experiment.ideal_detection_matrix(
-        states.build_state_family(3, 0.5),
-        dataclasses.replace(states.build_family_and_basis(3, 0.5)[1], theta=NAN),
-    ),
 }
 
 

@@ -155,8 +155,8 @@ def test_family_validation_catches_bad_vectors():
 
 def basis_rows(d, theta):
     """Measurement rows and the input states embedded beside the ancilla."""
-    family, basis = states.build_family_and_basis(d, theta)
-    return np.asarray(basis.vectors), states.embedded_vectors(family)
+    basis = states.build_basis(d, theta)
+    return np.asarray(basis.vectors), states.embedded_vectors(basis.family)
 
 
 def test_complements_d3_closed_form_direction():
@@ -204,9 +204,9 @@ def test_complements_mutual_overlaps_equal_and_nonpositive(d):
 
 def test_complements_reject_degenerate_theta():
     with pytest.raises(DegenerateFamilyError):
-        states.build_basis(states.build_state_family(3, 0.0))
+        states.build_basis(3, 0.0)
     with pytest.raises(DegenerateFamilyError):
-        states.build_family_and_basis(3, 1e-10)
+        states.build_basis(3, 1e-10)
 
 
 # ------------------------------------------------------------------- basis
@@ -215,7 +215,7 @@ def test_complements_reject_degenerate_theta():
 @pytest.mark.parametrize("deg", [15.0, 33.0, 45.0])
 def test_basis_matches_closed_form_d3(deg):
     theta = math.radians(deg)
-    _, basis = states.build_family_and_basis(3, theta)
+    basis = states.build_basis(3, theta)
     reference = closed_form_basis_d3(theta)
     for row, ref in zip(np.asarray(basis.vectors), reference):
         diff = min(np.max(np.abs(row - ref)), np.max(np.abs(row + ref)))
@@ -231,6 +231,16 @@ def test_basis_at_theta_max_has_no_ancilla_weight():
         assert np.max(p_inc) < 1e-20
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_basis_stays_orthonormal_just_below_theta_max(d):
+    # the ancilla clamp acts in a window about 1e-13 rad wide below theta_max;
+    # the random draws of the whole-domain test do not land in it
+    tmax = theory.theta_max(d)
+    for k in range(200):
+        vectors, _ = basis_rows(d, tmax - k * 1e-15)
+        assert np.max(np.abs(vectors @ vectors.T - np.eye(d + 1))) < 1e-14
+
+
 @pytest.mark.parametrize("d, deg", [(2, 20.0), (3, 33.0), (6, 40.0), (14, 10.0), (40, 60.0)])
 def test_inconclusive_row_lies_in_lift_and_ancilla_plane(d, deg):
     vectors, _ = basis_rows(d, math.radians(deg))
@@ -238,13 +248,13 @@ def test_inconclusive_row_lies_in_lift_and_ancilla_plane(d, deg):
 
 
 def test_basis_gram_identity_d6():
-    _, basis = states.build_family_and_basis(6, math.radians(40.0))
+    basis = states.build_basis(6, math.radians(40.0))
     gram = np.asarray(basis.vectors) @ np.asarray(basis.vectors).T
     assert np.max(np.abs(gram - np.eye(7))) < 1e-10
 
 
 def test_basis_sign_conventions():
-    _, basis = states.build_family_and_basis(4, 0.5)
+    basis = states.build_basis(4, 0.5)
     vectors = np.asarray(basis.vectors)
     assert np.all(vectors[:4, 4] > 0.0)
     assert vectors[4, 4] > 0.0
@@ -271,13 +281,13 @@ def dim_and_theta(draw):
 @given(dim_and_theta())
 def test_invariants_hold_over_whole_domain(point):
     d, theta = point
-    family, basis = states.build_family_and_basis(d, theta)
+    basis = states.build_basis(d, theta)
     vectors = np.asarray(basis.vectors)
     assert np.max(np.abs(vectors @ vectors.T - np.eye(d + 1))) < 1e-14
     assert basis.completeness_residual() < 1e-10
-    probs = (states.embedded_vectors(family) @ vectors.T) ** 2
+    probs = (states.embedded_vectors(basis.family) @ vectors.T) ** 2
     assert np.max(probs[:, :d][~np.eye(d, dtype=bool)]) < 1e-20
-    p_suc, _, p_inc = theory.usd_probabilities(d, theta)
+    p_suc, p_inc = theory.usd_probabilities(d, theta)
     assert np.max(np.abs(np.diag(probs[:, :d]) - p_suc)) < 1e-12
     assert np.max(np.abs(probs[:, d] - p_inc)) < 1e-12
 
@@ -301,8 +311,8 @@ def reference_basis(family):
 @given(st.sampled_from([3, 14, 40, 100]), st.floats(min_value=0.05, max_value=0.95))
 def test_basis_matches_independent_reference(d, fraction):
     theta = fraction * theory.theta_max(d)
-    family, basis = states.build_family_and_basis(d, theta)
-    reference = reference_basis(family)
+    basis = states.build_basis(d, theta)
+    reference = reference_basis(basis.family)
     for row, ref in zip(np.asarray(basis.vectors), reference):
         assert min(np.max(np.abs(row - ref)), np.max(np.abs(row + ref))) < 1e-12
 
@@ -312,9 +322,9 @@ def test_grid_invariants(d):
     tmax = theory.theta_max(d)
     for k in range(1, 13):
         theta = k * tmax / 12
-        family, basis = states.build_family_and_basis(d, theta)
+        basis = states.build_basis(d, theta)
         assert basis.completeness_residual() < 1e-10
-        embedded = states.embedded_vectors(family)
+        embedded = states.embedded_vectors(basis.family)
         amplitudes = embedded @ np.asarray(basis.vectors).T
         probs = amplitudes**2
         off = probs[:, :d][~np.eye(d, dtype=bool)]
@@ -323,7 +333,7 @@ def test_grid_invariants(d):
         assert np.max(closure) < 1e-12
         diag = np.diag(probs[:, :d])
         assert np.max(diag) - np.min(diag) < 1e-12
-        p_suc, _, p_inc = theory.usd_probabilities(d, theta)
+        p_suc, p_inc = theory.usd_probabilities(d, theta)
         assert np.max(np.abs(diag - p_suc)) < 1e-12
         assert np.max(np.abs(probs[:, d] - p_inc)) < 1e-12
 
@@ -368,8 +378,9 @@ def test_family_json_round_trip():
 
 
 def test_basis_json_round_trip_is_exact():
-    _, basis = states.build_family_and_basis(5, 0.7)
+    basis = states.build_basis(5, 0.7)
     back = json.loads(states.to_json(basis))
+    assert (back["dim"], back["theta_rad"]) == (5, basis.family.theta)
     assert np.array_equal(np.array(back["vectors"]), np.asarray(basis.vectors))
 
 

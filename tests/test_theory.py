@@ -45,22 +45,20 @@ def test_overlap_rejects_theta_beyond_max():
 
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_usd_probabilities_limits(d):
-    assert theory.usd_probabilities(d, theory.theta_max(d)) == pytest.approx((1.0, 0.0, 0.0), abs=1e-14)
-    assert theory.usd_probabilities(d, 0.0) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
+    assert theory.usd_probabilities(d, theory.theta_max(d)) == pytest.approx((1.0, 0.0), abs=1e-14)
+    assert theory.usd_probabilities(d, 0.0) == pytest.approx((0.0, 1.0), abs=1e-15)
 
 
 def test_usd_probabilities_frozen_value():
-    p_suc, p_err, p_inc = theory.usd_probabilities(6, math.radians(40.0))
+    p_suc, p_inc = theory.usd_probabilities(6, math.radians(40.0))
     assert p_suc == pytest.approx(PSUC_6_40, abs=1e-12)
-    assert p_err == 0.0
     assert p_inc == pytest.approx(OVERLAP_6_40, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_probabilities_sum_to_one(d):
     for th in theta_grid(d):
-        p_suc, p_err, p_inc = theory.usd_probabilities(d, th)
-        assert p_err == 0.0
+        p_suc, p_inc = theory.usd_probabilities(d, th)
         assert abs(p_suc + p_inc - 1.0) < 1e-14
         assert 0.0 <= p_suc <= 1.0 and 0.0 <= p_inc <= 1.0
 
@@ -124,9 +122,8 @@ def test_monotonicity(d):
 def test_theory_point_fields():
     point = theory.theory_point(6, math.radians(40.0))
     assert point.dim == 6
-    assert point.p_err == 0.0
-    assert point.overlap == pytest.approx(point.p_inc, abs=1e-15)
-    assert point.p_suc + point.p_inc == pytest.approx(1.0, abs=1e-14)
+    assert (point.p_suc, point.overlap) == theory.usd_probabilities(6, math.radians(40.0))
+    assert point.p_suc + point.overlap == pytest.approx(1.0, abs=1e-14)
     assert point.mesd_bound == pytest.approx(
         0.5 * (1.0 - math.sqrt(1.0 - point.overlap**2)), abs=1e-15
     )
