@@ -286,7 +286,7 @@ CHECK_GATES = {"completeness": 1e-10, "zero_error": 1e-20, "closure": 1e-12, "th
 
 
 def _residuals(basis: states.DiscriminationBasis) -> dict[str, float]:
-    """Construction invariants of one built point, each a max absolute deviation.
+    """Construction invariants of a built basis, each a max absolute deviation over its angles.
 
     orthonormality: basis Gram matrix from the identity, as measured when the
     basis was validated; completeness: sum of the basis projectors from the
@@ -294,18 +294,19 @@ def _residuals(basis: states.DiscriminationBasis) -> dict[str, float]:
     closure: success plus inconclusive probability from one; theory_match:
     detection probabilities from the closed-form p_suc and p_inc.
     """
-    d = basis.family.dim
+    d, theta = basis.family.dim, basis.family.theta
     detection = experiment.ideal_detection_matrix(basis)
-    success, inconclusive = np.diag(detection[:, :d]), detection[:, d]
-    p_suc, p_inc = theory.usd_probabilities(d, basis.family.theta)
+    conclusive, inconclusive = detection[..., :d], detection[..., d]
+    success = np.diagonal(conclusive, axis1=-2, axis2=-1)
+    p_suc, p_inc = states._each_angle(lambda th: theory.usd_probabilities(d, th), theta)
     return {
         "orthonormality": basis.orthonormality_residual,
         "completeness": basis.completeness_residual(),
-        "zero_error": float(detection[:, :d][~np.eye(d, dtype=bool)].max()),
+        "zero_error": float(conclusive[..., ~np.eye(d, dtype=bool)].max()),
         "closure": float(np.abs(success + inconclusive - 1.0).max()),
         "theory_match": max(
-            float(np.abs(success - p_suc).max()),
-            float(np.abs(inconclusive - p_inc).max()),
+            float(np.abs(success - p_suc[..., None]).max()),
+            float(np.abs(inconclusive - p_inc[..., None]).max()),
         ),
     }
 
@@ -350,11 +351,10 @@ def cmd_check(args) -> int:
     ok = True
     for d in dims:
         tmax = theory.theta_max(d)
-        worst = dict.fromkeys(CHECK_GATES, 0.0)
-        for k in range(1, points + 1):
-            residuals = _residuals(states.build_basis(d, k * tmax / points))
-            for key in CHECK_GATES:
-                worst[key] = max(worst[key], residuals[key])
+        thetas = [k * tmax / points for k in range(1, points + 1)]
+        block = max(1, 2**20 // (d + 1) ** 2)  # angles per build: at most 8 MB per stacked array
+        parts = [_residuals(states.build_basis(d, thetas[i : i + block])) for i in range(0, points, block)]
+        worst = {key: max(part[key] for part in parts) for key in CHECK_GATES}
         cells = "  ".join(f"{key.replace('_', '-')} {worst[key]:.2e}" for key in CHECK_GATES)
         print(f"d={d:2d}  {cells}")
         ok = ok and all(worst[key] < gate for key, gate in CHECK_GATES.items())

@@ -14,6 +14,12 @@ sqrt(-<Psi-perp_1|Psi-perp_2>) and normalizing produces d orthonormal
 measurement states |D_i>, completed by the inconclusive state |D_{d+1}>,
 which is the unit vector orthogonal to all of them.
 
+theta may be one angle or a 1-D sequence of P angles at one d, which stacks
+the family (P, d, d) and basis (P, d+1, d+1) along a leading axis; every check
+covers the whole stack and residuals are maxima over it.  There is one path:
+the per-angle scalars are computed with ``math`` one angle at a time, so slice
+k of a stack equals the one-angle build of angle k bit for bit.
+
 Measuring |D_i> identifies |Psi_i> with certainty; |D_{d+1}> gives no
 information.  Basis indices map to orbital-angular-momentum mode labels
 through ``oam_map``.
@@ -34,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import theory
-from .errors import DegenerateFamilyError, InvalidDimensionError
+from .errors import DegenerateFamilyError, DomainError, InvalidDimensionError
 
 # Every validating check below is written so that NaN fails it.
 
@@ -52,27 +58,35 @@ def _freeze(vectors) -> np.ndarray:
     return arr
 
 
+def _each_angle(fn, theta) -> np.ndarray:
+    """The k floats ``fn(angle)`` returns, one angle at a time, as k arrays shaped like theta."""
+    values = np.array([fn(th) for th in np.ravel(theta).tolist()])
+    return np.moveaxis(values.reshape(np.shape(theta) + (-1,)), -1, 0)
+
+
 @dataclass(frozen=True)
 class StateFamily:
-    """The d symmetric input states (rows) in the computational/OAM basis."""
+    """The d symmetric input states (rows) in the computational/OAM basis, or a stack of them."""
 
     dim: int
-    theta: float
+    theta: float | np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", _freeze(self.vectors))
-        d, th, v = self.dim, self.theta, self.vectors
-        if v.shape != (d, d):
-            raise InvalidDimensionError(f"expected {(d, d)} vectors, got {v.shape}")
-        norms = np.sqrt((v * v).sum(axis=1))
+        d, v = self.dim, self.vectors
+        shape = np.shape(self.theta) + (d, d)
+        if v.shape != shape:
+            raise InvalidDimensionError(f"expected {shape} vectors, got {v.shape}")
+        cos = np.cos(self.theta)[..., None]
+        norms = np.sqrt((v * v).sum(axis=-1))
         if not np.abs(norms - 1.0).max() <= EXACT_TOL:
             raise DegenerateFamilyError("state vectors must have unit norm")
-        if not np.abs(v[:, -1] - math.cos(th)).max() <= EXACT_TOL:
+        if not np.abs(v[..., -1] - cos).max() <= EXACT_TOL:
             raise DegenerateFamilyError("last component of every state must equal cos(theta)")
-        gram = v @ v.T
-        target = (d * math.cos(th) ** 2 - 1.0) / (d - 1.0)
-        off = gram[~np.eye(d, dtype=bool)]
+        gram = v @ np.swapaxes(v, -1, -2)
+        target = (d * cos**2 - 1.0) / (d - 1.0)
+        off = gram[..., ~np.eye(d, dtype=bool)]
         if not np.abs(off - target).max() <= EXACT_TOL:
             raise DegenerateFamilyError("pairwise overlaps must all equal the symmetric value")
 
@@ -83,23 +97,24 @@ class DiscriminationBasis:
 
     family: StateFamily
     vectors: np.ndarray
-    #: max elementwise deviation of the Gram matrix from the identity, set by the validation
+    #: max elementwise deviation of the Gram matrices from the identity, set by the validation
     orthonormality_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", _freeze(self.vectors))
         d, v = self.family.dim, self.vectors
-        if v.shape != (d + 1, d + 1):
-            raise InvalidDimensionError(f"expected {(d + 1, d + 1)} vectors, got {v.shape}")
-        residual = float(np.abs(v @ v.T - np.eye(d + 1)).max())
+        shape = np.shape(self.family.theta) + (d + 1, d + 1)
+        if v.shape != shape:
+            raise InvalidDimensionError(f"expected {shape} vectors, got {v.shape}")
+        residual = float(np.abs(v @ np.swapaxes(v, -1, -2) - np.eye(d + 1)).max())
         if not residual <= ORTHO_TOL:
             raise DegenerateFamilyError("measurement states must be orthonormal")
         object.__setattr__(self, "orthonormality_residual", residual)
 
     def completeness_residual(self) -> float:
-        """Max elementwise deviation of sum_j |D_j><D_j| from the identity."""
-        resolution = self.vectors.T @ self.vectors
-        return float(np.abs(resolution - np.eye(len(self.vectors))).max())
+        """Max elementwise deviation of sum_j |D_j><D_j| from the identity, over the stack."""
+        resolution = np.swapaxes(self.vectors, -1, -2) @ self.vectors
+        return float(np.abs(resolution - np.eye(self.vectors.shape[-1])).max())
 
 
 @dataclass(frozen=True)
@@ -141,24 +156,28 @@ def _simplex(d: int) -> np.ndarray:
     return v
 
 
-def build_state_family(d: int, theta: float) -> StateFamily:
-    """Lift the projected vectors by theta onto the last axis.
+def build_state_family(d: int, theta) -> StateFamily:
+    """Lift the projected vectors by theta (one angle or a 1-D sequence) onto the last axis.
 
     Row i is sin(theta) |Psi'_i> + cos(theta) |d>, so every state carries the
     same cos(theta) component along the lift axis and the pairwise overlap is
     (d cos^2(theta) - 1)/(d - 1).
     """
-    theta = theory._check_theta(d, theta)
-    projected = build_projected_vectors(d)
-    vectors = np.zeros((d, d))
-    vectors[:, : d - 1] = math.sin(theta) * projected
-    vectors[:, d - 1] = math.cos(theta)
+    if np.ndim(theta) > 1 or np.size(theta) == 0:
+        raise DomainError(f"theta must be one angle or a nonempty 1-D sequence, got {theta!r}")
+    checked = [theory._check_theta(d, th) for th in np.ravel(theta).tolist()]
+    theta = checked[0] if np.ndim(theta) == 0 else _freeze(checked)
+    sin, cos = _each_angle(lambda th: (math.sin(th), math.cos(th)), theta)
+    vectors = np.zeros(np.shape(theta) + (d, d))
+    vectors[..., : d - 1] = sin[..., None, None] * build_projected_vectors(d)
+    vectors[..., d - 1] = cos[..., None]
     return StateFamily(dim=d, theta=theta, vectors=vectors)
 
 
-def build_basis(d: int, theta: float) -> DiscriminationBasis:
+def build_basis(d: int, theta) -> DiscriminationBasis:
     """The input states of (d, theta) and their measurement basis, in closed form.
 
+    theta is one angle or a 1-D sequence of angles (see the module docstring).
     The family comes from ``build_state_family``; the rows are built on the
     same memoized simplex |p_i>.  With t = tan(theta) and
     a = sqrt(d - 1 - t^2), row i is
@@ -172,30 +191,29 @@ def build_basis(d: int, theta: float) -> DiscriminationBasis:
     orthonormality residual at large d.
     """
     family = build_state_family(d, theta)
-    if family.theta < MIN_THETA:
-        raise DegenerateFamilyError(
-            f"theta={family.theta!r} leaves all states coincident; no measurement basis exists"
-        )
     d = family.dim
-    t = math.tan(family.theta)
+    low = float(np.min(family.theta))
+    if low < MIN_THETA:
+        raise DegenerateFamilyError(
+            f"theta={low!r} leaves all states coincident; no measurement basis exists"
+        )
+    (t,) = _each_angle(lambda th: (math.tan(th),), family.theta)
     slack = d - 1.0 - t * t
-    if slack <= 1e-13 * (d - 1.0):
-        t, slack = math.sqrt(d - 1.0), 0.0
-    a = math.sqrt(slack)
-    vectors = np.zeros((d + 1, d + 1))
-    vectors[:d, : d - 1] = math.sqrt((d - 1.0) / d) * build_projected_vectors(d)
-    vectors[:d, d - 1] = t / math.sqrt(d * (d - 1.0))
-    vectors[:d, d] = a / math.sqrt(d * (d - 1.0))
-    vectors[d, d - 1 :] = -a, t
-    vectors /= np.sqrt((vectors * vectors).sum(axis=1))[:, None]
+    clamped = slack <= 1e-13 * (d - 1.0)
+    t, a = np.where(clamped, math.sqrt(d - 1.0), t), np.sqrt(np.where(clamped, 0.0, slack))
+    vectors = np.zeros(np.shape(family.theta) + (d + 1, d + 1))
+    vectors[..., :d, : d - 1] = math.sqrt((d - 1.0) / d) * build_projected_vectors(d)
+    vectors[..., :d, d - 1 :] = (np.stack((t, a), axis=-1) / math.sqrt(d * (d - 1.0)))[..., None, :]
+    vectors[..., d, d - 1 :] = np.stack((-a, t), axis=-1)
+    vectors /= np.sqrt((vectors * vectors).sum(axis=-1))[..., None]
     return DiscriminationBasis(family=family, vectors=vectors)
 
 
 def embedded_vectors(family: StateFamily) -> np.ndarray:
     """The input states embedded in d+1 dimensions with zero ancilla component."""
     d = family.dim
-    embedded = np.zeros((d, d + 1))
-    embedded[:, :d] = family.vectors
+    embedded = np.zeros(np.shape(family.theta) + (d, d + 1))
+    embedded[..., :d] = family.vectors
     return embedded
 
 

@@ -47,10 +47,7 @@ def _check_theta(d: int, theta: float) -> float:
 
 def overlap(d: int, theta: float) -> float:
     """Pairwise overlap (d cos^2(theta) - 1)/(d - 1), clipped to [0, 1]."""
-    d = _check_dim(d)
-    theta = _check_theta(d, theta)
-    value = (d * math.cos(theta) ** 2 - 1.0) / (d - 1.0)
-    return min(max(value, 0.0), 1.0)
+    return usd_probabilities(d, theta)[1]
 
 
 def usd_probabilities(d: int, theta: float) -> tuple[float, float]:
@@ -62,7 +59,7 @@ def usd_probabilities(d: int, theta: float) -> tuple[float, float]:
     d = _check_dim(d)
     theta = _check_theta(d, theta)
     p_suc = min(d * math.sin(theta) ** 2 / (d - 1.0), 1.0)
-    p_inc = overlap(d, theta)
+    p_inc = min(max((d * math.cos(theta) ** 2 - 1.0) / (d - 1.0), 0.0), 1.0)
     return p_suc, p_inc
 
 

@@ -540,6 +540,42 @@ def test_check_rejects_empty_theta_grid(capsys, points):
     assert "--theta-points" in payload["message"]
 
 
+def _check_line(d, residuals):
+    cells = "  ".join(f"{key.replace('_', '-')} {residuals[key]:.2e}" for key in cli.CHECK_GATES)
+    return f"d={d:2d}  {cells}"
+
+
+def _record_builds(monkeypatch):
+    """Angle counts of the states.build_basis calls that cmd_check makes."""
+    counts, build = [], states.build_basis
+
+    def recording(d, theta):
+        counts.append((d, len(theta)))
+        return build(d, theta)
+
+    monkeypatch.setattr(cli.states, "build_basis", recording)
+    return counts
+
+
+def test_check_builds_each_dimension_once(capsys, monkeypatch):
+    counts = _record_builds(monkeypatch)
+    code, _, _ = invoke(capsys, "check", "--dims", "2:14")
+    assert code == 0
+    assert counts == [(d, 12) for d in range(2, 15)]
+
+
+def test_check_splits_a_large_grid_into_bounded_blocks(capsys, monkeypatch):
+    # 2**20 // 201**2 = 25 angles per build: 40 angles take a block of 25 and one of 15
+    tmax = theory.theta_max(200)
+    each = [cli._residuals(states.build_basis(200, k * tmax / 40)) for k in range(1, 41)]
+    worst = {key: max(r[key] for r in each) for key in cli.CHECK_GATES}
+    counts = _record_builds(monkeypatch)
+    code, out, _ = invoke(capsys, "check", "--dim", "200", "--theta-points", "40")
+    assert code == 0
+    assert counts == [(200, 25), (200, 15)]
+    assert out.splitlines() == [_check_line(200, worst), "all invariants within tolerance"]
+
+
 def test_check_single_dim_is_not_replaced_by_default_grid(capsys):
     code, out, err = invoke(capsys, "check", "--dim", "0")
     assert code == 1 and out == ""

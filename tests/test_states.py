@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usdkit import states, theory
+from usdkit import cli, states, theory
 from usdkit.errors import DegenerateFamilyError, DomainError, InvalidDimensionError
 
 CHECK_DIMS = list(range(2, 15))
@@ -236,9 +236,12 @@ def test_basis_stays_orthonormal_just_below_theta_max(d):
     # the ancilla clamp acts in a window about 1e-13 rad wide below theta_max;
     # the random draws of the whole-domain test do not land in it
     tmax = theory.theta_max(d)
-    for k in range(200):
-        vectors, _ = basis_rows(d, tmax - k * 1e-15)
+    thetas = [tmax - k * 1e-15 for k in range(200)]
+    stack = states.build_basis(d, thetas)
+    for k, theta in enumerate(thetas):
+        vectors, _ = basis_rows(d, theta)
         assert np.max(np.abs(vectors @ vectors.T - np.eye(d + 1))) < 1e-14
+        assert np.array_equal(stack.vectors[k], vectors)  # the stack takes the same clamp
 
 
 @pytest.mark.parametrize("d, deg", [(2, 20.0), (3, 33.0), (6, 40.0), (14, 10.0), (40, 60.0)])
@@ -261,20 +264,20 @@ def test_basis_sign_conventions():
 
 
 @st.composite
-def dim_and_theta(draw):
+def dim_and_theta(draw, max_angles=None):
     """A dimension in [2, 100] and an angle in [MIN_THETA, theta_max(d)].
 
     Half the angles are drawn on a log scale so that tiny angles are common.
+    With ``max_angles``, a list of 1 to max_angles such angles at that d.
     """
     d = draw(st.integers(min_value=2, max_value=100))
     tmax = theory.theta_max(d)
-    theta = draw(
-        st.floats(min_value=states.MIN_THETA, max_value=tmax)
-        | st.floats(min_value=math.log(states.MIN_THETA), max_value=math.log(tmax)).map(
-            lambda x: min(max(math.exp(x), states.MIN_THETA), tmax)
-        )
-    )
-    return d, theta
+    angle = st.floats(min_value=states.MIN_THETA, max_value=tmax) | st.floats(
+        min_value=math.log(states.MIN_THETA), max_value=math.log(tmax)
+    ).map(lambda x: min(max(math.exp(x), states.MIN_THETA), tmax))
+    if max_angles is None:
+        return d, draw(angle)
+    return d, draw(st.lists(angle, min_size=1, max_size=max_angles))
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,6 +293,78 @@ def test_invariants_hold_over_whole_domain(point):
     p_suc, p_inc = theory.usd_probabilities(d, theta)
     assert np.max(np.abs(np.diag(probs[:, :d]) - p_suc)) < 1e-12
     assert np.max(np.abs(probs[:, d] - p_inc)) < 1e-12
+
+
+# --------------------------------------------------------- stacked angles
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim_and_theta(max_angles=6))
+def test_stacked_build_is_each_angle_build_exactly(point):
+    d, thetas = point
+    stack = states.build_basis(d, thetas)
+    singles = [states.build_basis(d, theta) for theta in thetas]
+    assert stack.family.vectors.shape == (len(thetas), d, d)
+    assert stack.vectors.shape == (len(thetas), d + 1, d + 1)
+    for k, single in enumerate(singles):
+        assert stack.family.theta[k] == single.family.theta
+        assert np.array_equal(stack.family.vectors[k], single.family.vectors)
+        assert np.array_equal(stack.vectors[k], single.vectors)
+    assert stack.orthonormality_residual == max(b.orthonormality_residual for b in singles)
+    assert stack.completeness_residual() == max(b.completeness_residual() for b in singles)
+    stacked, each = cli._residuals(stack), [cli._residuals(b) for b in singles]
+    assert stacked == {key: max(r[key] for r in each) for key in stacked}
+
+
+def _corrupt_norm(v):
+    v *= 1.001
+
+
+def _corrupt_lift(v):
+    v[:, -1] *= -1.0  # unit norms kept, cos(theta) component flipped
+
+
+def _corrupt_overlap(v):
+    v[0] = v[1]  # unit norms and lift kept, one overlap becomes 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_corrupt_norm, "unit norm"), (_corrupt_lift, "cos"), (_corrupt_overlap, "overlaps")],
+)
+def test_family_validation_covers_the_last_slice(corrupt, message):
+    good = states.build_state_family(4, [0.3, 0.5, 0.7])
+    vectors = np.array(good.vectors)
+    corrupt(vectors[-1])
+    with pytest.raises(DegenerateFamilyError, match=message):
+        states.StateFamily(dim=4, theta=good.theta, vectors=vectors)
+    with pytest.raises(InvalidDimensionError):
+        states.StateFamily(dim=4, theta=good.theta, vectors=good.vectors[:-1])
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_norm, _corrupt_overlap])
+def test_basis_validation_covers_the_last_slice(corrupt):
+    good = states.build_basis(4, [0.3, 0.5, 0.7])
+    vectors = np.array(good.vectors)
+    corrupt(vectors[-1])
+    with pytest.raises(DegenerateFamilyError):
+        states.DiscriminationBasis(family=good.family, vectors=vectors)
+    with pytest.raises(InvalidDimensionError):
+        states.DiscriminationBasis(family=good.family, vectors=good.vectors[:-1])
+
+
+def test_stacked_build_rejects_its_last_angle():
+    with pytest.raises(DomainError):
+        states.build_basis(4, [0.3, 0.5, theory.theta_max(4) + 1e-6])
+    with pytest.raises(DegenerateFamilyError) as err:
+        states.build_basis(4, [0.3, 0.5, 1e-10])
+    assert "theta=1e-10 " in str(err.value)
+
+
+@pytest.mark.parametrize("theta", [[], [[0.3, 0.5]], np.zeros((2, 1))])
+def test_theta_must_be_one_angle_or_a_nonempty_list(theta):
+    with pytest.raises(DomainError):
+        states.build_basis(4, theta)
 
 
 def reference_basis(family):

@@ -55,6 +55,13 @@ def test_usd_probabilities_frozen_value():
     assert p_inc == pytest.approx(OVERLAP_6_40, abs=1e-12)
 
 
+def test_usd_probabilities_checks_its_angle_once(monkeypatch):
+    calls, check = [], theory._check_theta
+    monkeypatch.setattr(theory, "_check_theta", lambda d, th: calls.append(th) or check(d, th))
+    assert theory.usd_probabilities(6, 0.4)[1] == theory.overlap(6, 0.4)
+    assert calls == [0.4, 0.4]  # one check each for usd_probabilities and overlap
+
+
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_probabilities_sum_to_one(d):
     for th in theta_grid(d):
