@@ -35,14 +35,11 @@ class OutcomeTable:
     quantum_contrast: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probabilities, dtype=float)
-        s = np.array(self.sigmas, dtype=float)
-        q = np.array(self.quantum_contrast, dtype=float)
-        for arr in (p, s, q):
+        for name in ("probabilities", "sigmas", "quantum_contrast"):
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "sigmas", s)
-        object.__setattr__(self, "quantum_contrast", q)
+            object.__setattr__(self, name, arr)
+        p, s, q = self.probabilities, self.sigmas, self.quantum_contrast
         if p.ndim != 2 or p.shape[1] != p.shape[0] + 1 or s.shape != p.shape or q.shape != p.shape:
             raise InvalidDimensionError("outcome matrices must have shape (d, d+1)")
         _check_row_sums(p)

@@ -24,6 +24,7 @@ dim, theta_deg and seed.  The default output directory is $USDKIT_OUT_DIR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -95,10 +96,8 @@ def _config_for(spec: SweepSpec, d: int) -> experiment.ExperimentConfig:
     return experiment.ExperimentConfig(**settings)
 
 
-def _row(
-    point: theory.TheoryPoint, seed: int | None = None, mean: float | None = None,
-    sigma: float | None = None,
-) -> dict:
+def _row(point: theory.TheoryPoint, seed: int | None = None, mean: float | None = None,
+         sigma: float | None = None) -> dict:
     """One output row; a measured ``mean`` and ``sigma`` get their verdict."""
     return {
         "dim": point.dim,
@@ -119,10 +118,8 @@ def theory_rows(spec: SweepSpec) -> list[dict]:
     return [_row(theory.theory_point(d, th)) for d in spec.dims for th in _point_thetas(spec, d)]
 
 
-def _summarize(
-    basis: states.DiscriminationBasis, config: experiment.ExperimentConfig, seeds,
-    point: theory.TheoryPoint,
-) -> analysis.ErrorSummary:
+def _summarize(basis: states.DiscriminationBasis, config: experiment.ExperimentConfig, seeds,
+               point: theory.TheoryPoint) -> analysis.ErrorSummary:
     record = experiment.run_repetitions(basis, config, seeds)
     p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
     return analysis.summarize_probabilities(p, point.theta, point.mesd_bound)
@@ -298,7 +295,8 @@ def _residuals(basis: states.DiscriminationBasis) -> dict[str, float]:
     detection = experiment.ideal_detection_matrix(basis)
     conclusive, inconclusive = detection[..., :d], detection[..., d]
     success = np.diagonal(conclusive, axis1=-2, axis2=-1)
-    p_suc, p_inc = states._each_angle(lambda th: theory.usd_probabilities(d, th), theta)
+    probabilities = [theory._usd_probabilities(d, th) for th in np.ravel(theta).tolist()]
+    p_suc, p_inc = np.array(probabilities).T.reshape((2,) + np.shape(theta))
     return {
         "orthonormality": basis.orthonormality_residual,
         "completeness": basis.completeness_residual(),
@@ -351,9 +349,9 @@ def cmd_check(args) -> int:
     ok = True
     for d in dims:
         tmax = theory.theta_max(d)
-        thetas = [k * tmax / points for k in range(1, points + 1)]
         block = max(1, 2**20 // (d + 1) ** 2)  # angles per build: at most 8 MB per stacked array
-        parts = [_residuals(states.build_basis(d, thetas[i : i + block])) for i in range(0, points, block)]
+        blocks = (range(k, min(k + block, points + 1)) for k in range(1, points + 1, block))
+        parts = [_residuals(states.build_basis(d, [k * tmax / points for k in r])) for r in blocks]
         worst = {key: max(part[key] for part in parts) for key in CHECK_GATES}
         cells = "  ".join(f"{key.replace('_', '-')} {worst[key]:.2e}" for key in CHECK_GATES)
         print(f"d={d:2d}  {cells}")
@@ -401,29 +399,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--dim", type=int, required=True)
     p_build.add_argument("--theta-deg", type=float, dest="theta_deg", required=True)
     p_build.add_argument("--out", help="output directory")
-    p_build.set_defaults(func=cmd_build)
 
     p_theory = sub.add_parser("theory", help="closed-form sweep to CSV/JSON")
     common(p_theory, experiment_flags=False)
-    p_theory.set_defaults(func=cmd_theory)
 
     p_run = sub.add_parser("run", help="simulate, analyze, and classify sweep points")
     common(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run the construction invariant suite")
     p_check.add_argument("--dim", type=int)
     p_check.add_argument("--dims", help="comma list or range; default 2:14")
     p_check.add_argument("--theta-points", type=int, default=12, dest="theta_points")
-    p_check.set_defaults(func=cmd_check)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process; parsing leaves it unchanged
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return globals()["cmd_" + args.command](args)  # looked up per call: patches apply
     except (UsdError, ValueError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         payload.update(getattr(exc, "point", {}))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, InvalidDimensionError
-from .states import DiscriminationBasis, OamMap, embedded_vectors, oam_map
+from .states import DiscriminationBasis, OamMap, _check_one_angle, embedded_vectors, oam_map
 
 #: Expected counts beyond this overflow the int64 draw.
 MAX_EXPECTED_COUNTS = float(2**62)
@@ -162,6 +162,7 @@ def _expected_means(
     basis: DiscriminationBasis, config: ExperimentConfig
 ) -> tuple[np.ndarray, float]:
     """Per-cell expected coincidence counts and the expected singles count."""
+    _check_one_angle(basis.family, "a simulated basis")
     probs = apply_noise(ideal_detection_matrix(basis), config)
     weights = spiral_weights(oam_map(basis.family.dim), config.spiral_bandwidth_sigma)
     rates = config.max_coincidence_rate * weights

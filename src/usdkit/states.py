@@ -17,8 +17,8 @@ which is the unit vector orthogonal to all of them.
 theta may be one angle or a 1-D sequence of P angles at one d, which stacks
 the family (P, d, d) and basis (P, d+1, d+1) along a leading axis; every check
 covers the whole stack and residuals are maxima over it.  There is one path:
-the per-angle scalars are computed with ``math`` one angle at a time, so slice
-k of a stack equals the one-angle build of angle k bit for bit.
+each angle is checked once, and its sin, cos and tan come from one ``math``
+pass shared by family and basis, so slice k of a stack is the one-angle build.
 
 Measuring |D_i> identifies |Psi_i> with certainty; |D_{d+1}> gives no
 information.  Basis indices map to orbital-angular-momentum mode labels
@@ -58,10 +58,9 @@ def _freeze(vectors) -> np.ndarray:
     return arr
 
 
-def _each_angle(fn, theta) -> np.ndarray:
-    """The k floats ``fn(angle)`` returns, one angle at a time, as k arrays shaped like theta."""
-    values = np.array([fn(th) for th in np.ravel(theta).tolist()])
-    return np.moveaxis(values.reshape(np.shape(theta) + (-1,)), -1, 0)
+def _check_one_angle(family: StateFamily, what: str) -> None:
+    if np.ndim(family.theta):
+        raise DomainError(f"{what} takes one angle, got a stack of {np.size(family.theta)}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,21 @@ def _simplex(d: int) -> np.ndarray:
     return v
 
 
+def _lift(d: int, theta) -> tuple[StateFamily, np.ndarray]:
+    """The family of (d, theta) and tan of its angles, from one ``math`` pass per checked angle."""
+    if np.ndim(theta) > 1 or np.size(theta) == 0:
+        raise DomainError(f"theta must be one angle or a nonempty 1-D sequence, got {theta!r}")
+    tmax = theory.theta_max(d)  # checks d
+    checked = [theory._check_theta(d, th, tmax) for th in np.ravel(theta).tolist()]
+    trig = np.array([(math.sin(th), math.cos(th), math.tan(th)) for th in checked])
+    sin, cos, tan = trig.T.reshape((3,) + np.shape(theta))
+    d, theta = int(d), _freeze(checked) if np.ndim(theta) else checked[0]
+    vectors = np.zeros(np.shape(theta) + (d, d))
+    vectors[..., : d - 1] = sin[..., None, None] * _simplex(d)
+    vectors[..., d - 1] = cos[..., None]
+    return StateFamily(dim=d, theta=theta, vectors=vectors), tan
+
+
 def build_state_family(d: int, theta) -> StateFamily:
     """Lift the projected vectors by theta (one angle or a 1-D sequence) onto the last axis.
 
@@ -163,24 +177,16 @@ def build_state_family(d: int, theta) -> StateFamily:
     same cos(theta) component along the lift axis and the pairwise overlap is
     (d cos^2(theta) - 1)/(d - 1).
     """
-    if np.ndim(theta) > 1 or np.size(theta) == 0:
-        raise DomainError(f"theta must be one angle or a nonempty 1-D sequence, got {theta!r}")
-    checked = [theory._check_theta(d, th) for th in np.ravel(theta).tolist()]
-    theta = checked[0] if np.ndim(theta) == 0 else _freeze(checked)
-    sin, cos = _each_angle(lambda th: (math.sin(th), math.cos(th)), theta)
-    vectors = np.zeros(np.shape(theta) + (d, d))
-    vectors[..., : d - 1] = sin[..., None, None] * build_projected_vectors(d)
-    vectors[..., d - 1] = cos[..., None]
-    return StateFamily(dim=d, theta=theta, vectors=vectors)
+    return _lift(d, theta)[0]
 
 
 def build_basis(d: int, theta) -> DiscriminationBasis:
     """The input states of (d, theta) and their measurement basis, in closed form.
 
     theta is one angle or a 1-D sequence of angles (see the module docstring).
-    The family comes from ``build_state_family``; the rows are built on the
-    same memoized simplex |p_i>.  With t = tan(theta) and
-    a = sqrt(d - 1 - t^2), row i is
+    The family is ``build_state_family``'s, lifted from the same scalar pass;
+    the rows are built on the same memoized simplex |p_i>.  With
+    t = tan(theta) and a = sqrt(d - 1 - t^2), row i is
     sqrt((d-1)/d) |p_i> + (t |e> + a |d+1>) / sqrt(d (d-1)) and the
     inconclusive row is (-a |e> + t |d+1>) / sqrt(d-1): the normalized
     complements lifted by the ancilla, and the unit vector orthogonal to them.
@@ -190,21 +196,21 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
     renormalized, which keeps the simplex's roundoff out of the
     orthonormality residual at large d.
     """
-    family = build_state_family(d, theta)
+    family, t = _lift(d, theta)
     d = family.dim
     low = float(np.min(family.theta))
     if low < MIN_THETA:
         raise DegenerateFamilyError(
             f"theta={low!r} leaves all states coincident; no measurement basis exists"
         )
-    (t,) = _each_angle(lambda th: (math.tan(th),), family.theta)
     slack = d - 1.0 - t * t
     clamped = slack <= 1e-13 * (d - 1.0)
     t, a = np.where(clamped, math.sqrt(d - 1.0), t), np.sqrt(np.where(clamped, 0.0, slack))
+    scale = math.sqrt(d * (d - 1.0))
     vectors = np.zeros(np.shape(family.theta) + (d + 1, d + 1))
-    vectors[..., :d, : d - 1] = math.sqrt((d - 1.0) / d) * build_projected_vectors(d)
-    vectors[..., :d, d - 1 :] = (np.stack((t, a), axis=-1) / math.sqrt(d * (d - 1.0)))[..., None, :]
-    vectors[..., d, d - 1 :] = np.stack((-a, t), axis=-1)
+    vectors[..., :d, : d - 1] = math.sqrt((d - 1.0) / d) * _simplex(d)
+    vectors[..., :d, d - 1], vectors[..., :d, d] = (t / scale)[..., None], (a / scale)[..., None]
+    vectors[..., d, d - 1], vectors[..., d, d] = -a, t
     vectors /= np.sqrt((vectors * vectors).sum(axis=-1))[..., None]
     return DiscriminationBasis(family=family, vectors=vectors)
 
@@ -245,6 +251,7 @@ def to_json(obj: StateFamily | DiscriminationBasis) -> str:
     A basis's dim and theta header is that of its family.
     """
     family = obj if isinstance(obj, StateFamily) else obj.family
+    _check_one_angle(family, "to_json")
     rows = ",\n    ".join(
         "[" + ", ".join(_fmt(x) for x in row) + "]" for row in np.asarray(obj.vectors)
     )

@@ -36,8 +36,8 @@ def theta_max(d: int) -> float:
     return math.acos(math.sqrt(1.0 / d))
 
 
-def _check_theta(d: int, theta: float) -> float:
-    tmax = theta_max(d)
+def _check_theta(d: int, theta: float, tmax: float | None = None) -> float:
+    tmax = theta_max(d) if tmax is None else tmax  # a caller checking many angles passes it
     if not (-THETA_TOL <= theta <= tmax + THETA_TOL):
         raise DomainError(
             f"theta must lie in [0, {tmax!r}] rad (theta_max for d={d}); got {theta!r}"
@@ -57,7 +57,10 @@ def usd_probabilities(d: int, theta: float) -> tuple[float, float]:
     one; the error probability is zero by construction.
     """
     d = _check_dim(d)
-    theta = _check_theta(d, theta)
+    return _usd_probabilities(d, _check_theta(d, theta))
+
+
+def _usd_probabilities(d: int, theta: float) -> tuple[float, float]:  # d and theta checked
     p_suc = min(d * math.sin(theta) ** 2 / (d - 1.0), 1.0)
     p_inc = min(max((d * math.cos(theta) ** 2 - 1.0) / (d - 1.0), 0.0), 1.0)
     return p_suc, p_inc
@@ -111,10 +114,5 @@ class TheoryPoint:
 def theory_point(d: int, theta: float) -> TheoryPoint:
     """Evaluate all closed-form quantities at (d, theta); p_inc is the overlap."""
     p_suc, p_inc = usd_probabilities(d, theta)
-    return TheoryPoint(
-        dim=int(d),
-        theta=float(theta),
-        overlap=p_inc,
-        p_suc=p_suc,
-        mesd_bound=mesd_bound_from_overlap(p_inc),
-    )
+    return TheoryPoint(dim=int(d), theta=float(theta), overlap=p_inc, p_suc=p_suc,
+                       mesd_bound=mesd_bound_from_overlap(p_inc))

@@ -546,33 +546,34 @@ def _check_line(d, residuals):
 
 
 def _record_builds(monkeypatch):
-    """Angle counts of the states.build_basis calls that cmd_check makes."""
-    counts, build = [], states.build_basis
+    """(d, angles) of each states.build_basis call that cmd_check makes."""
+    builds, build = [], states.build_basis
 
     def recording(d, theta):
-        counts.append((d, len(theta)))
+        builds.append((d, list(theta)))
         return build(d, theta)
 
     monkeypatch.setattr(cli.states, "build_basis", recording)
-    return counts
+    return builds
 
 
 def test_check_builds_each_dimension_once(capsys, monkeypatch):
-    counts = _record_builds(monkeypatch)
+    builds = _record_builds(monkeypatch)
     code, _, _ = invoke(capsys, "check", "--dims", "2:14")
     assert code == 0
-    assert counts == [(d, 12) for d in range(2, 15)]
+    assert [(d, len(thetas)) for d, thetas in builds] == [(d, 12) for d in range(2, 15)]
 
 
 def test_check_splits_a_large_grid_into_bounded_blocks(capsys, monkeypatch):
     # 2**20 // 201**2 = 25 angles per build: 40 angles take a block of 25 and one of 15
     tmax = theory.theta_max(200)
-    each = [cli._residuals(states.build_basis(200, k * tmax / 40)) for k in range(1, 41)]
+    grid = [k * tmax / 40 for k in range(1, 41)]
+    each = [cli._residuals(states.build_basis(200, th)) for th in grid]
     worst = {key: max(r[key] for r in each) for key in cli.CHECK_GATES}
-    counts = _record_builds(monkeypatch)
+    builds = _record_builds(monkeypatch)
     code, out, _ = invoke(capsys, "check", "--dim", "200", "--theta-points", "40")
     assert code == 0
-    assert counts == [(200, 25), (200, 15)]
+    assert builds == [(200, grid[:25]), (200, grid[25:])]  # the same floats, block by block
     assert out.splitlines() == [_check_line(200, worst), "all invariants within tolerance"]
 
 
@@ -688,6 +689,9 @@ GOLDEN_OUTPUTS = {
     "4ee269d954540eedd214dd01c247474f87cf3e4b86f57d6a7008ea110929d4ac": (
         "check", "--dims", "2:14",
     ),
+    "19d4274fc2b5a0e84bdf1c5e73d1599045b3d357ec14812dcb409974b6179919": (
+        "check", "--dims", "15:40", "--theta-points", "5",
+    ),
     "1acfc4b80dd6befa9fc4132a2e293366cfc8c61a12dfcacc1f933324ec2fe716": (
         "run", "--dim", "6", "--theta-deg", "40", "--reps", "3", "--seed", "11",
         "--epsilon", "0.07", "--format", "json",
@@ -703,6 +707,28 @@ def test_sweep_bytes_match_pinned_hash(capsys, digest):
     code, out, err = invoke(capsys, *GOLDEN_OUTPUTS[digest])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6", reason=f"hashes pinned under numpy 2.4.6, found {np.__version__}"
+)
+def test_shared_parser_gives_pinned_bytes_after_a_usage_error(capsys):
+    assert cli._parser() is cli._parser()
+    code, out, err = invoke(capsys, "check", "--theta-points", "x")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "UsdError"
+    digest = "19d4274fc2b5a0e84bdf1c5e73d1599045b3d357ec14812dcb409974b6179919"
+    code, out, err = invoke(capsys, *GOLDEN_OUTPUTS[digest])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_main_runs_the_cmd_function_the_module_holds_at_call_time(monkeypatch):
+    assert cli.main(["check", "--dims", "2", "--theta-points", "1"]) == 0  # parser already built
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.dims) or 7)
+    assert cli.main(["check", "--dims", "2:3"]) == 7
+    assert seen == ["2:3"]
 
 
 @pytest.mark.skipif(

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from usdkit import analysis, experiment, states, theory
-from usdkit.errors import ConfigurationError, InvalidDimensionError, UsdError
+from usdkit.errors import ConfigurationError, DomainError, InvalidDimensionError, UsdError
 
 
 def make_setup(d, theta, **overrides):
@@ -19,6 +19,21 @@ def make_setup(d, theta, **overrides):
 
 
 # ------------------------------------------------------- detection matrix
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        lambda basis, config: experiment.run_repetitions(basis, config, (1, 2)),
+        lambda basis, config: experiment.run_experiment(basis, config, 1),
+        experiment.expected_record,
+    ],
+    ids=["run_repetitions", "run_experiment", "expected_record"],
+)
+def test_simulation_rejects_a_stacked_basis(simulate):
+    basis, config = make_setup(3, [0.3, 0.5])
+    with pytest.raises(DomainError, match=r"^a simulated basis takes one angle, got a stack of 2$"):
+        simulate(basis, config)
 
 
 def test_detection_matrix_orthogonal_limit():

@@ -95,6 +95,12 @@ def test_non_integer_dimension_is_invalid(build, bad):
         build(bad)
 
 
+def test_integral_float_dimension_builds_as_its_int():
+    basis = states.build_basis(3.0, 0.5)
+    assert type(basis.family.dim) is int
+    assert np.array_equal(basis.vectors, states.build_basis(3, 0.5).vectors)
+
+
 def test_projected_vectors_memoized_read_only():
     v = states.build_projected_vectors(5)
     # an unhashable d reaches the memo only as its validated int
@@ -463,6 +469,12 @@ def test_json_prints_17_significant_digits():
     family = states.build_state_family(2, math.radians(30.0))
     text = states.to_json(family)
     assert "0.49999999999999994" in text  # sin(30deg) in doubles, all 17 digits
+
+
+@pytest.mark.parametrize("stacked", [states.build_state_family, states.build_basis])
+def test_json_rejects_a_stacked_object(stacked):
+    with pytest.raises(DomainError, match=r"^to_json takes one angle, got a stack of 3$"):
+        states.to_json(stacked(4, [0.3, 0.5, 0.7]))
 
 
 def test_oam_map_json_round_trip():
