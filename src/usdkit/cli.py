@@ -162,19 +162,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_cell(row[col]) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """The rows as CSV; None is an empty cell and a float prints as its shortest repr."""
+    lines = [CSV_COLUMNS, *(["" if r[c] is None else str(r[c]) for c in CSV_COLUMNS] for r in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def rows_to_json(rows: list[dict]) -> str:
@@ -294,13 +285,13 @@ def _residuals(basis: states.DiscriminationBasis) -> dict[str, float]:
     d, theta = basis.family.dim, basis.family.theta
     detection = experiment.ideal_detection_matrix(basis)
     conclusive, inconclusive = detection[..., :d], detection[..., d]
-    success = np.diagonal(conclusive, axis1=-2, axis2=-1)
+    success = conclusive.diagonal(axis1=-2, axis2=-1)
     probabilities = [theory._usd_probabilities(d, th) for th in np.ravel(theta).tolist()]
     p_suc, p_inc = np.array(probabilities).T.reshape((2,) + np.shape(theta))
     return {
         "orthonormality": basis.orthonormality_residual,
         "completeness": basis.completeness_residual(),
-        "zero_error": float(conclusive[..., ~np.eye(d, dtype=bool)].max()),
+        "zero_error": float(conclusive[..., states.frame(d).off].max()),
         "closure": float(np.abs(success + inconclusive - 1.0).max()),
         "theory_match": max(
             float(np.abs(success - p_suc[..., None]).max()),
@@ -341,14 +332,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    given = args.dims is not None or args.dim is not None
-    dims = _parse_dims(args) if given else tuple(range(2, 15))
+    dims = tuple(range(2, 15)) if args.dims is None and args.dim is None else _parse_dims(args)
     points = args.theta_points
     if points < 1:
         raise UsdError(f"--theta-points must be >= 1, got {points}")
     ok = True
     for d in dims:
-        tmax = theory.theta_max(d)
+        tmax = states.frame(d).tmax
         block = max(1, 2**20 // (d + 1) ** 2)  # angles per build: at most 8 MB per stacked array
         blocks = (range(k, min(k + block, points + 1)) for k in range(1, points + 1, block))
         parts = [_residuals(states.build_basis(d, [k * tmax / points for k in r])) for r in blocks]

@@ -132,7 +132,7 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
 
 def ideal_detection_matrix(basis: DiscriminationBasis) -> np.ndarray:
     """Probability matrix |<D_j|Psi_i>|^2 of the basis's own states (per angle); rows sum to one."""
-    amplitudes = embedded_vectors(basis.family) @ np.swapaxes(basis.vectors, -1, -2)
+    amplitudes = embedded_vectors(basis.family) @ basis.vectors.swapaxes(-1, -2)
     return amplitudes**2
 
 

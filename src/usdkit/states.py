@@ -17,17 +17,18 @@ which is the unit vector orthogonal to all of them.
 theta may be one angle or a 1-D sequence of P angles at one d, which stacks
 the family (P, d, d) and basis (P, d+1, d+1) along a leading axis; every check
 covers the whole stack and residuals are maxima over it.  There is one path:
-each angle is checked once, and its sin, cos and tan come from one ``math``
-pass shared by family and basis, so slice k of a stack is the one-angle build.
+each angle is checked once and its sin, cos and tan come from one ``math`` pass
+shared by family and basis, so slice k of a stack is the one-angle build.
 
 Measuring |D_i> identifies |Psi_i> with certainty; |D_{d+1}> gives no
 information.  Basis indices map to orbital-angular-momentum mode labels
 through ``oam_map``.
 
 All construction functions are pure and the returned objects hold read-only
-arrays, so they are safe to share across concurrent readers.  The projected
-simplex depends only on d, so ``build_projected_vectors`` memoizes it per
-dimension and every build at that d shares the one read-only array.
+arrays, so they are safe to share across concurrent readers.  What depends
+only on d (theta_max, the simplex, the off-diagonal mask and the identity) is
+one read-only ``Frame``, memoized per dimension by ``frame(d)``: every build,
+validation and check at that d reads the same arrays.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ EXACT_TOL = 1e-12
 MIN_THETA = 1e-9
 
 
-def _freeze(vectors) -> np.ndarray:
+def _freeze(vectors, shape: tuple) -> np.ndarray:
     arr = np.array(vectors, dtype=float)
+    if arr.shape != shape:
+        raise InvalidDimensionError(f"expected {shape} vectors, got {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -72,21 +75,17 @@ class StateFamily:
     vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _freeze(self.vectors))
-        d, v = self.dim, self.vectors
-        shape = np.shape(self.theta) + (d, d)
-        if v.shape != shape:
-            raise InvalidDimensionError(f"expected {shape} vectors, got {v.shape}")
+        d, v = self.dim, _freeze(self.vectors, np.shape(self.theta) + (self.dim, self.dim))
+        object.__setattr__(self, "vectors", v)
         cos = np.cos(self.theta)[..., None]
-        norms = np.sqrt((v * v).sum(axis=-1))
+        gram = v @ v.swapaxes(-1, -2)
+        norms = np.sqrt(gram.diagonal(axis1=-2, axis2=-1))
         if not np.abs(norms - 1.0).max() <= EXACT_TOL:
             raise DegenerateFamilyError("state vectors must have unit norm")
         if not np.abs(v[..., -1] - cos).max() <= EXACT_TOL:
             raise DegenerateFamilyError("last component of every state must equal cos(theta)")
-        gram = v @ np.swapaxes(v, -1, -2)
         target = (d * cos**2 - 1.0) / (d - 1.0)
-        off = gram[..., ~np.eye(d, dtype=bool)]
-        if not np.abs(off - target).max() <= EXACT_TOL:
+        if not np.abs(gram[..., frame(d).off] - target).max() <= EXACT_TOL:
             raise DegenerateFamilyError("pairwise overlaps must all equal the symmetric value")
 
 
@@ -100,20 +99,18 @@ class DiscriminationBasis:
     orthonormality_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _freeze(self.vectors))
-        d, v = self.family.dim, self.vectors
-        shape = np.shape(self.family.theta) + (d + 1, d + 1)
-        if v.shape != shape:
-            raise InvalidDimensionError(f"expected {shape} vectors, got {v.shape}")
-        residual = float(np.abs(v @ np.swapaxes(v, -1, -2) - np.eye(d + 1)).max())
+        d = self.family.dim
+        v = _freeze(self.vectors, np.shape(self.family.theta) + (d + 1, d + 1))
+        object.__setattr__(self, "vectors", v)
+        residual = float(np.abs(v @ v.swapaxes(-1, -2) - frame(d).eye).max())
         if not residual <= ORTHO_TOL:
             raise DegenerateFamilyError("measurement states must be orthonormal")
         object.__setattr__(self, "orthonormality_residual", residual)
 
     def completeness_residual(self) -> float:
         """Max elementwise deviation of sum_j |D_j><D_j| from the identity, over the stack."""
-        resolution = np.swapaxes(self.vectors, -1, -2) @ self.vectors
-        return float(np.abs(resolution - np.eye(self.vectors.shape[-1])).max())
+        resolution = self.vectors.swapaxes(-1, -2) @ self.vectors
+        return float(np.abs(resolution - frame(self.family.dim).eye).max())
 
 
 @dataclass(frozen=True)
@@ -130,6 +127,35 @@ class OamMap:
             raise InvalidDimensionError("OAM labels must be distinct")
 
 
+@dataclass(frozen=True)
+class Frame:
+    """The read-only constants of one dimension d that every build and check at d shares."""
+
+    tmax: float  #: theta_max(d)
+    simplex: np.ndarray  #: the (d, d-1) projected vectors, ``build_projected_vectors(d)``
+    off: np.ndarray  #: (d, d) bool mask of the off-diagonal entries
+    eye: np.ndarray  #: (d+1, d+1) bool identity
+
+
+def frame(d: int) -> Frame:
+    """The frame of dimension d, checked and memoized; a sweep or check visits d in turn."""
+    return _frame(theory._check_dim(d))
+
+
+@functools.lru_cache(maxsize=16)  # keyed on the validated int
+def _frame(d: int) -> Frame:
+    target = -1.0 / (d - 1.0)
+    v = np.zeros((d, d - 1))
+    for k in range(d - 1):
+        h = v[k, :k]
+        v[k, k] = math.sqrt(1.0 - h @ h)
+        v[k + 1 :, k] = (target - h @ h) / v[k, k]
+    off, eye = ~np.eye(d, dtype=bool), np.eye(d + 1, dtype=bool)
+    for arr in (v, off, eye):
+        arr.setflags(write=False)
+    return Frame(theory.theta_max(d), v, off, eye)
+
+
 def build_projected_vectors(d: int) -> np.ndarray:
     """The d maximally-separated unit vectors in d-1 dimensions (read-only).
 
@@ -137,37 +163,25 @@ def build_projected_vectors(d: int) -> np.ndarray:
     its diagonal entry follows from normalization, and every later vector
     shares its leading k entries h, so the overlap condition with vector k
     gives all of column k below the diagonal as one value (-1/(d-1) - h.h)/v_kk.
-    The array is memoized per dimension and shared by every caller.
+    The array is the memoized ``frame(d).simplex``, shared by every caller.
     """
-    return _simplex(theory._check_dim(d))
+    return frame(d).simplex
 
 
-# keyed on the validated int; a sweep or check visits dimensions in turn
-@functools.lru_cache(maxsize=16)
-def _simplex(d: int) -> np.ndarray:
-    target = -1.0 / (d - 1.0)
-    v = np.zeros((d, d - 1))
-    for k in range(d - 1):
-        h = v[k, :k]
-        v[k, k] = math.sqrt(1.0 - h @ h)
-        v[k + 1 :, k] = (target - h @ h) / v[k, k]
-    v.setflags(write=False)
-    return v
-
-
-def _lift(d: int, theta) -> tuple[StateFamily, np.ndarray]:
-    """The family of (d, theta) and tan of its angles, from one ``math`` pass per checked angle."""
-    if np.ndim(theta) > 1 or np.size(theta) == 0:
+def _lift(d: int, theta) -> tuple[StateFamily, np.ndarray, float]:
+    """The family of (d, theta), tan of its angles and the smallest, from one ``math`` pass."""
+    angles = np.asarray(theta)  # the one conversion of theta
+    if angles.ndim > 1 or angles.size == 0:
         raise DomainError(f"theta must be one angle or a nonempty 1-D sequence, got {theta!r}")
-    tmax = theory.theta_max(d)  # checks d
-    checked = [theory._check_theta(d, th, tmax) for th in np.ravel(theta).tolist()]
+    f = _frame(d := theory._check_dim(d))
+    checked = [theory._check_theta(d, th, f.tmax) for th in angles.ravel().tolist()]
     trig = np.array([(math.sin(th), math.cos(th), math.tan(th)) for th in checked])
-    sin, cos, tan = trig.T.reshape((3,) + np.shape(theta))
-    d, theta = int(d), _freeze(checked) if np.ndim(theta) else checked[0]
-    vectors = np.zeros(np.shape(theta) + (d, d))
-    vectors[..., : d - 1] = sin[..., None, None] * _simplex(d)
+    sin, cos, tan = trig.T.reshape((3,) + angles.shape)
+    vectors = np.zeros(angles.shape + (d, d))
+    vectors[..., : d - 1] = sin[..., None, None] * f.simplex
     vectors[..., d - 1] = cos[..., None]
-    return StateFamily(dim=d, theta=theta, vectors=vectors), tan
+    theta = _freeze(checked, angles.shape) if angles.ndim else checked[0]
+    return StateFamily(dim=d, theta=theta, vectors=vectors), tan, min(checked)
 
 
 def build_state_family(d: int, theta) -> StateFamily:
@@ -183,10 +197,9 @@ def build_state_family(d: int, theta) -> StateFamily:
 def build_basis(d: int, theta) -> DiscriminationBasis:
     """The input states of (d, theta) and their measurement basis, in closed form.
 
-    theta is one angle or a 1-D sequence of angles (see the module docstring).
-    The family is ``build_state_family``'s, lifted from the same scalar pass;
-    the rows are built on the same memoized simplex |p_i>.  With
-    t = tan(theta) and a = sqrt(d - 1 - t^2), row i is
+    The family is ``build_state_family``'s for theta (one angle or a 1-D
+    sequence), from the same scalar pass, and the rows use the frame's simplex
+    |p_i>.  With t = tan(theta) and a = sqrt(d - 1 - t^2), row i is
     sqrt((d-1)/d) |p_i> + (t |e> + a |d+1>) / sqrt(d (d-1)) and the
     inconclusive row is (-a |e> + t |d+1>) / sqrt(d-1): the normalized
     complements lifted by the ancilla, and the unit vector orthogonal to them.
@@ -196,9 +209,8 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
     renormalized, which keeps the simplex's roundoff out of the
     orthonormality residual at large d.
     """
-    family, t = _lift(d, theta)
+    family, t, low = _lift(d, theta)
     d = family.dim
-    low = float(np.min(family.theta))
     if low < MIN_THETA:
         raise DegenerateFamilyError(
             f"theta={low!r} leaves all states coincident; no measurement basis exists"
@@ -207,8 +219,8 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
     clamped = slack <= 1e-13 * (d - 1.0)
     t, a = np.where(clamped, math.sqrt(d - 1.0), t), np.sqrt(np.where(clamped, 0.0, slack))
     scale = math.sqrt(d * (d - 1.0))
-    vectors = np.zeros(np.shape(family.theta) + (d + 1, d + 1))
-    vectors[..., :d, : d - 1] = math.sqrt((d - 1.0) / d) * _simplex(d)
+    vectors = np.zeros(t.shape + (d + 1, d + 1))
+    vectors[..., :d, : d - 1] = math.sqrt((d - 1.0) / d) * _frame(d).simplex
     vectors[..., :d, d - 1], vectors[..., :d, d] = (t / scale)[..., None], (a / scale)[..., None]
     vectors[..., d, d - 1], vectors[..., d, d] = -a, t
     vectors /= np.sqrt((vectors * vectors).sum(axis=-1))[..., None]

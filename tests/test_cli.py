@@ -564,6 +564,16 @@ def test_check_builds_each_dimension_once(capsys, monkeypatch):
     assert [(d, len(thetas)) for d, thetas in builds] == [(d, 12) for d in range(2, 15)]
 
 
+def test_check_reads_one_frame_per_dimension(capsys):
+    states._frame.cache_clear()
+    code, _, _ = invoke(capsys, "check", "--dims", "2:14")
+    assert code == 0
+    assert states._frame.cache_info().misses == 13  # one per d, on a cold memo
+    code, _, _ = invoke(capsys, "check", "--dims", "2:14")
+    assert code == 0
+    assert states._frame.cache_info().misses == 13  # the second call misses none
+
+
 def test_check_splits_a_large_grid_into_bounded_blocks(capsys, monkeypatch):
     # 2**20 // 201**2 = 25 angles per build: 40 angles take a block of 25 and one of 15
     tmax = theory.theta_max(200)

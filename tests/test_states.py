@@ -87,7 +87,7 @@ def test_projected_vectors_invalid_dimension():
 
 
 @pytest.mark.parametrize(
-    "build", [theory.theta_max, states.build_projected_vectors, states.oam_map]
+    "build", [theory.theta_max, states.build_projected_vectors, states.frame, states.oam_map]
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "3", 2.5, 3 + 0j])
 def test_non_integer_dimension_is_invalid(build, bad):
@@ -108,6 +108,20 @@ def test_projected_vectors_memoized_read_only():
     with pytest.raises(ValueError):
         v[1, 0] = 0.0
     assert states.build_projected_vectors(5)[1, 0] == -0.25
+
+
+@pytest.mark.parametrize("d", [2, 3, 14])
+def test_frame_is_one_read_only_memo_per_dimension(d):
+    frame = states.frame(d)
+    assert states.frame(float(d)) is frame and states.frame(np.array(d)) is frame
+    assert states.build_projected_vectors(d) is frame.simplex
+    assert frame.tmax == theory.theta_max(d)
+    assert np.array_equal(frame.off, ~np.eye(d, dtype=bool))
+    assert np.array_equal(frame.eye, np.eye(d + 1))
+    for arr in (frame.simplex, frame.off, frame.eye):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = arr[0, 0]
 
 
 # ------------------------------------------------------------------ family
@@ -367,10 +381,30 @@ def test_stacked_build_rejects_its_last_angle():
     assert "theta=1e-10 " in str(err.value)
 
 
-@pytest.mark.parametrize("theta", [[], [[0.3, 0.5]], np.zeros((2, 1))])
-def test_theta_must_be_one_angle_or_a_nonempty_list(theta):
-    with pytest.raises(DomainError):
-        states.build_basis(4, theta)
+@pytest.mark.parametrize(
+    "theta", [[], (), np.zeros(0), [[0.3, 0.5]], ((0.3,),), np.zeros((2, 1)), np.zeros((1, 0))]
+)
+@pytest.mark.parametrize("build", [states.build_state_family, states.build_basis])
+def test_theta_must_be_one_angle_or_a_nonempty_list(build, theta):
+    with pytest.raises(DomainError, match="^theta must be one angle or a nonempty 1-D sequence"):
+        build(4, theta)
+
+
+@pytest.mark.parametrize(
+    "form", [float, np.float64, np.array, lambda th: [th], lambda th: (th,), lambda th: np.array([th])]
+)
+def test_every_form_of_theta_builds_the_same_bits(form):
+    theta = form(0.5)
+    basis, single = states.build_basis(4, theta), states.build_basis(4, 0.5)
+    stacked = np.ndim(theta) == 1
+    assert basis.vectors.shape == (1,) * stacked + single.vectors.shape
+    assert basis.vectors.tobytes() == single.vectors.tobytes()
+    assert basis.family.vectors.tobytes() == single.family.vectors.tobytes()
+    assert type(basis.family.theta) is (np.ndarray if stacked else float)
+    assert np.ravel(basis.family.theta).tolist() == [0.5]
+    for seq in ([0.3, 0.5], (0.3, 0.5), np.array([0.3, 0.5])):
+        stack = states.build_basis(4, seq)
+        assert stack.vectors[1].tobytes() == single.vectors.tobytes()
 
 
 def reference_basis(family):
