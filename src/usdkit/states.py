@@ -1,8 +1,9 @@
 """Construction of the symmetric input states and their discrimination basis.
 
 ``build_basis(d, theta)`` is the one construction call; it runs family ->
-basis.  d maximally-separated unit vectors |p_i> in d-1 dimensions are lifted
-by an angle theta onto a common axis |e> to form the input states
+basis.  d maximally-separated unit vectors |p_i> in d-1 dimensions (a simplex
+whose columns are scaled Helmert columns, in closed form) are lifted by an
+angle theta onto a common axis |e> to form the input states
 |Psi_i> = sin(theta) |p_i> + cos(theta) |e> (``build_state_family``).  The
 measurement basis then follows in closed form and holds that family, the one
 owner of (d, theta).  Its derivation: the complement states |Psi-perp_i>,
@@ -144,12 +145,10 @@ def frame(d: int) -> Frame:
 
 @functools.lru_cache(maxsize=16)  # keyed on the validated int
 def _frame(d: int) -> Frame:
-    target = -1.0 / (d - 1.0)
-    v = np.zeros((d, d - 1))
-    for k in range(d - 1):
-        h = v[k, :k]
-        v[k, k] = math.sqrt(1.0 - h @ h)
-        v[k + 1 :, k] = (target - h @ h) / v[k, k]
+    rows, cols = np.arange(d)[:, None], np.arange(d - 1)
+    m, s = d - cols, math.sqrt(d / (d - 1.0))  # column k spans the last m = d - k rows
+    below, diag = -s / np.sqrt(m * (m - 1.0)), s * np.sqrt((m - 1.0) / m)
+    v = np.where(rows > cols, below, (rows == cols) * diag)  # +0.0 above the diagonal
     off, eye = ~np.eye(d, dtype=bool), np.eye(d + 1, dtype=bool)
     for arr in (v, off, eye):
         arr.setflags(write=False)
@@ -159,11 +158,11 @@ def _frame(d: int) -> Frame:
 def build_projected_vectors(d: int) -> np.ndarray:
     """The d maximally-separated unit vectors in d-1 dimensions (read-only).
 
-    Pairwise overlaps all equal -1/(d-1).  Vector k is zero beyond column k,
-    its diagonal entry follows from normalization, and every later vector
-    shares its leading k entries h, so the overlap condition with vector k
-    gives all of column k below the diagonal as one value (-1/(d-1) - h.h)/v_kk.
-    The array is the memoized ``frame(d).simplex``, shared by every caller.
+    Pairwise overlaps all equal -1/(d-1).  Column k is a Helmert column scaled
+    by s = sqrt(d/(d-1)): with m = d - k it is zero above row k, s sqrt((m-1)/m)
+    at row k and -s/sqrt(m (m-1)) below, so each entry is one closed-form value
+    and its roundoff does not grow with d.  The array is the memoized
+    ``frame(d).simplex``, shared by every caller.
     """
     return frame(d).simplex
 
@@ -206,8 +205,7 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
     Within float roundoff of theta_max, where the states are orthogonal and
     need no ancilla, a is clamped to an exact zero and t to its limit
     sqrt(d - 1) together, so the rows stay orthogonal.  Every row is
-    renormalized, which keeps the simplex's roundoff out of the
-    orthonormality residual at large d.
+    renormalized, which keeps roundoff out of the orthonormality residual.
     """
     family, t, low = _lift(d, theta)
     d = family.dim

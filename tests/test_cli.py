@@ -696,10 +696,10 @@ GOLDEN_OUTPUTS = {
     "14b498bd0691810c128b42287f394259d9aca704b4c8503046ee0e3a5e1dcd1e": (
         "theory", "--dims", "2:14", "--theta-grid", "5:45:9",
     ),
-    "4ee269d954540eedd214dd01c247474f87cf3e4b86f57d6a7008ea110929d4ac": (
+    "faebe78d4e0e1e5838ad26462e4afe1fa9b7a0ae5bc77e191f64c0f835c7baaa": (
         "check", "--dims", "2:14",
     ),
-    "19d4274fc2b5a0e84bdf1c5e73d1599045b3d357ec14812dcb409974b6179919": (
+    "218188295ebc0abfb5b290f0a7649764ef34ee83904624f8460dcbc14bf23633": (
         "check", "--dims", "15:40", "--theta-points", "5",
     ),
     "1acfc4b80dd6befa9fc4132a2e293366cfc8c61a12dfcacc1f933324ec2fe716": (
@@ -727,7 +727,7 @@ def test_shared_parser_gives_pinned_bytes_after_a_usage_error(capsys):
     code, out, err = invoke(capsys, "check", "--theta-points", "x")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "UsdError"
-    digest = "19d4274fc2b5a0e84bdf1c5e73d1599045b3d357ec14812dcb409974b6179919"
+    digest = "218188295ebc0abfb5b290f0a7649764ef34ee83904624f8460dcbc14bf23633"
     code, out, err = invoke(capsys, *GOLDEN_OUTPUTS[digest])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -749,4 +749,4 @@ def test_build_basis_bytes_match_pinned_hash(tmp_path, capsys):
     code, _, err = invoke(capsys, "build", "--dim", "14", "--theta-deg", "20", "--out", str(tmp_path))
     assert code == 0, err
     digest = hashlib.sha256((tmp_path / "basis.json").read_bytes()).hexdigest()
-    assert digest == "80ce11539d5d00fba24be8653e28bdeff07f8ad9cc6b33ca8ca79bdf5ffb4309"
+    assert digest == "5a713c2faa7fb2876c2220984e282104c15cbd2aa9e2178502defd928c3fc00c"

@@ -63,7 +63,19 @@ def test_projected_vectors_structure(d):
 
 
 def projected_vectors_reference(d):
-    """Entry-by-entry construction: every overlap condition solved on its own."""
+    """Entry by entry from the scaled Helmert columns, one scalar formula per entry."""
+    s = math.sqrt(d / (d - 1.0))
+    v = np.zeros((d, d - 1))
+    for k in range(d - 1):
+        m = d - k
+        v[k, k] = s * math.sqrt((m - 1.0) / m)
+        for i in range(k + 1, d):
+            v[i, k] = -s / math.sqrt(m * (m - 1.0))
+    return v
+
+
+def projected_vectors_recurrence(d):
+    """Column by column from the overlap conditions, each solved on its own."""
     target = -1.0 / (d - 1.0)
     v = np.zeros((d, d - 1))
     v[0, 0] = 1.0
@@ -76,9 +88,12 @@ def projected_vectors_reference(d):
 
 
 def test_projected_vectors_match_entrywise_reference():
-    # same arithmetic per entry, so the bytes must agree, not just the values
     for d in [*range(2, 41), 64, 100]:
-        assert states.build_projected_vectors(d).tobytes() == projected_vectors_reference(d).tobytes()
+        v = states.build_projected_vectors(d)
+        # same arithmetic per entry, so the bytes must agree, not just the values
+        assert v.tobytes() == projected_vectors_reference(d).tobytes()
+        # the same simplex, orientation included, as the overlap conditions give
+        assert np.max(np.abs(v - projected_vectors_recurrence(d))) < 1e-14
 
 
 def test_projected_vectors_invalid_dimension():
@@ -451,6 +466,16 @@ def test_grid_invariants(d):
         p_suc, p_inc = theory.usd_probabilities(d, theta)
         assert np.max(np.abs(diag - p_suc)) < 1e-12
         assert np.max(np.abs(probs[:, d] - p_inc)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [500, 1000])
+def test_large_dimension_keeps_closure_and_theory_match_at_roundoff(d):
+    # the simplex's entries are closed forms, so its roundoff does not grow with d
+    tmax = theory.theta_max(d)
+    residuals = cli._residuals(states.build_basis(d, [tmax / 2, tmax]))
+    assert residuals["closure"] <= 1e-14
+    assert residuals["theory_match"] <= 1e-14
+    assert residuals["zero_error"] < cli.CHECK_GATES["zero_error"]
 
 
 # ----------------------------------------------------------------- OAM map
