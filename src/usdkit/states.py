@@ -148,7 +148,8 @@ def _frame(d: int) -> Frame:
     rows, cols = np.arange(d)[:, None], np.arange(d - 1)
     m, s = d - cols, math.sqrt(d / (d - 1.0))  # column k spans the last m = d - k rows
     below, diag = -s / np.sqrt(m * (m - 1.0)), s * np.sqrt((m - 1.0) / m)
-    v = np.where(rows > cols, below, (rows == cols) * diag)  # +0.0 above the diagonal
+    v = np.where(rows > cols, below, 0.0)  # +0.0 above the diagonal
+    np.fill_diagonal(v, diag)
     off, eye = ~np.eye(d, dtype=bool), np.eye(d + 1, dtype=bool)
     for arr in (v, off, eye):
         arr.setflags(write=False)
