@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .errors import DegenerateRowError, InsufficientDataError, InvalidDimensionError
+from .errors import DegenerateRowError, InsufficientDataError, InvalidDimensionError, UsdError
 from .experiment import CountsRecord
 
 VERDICT_BELOW = "below_by_one_sigma"
@@ -64,25 +64,33 @@ def quantum_contrast(record: CountsRecord) -> np.ndarray:
     Q_ij = C_ij * T / (S_Ai * S_Bj * t) with S the singles totals over the
     integration time T and t the coincidence window; two uncorrelated
     streams give Q = 1 in expectation.  A stacked record gives one Q per
-    repetition; a zero singles count anywhere in the stack is an error.
+    repetition; a zero singles count is an error naming its lowest repetition.
     """
     sa = np.asarray(record.singles_a, dtype=float)
     sb = np.asarray(record.singles_b, dtype=float)
     for name, arr in (("S_A", sa), ("S_B", sb)):
         zeros = np.argwhere(arr <= 0.0)
         if zeros.size:
-            raise InsufficientDataError(
+            raise _at(InsufficientDataError(
                 f"{name} has zero singles at setting index {zeros[0][-1]}; "
                 "quantum contrast is undefined"
-            )
+            ), zeros[0])
     c = np.asarray(record.coincidences, dtype=float)
     window = record.coincidence_window
     return c * record.integration_time / (sa[..., :, None] * sb[..., None, :] * window)
 
 
+def _at(error: UsdError, where: np.ndarray) -> UsdError:
+    """Return ``error``; if ``where`` indexes a stack (repetition, row), tag it ``.repetition``."""
+    if len(where) > 1:
+        error.repetition = int(where[0])
+    return error
+
+
 def _check_row_sums(p: np.ndarray) -> None:
-    if not np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-12:
-        raise DegenerateRowError("probability rows must sum to one")
+    ok = np.abs(p.sum(axis=-1) - 1.0) <= 1e-12  # NaN fails
+    if not ok.all():
+        raise _at(DegenerateRowError("probability rows must sum to one"), np.argwhere(~ok)[0])
 
 
 def normalize_probabilities(contrast: np.ndarray) -> np.ndarray:
@@ -91,17 +99,18 @@ def normalize_probabilities(contrast: np.ndarray) -> np.ndarray:
     Raises:
         DegenerateRowError: if a row of Q - 1 sums to a nonpositive value,
             meaning that preparation shows no correlated signal, or if a
-            nearly cancelling row fails to sum to one within 1e-12.  A stack
-            reports the first failing row of its lowest failing repetition.
+            nearly cancelling row fails to sum to one within 1e-12.  On a
+            stack, the first check that fails names the first failing row of
+            its lowest failing repetition r, which alone raises exactly this.
     """
     excess = np.asarray(contrast, dtype=float) - 1.0
     denominators = excess.sum(axis=-1)
     bad = np.argwhere(denominators <= 0.0)
     if bad.size:
-        raise DegenerateRowError(
+        raise _at(DegenerateRowError(
             f"row {bad[0][-1]} has nonpositive contrast excess "
             f"{float(denominators[tuple(bad[0])])!r}; no correlated signal in that preparation"
-        )
+        ), bad[0])
     p = excess / denominators[..., None]
     _check_row_sums(p)
     return p
@@ -157,26 +166,24 @@ def classify(mean_total_error: float, mean_error_sigma: float, mesd_bound: float
     return VERDICT_OVERLAPPING
 
 
-def summarize_probabilities(
-    probabilities: np.ndarray, theta: float, mesd_bound: float | None = None
-) -> ErrorSummary:
+def summarize_probabilities(probabilities: np.ndarray, theta: float) -> ErrorSummary:
     """Per-state and mean error rates of a probability matrix, classified against MESD.
 
     The per-state error sums the conclusive off-diagonal probabilities of a
     row; the mean averages over input states.  ``mean_error_sigma`` is the
     sample standard deviation of the per-state errors, i.e. the spread
-    attached to the mean point when classifying it against the bound (by
-    default ``theory.mesd_bound`` at (d, theta)), and the verdict is
-    below_by_one_sigma / overlapping / above accordingly.  An (R, d, d+1)
-    stack gives lists over the repetitions, each entry bit-equal to the
-    number its matrix alone gives.
+    attached to the mean point when classifying it against the bound
+    ``theory.mesd_bound`` at (d, theta); the verdict is below_by_one_sigma /
+    overlapping / above accordingly.  An (R, d, d+1) stack gives lists over
+    the repetitions, each entry bit-equal to the number its matrix alone
+    gives.
     """
     p = np.asarray(probabilities)
     d = p.shape[-2]
     per_state = np.where(~np.eye(d, dtype=bool), p[..., :d], 0.0).sum(axis=-1)
     mean_error = per_state.mean(axis=-1).tolist()
     sigma = (per_state.std(axis=-1, ddof=1) if d > 1 else np.zeros(p.shape[:-2])).tolist()
-    bound = theory.mesd_bound(d, theta) if mesd_bound is None else float(mesd_bound)
+    bound = theory.mesd_bound(d, theta)
     if p.ndim == 2:
         verdict = classify(mean_error, sigma, bound)
     else:

@@ -118,13 +118,6 @@ def theory_rows(spec: SweepSpec) -> list[dict]:
     return [_row(theory.theory_point(d, th)) for d in spec.dims for th in _point_thetas(spec, d)]
 
 
-def _summarize(basis: states.DiscriminationBasis, config: experiment.ExperimentConfig, seeds,
-               point: theory.TheoryPoint) -> analysis.ErrorSummary:
-    record = experiment.run_repetitions(basis, config, seeds)
-    p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
-    return analysis.summarize_probabilities(p, point.theta, point.mesd_bound)
-
-
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Simulate and analyze every sweep point; one row per repetition.
 
@@ -134,25 +127,23 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     repetitions as its sigma, the verdict recomputed from those, and an empty
     seed column.  An error raised at a point carries that point's dim,
     theta_deg and seed (None before the first repetition starts) in its
-    ``point`` attribute; the seed is the lowest one whose run fails alone.
+    ``point`` attribute.  The first check that fails on the stack names its
+    lowest failing repetition, whose seed alone raises exactly that error.
     """
     rows = []
     for d in spec.dims:
         for th in _point_thetas(spec, d):
-            seed = None
+            seeds = None
             try:
                 basis = states.build_basis(d, th)
                 point = theory.theory_point(d, th)
                 seeds = range(spec.seed, spec.seed + spec.repetitions)
-                seed = seeds[0]  # seed-independent failures name the first seed
-                config = _config_for(spec, d)
-                try:
-                    summary = _summarize(basis, config, seeds, point)
-                except (UsdError, ValueError):
-                    for seed in seeds:  # rerun seed by seed to name the lowest failing one
-                        _summarize(basis, config, (seed,), point)
-                    raise
+                record = experiment.run_repetitions(basis, _config_for(spec, d), seeds)
+                p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
+                summary = analysis.summarize_probabilities(p, th)
             except (UsdError, ValueError) as exc:
+                # an error of no one repetition names the first seed
+                seed = None if seeds is None else seeds[getattr(exc, "repetition", 0)]
                 exc.point = {"dim": d, "theta_deg": math.degrees(th), "seed": seed}
                 raise
             means = summary.mean_total_error

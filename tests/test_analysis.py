@@ -93,6 +93,7 @@ def test_normalize_degenerate_row_raises():
     with pytest.raises(DegenerateRowError) as err:
         analysis.normalize_probabilities(np.array([[1.2, 1.1, 1.3], [0.9, 1.0, 0.8]]))
     assert "row 1" in str(err.value)
+    assert not hasattr(err.value, "repetition")  # one matrix has no repetition axis
 
 
 def test_normalize_stack_names_first_failing_row_of_lowest_failing_repetition():
@@ -102,6 +103,7 @@ def test_normalize_stack_names_first_failing_row_of_lowest_failing_repetition():
         analysis.normalize_probabilities(stack)
     # repetition 1's row 1, not repetition 2's row 0; a plain float, not np.float64(...)
     assert str(err.value).startswith("row 1 has nonpositive contrast excess -0.25;")
+    assert err.value.repetition == 1
     p = analysis.normalize_probabilities(stack[[0, 0]])
     assert p.shape == (2, 2, 3) and np.array_equal(p[1], analysis.normalize_probabilities(good))
 
@@ -112,8 +114,22 @@ def test_contrast_of_stack_rejects_zero_singles_in_any_repetition():
     record = synthetic_record(counts, [[100, 100], [100, 100]], singles_b)
     assert analysis.quantum_contrast(record).shape == (2, 2, 3)
     bad = synthetic_record(counts, [[100, 100], [100, 0]], singles_b)
-    with pytest.raises(InsufficientDataError, match="S_A has zero singles at setting index 1"):
+    with pytest.raises(InsufficientDataError) as err:
         analysis.quantum_contrast(bad)
+    assert str(err.value).startswith("S_A has zero singles at setting index 1;")
+    assert err.value.repetition == 1
+
+
+def test_normalize_stack_names_repetition_failing_row_sum_check():
+    # the excess sums to 0.75 > 0, but rounding the 1e15-sized quotients leaves
+    # the row far from one; repetitions 1 and 2 both fail, the lowest is named
+    good = np.array([[1.2, 1.1, 1.3], [1.4, 1.0, 1.1]])
+    bad = np.array([good[0], [2.8125, 1e15, 1 - 1e15]])
+    for contrast, repetition in ((bad, None), (np.stack([good, bad, bad]), 1)):
+        with pytest.raises(DegenerateRowError) as err:
+            analysis.normalize_probabilities(contrast)
+        assert str(err.value) == "probability rows must sum to one"
+        assert getattr(err.value, "repetition", None) == repetition
 
 
 # ------------------------------------------------------- pipeline identity

@@ -631,6 +631,24 @@ def test_failing_repetition_names_its_own_seed(capsys):
     assert "np.float64" not in payload["message"]
 
 
+def test_failing_point_is_drawn_once(capsys, monkeypatch):
+    # the stack names its failing repetition, so no seed is redrawn to find it
+    calls, original = [], experiment.run_repetitions
+
+    def counted(basis, config, seeds):
+        calls.append(list(seeds))
+        return original(basis, config, seeds)
+
+    monkeypatch.setattr(experiment, "run_repetitions", counted)
+    code, _, err = invoke(
+        capsys,
+        "run", "--dims", "14", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
+        "--max-rate", "22", "--sigma-spiral", "2.4", "--seed", "110", "--reps", "10",
+    )
+    assert code == 1 and json.loads(err)["seed"] == 115
+    assert calls == [list(range(110, 120))]
+
+
 def test_lowest_of_several_failing_seeds_is_named(capsys):
     # at d = 16 the l = 8 row often draws no signal; a one-seed run is the oracle
     spec = SweepSpec(dims=(16,), repetitions=10, seed=10, **ACCEPTANCE)

@@ -299,13 +299,13 @@ def test_basis_sign_conventions():
 
 
 @st.composite
-def dim_and_theta(draw, max_angles=None):
-    """A dimension in [2, 100] and an angle in [MIN_THETA, theta_max(d)].
+def dim_and_theta(draw, max_angles=None, max_dim=100):
+    """A dimension in [2, max_dim] and an angle in [MIN_THETA, theta_max(d)].
 
     Half the angles are drawn on a log scale so that tiny angles are common.
     With ``max_angles``, a list of 1 to max_angles such angles at that d.
     """
-    d = draw(st.integers(min_value=2, max_value=100))
+    d = draw(st.integers(min_value=2, max_value=max_dim))
     tmax = theory.theta_max(d)
     angle = st.floats(min_value=states.MIN_THETA, max_value=tmax) | st.floats(
         min_value=math.log(states.MIN_THETA), max_value=math.log(tmax)
@@ -316,7 +316,7 @@ def dim_and_theta(draw, max_angles=None):
 
 
 @settings(max_examples=150, deadline=None)
-@given(dim_and_theta())
+@given(dim_and_theta(max_dim=300))
 def test_invariants_hold_over_whole_domain(point):
     d, theta = point
     basis = states.build_basis(d, theta)
