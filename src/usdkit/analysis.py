@@ -1,4 +1,4 @@
-"""Convert raw counts into probabilities, uncertainties, and error verdicts.
+"""Convert raw counts into probabilities, uncertainties, and error rates.
 
 The chain follows the experimental normalization: the quantum contrast
 Q_ij = (C_ij / T) / (s_Ai * s_Bj * t) compares the coincidence rate of a cell
@@ -8,7 +8,8 @@ contrast is converted to probabilities by P_ij = (Q_ij - 1)/sum_j(Q_ij - 1);
 negative (Q_ij - 1) values from noise are kept, not clipped.  Uncertainties
 come from first-order Gaussian propagation of sqrt(N) count deviations; only
 ``outcome_table`` computes them.  The sweep's ``mean_error_sigma`` is instead
-the sample spread of the per-state errors (``summarize_probabilities``).
+the sample spread of the per-state errors (``summarize_probabilities``);
+``classify`` weighs a mean error against a bound that the caller supplies.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import theory
 from .errors import DegenerateRowError, InsufficientDataError, InvalidDimensionError, UsdError
 from .experiment import CountsRecord
 
@@ -49,13 +49,11 @@ class OutcomeTable:
 
 @dataclass(frozen=True)
 class ErrorSummary:
-    """Mean total error rate of a run (or a list per repetition) against the MESD bound."""
+    """Per-state and mean total error rates of a run (or lists per repetition)."""
 
     per_state_error: tuple[float, ...] | tuple[list[float], ...]
     mean_total_error: float | list[float]
     mean_error_sigma: float | list[float]
-    mesd_bound: float
-    verdict: str | tuple[str, ...]
 
 
 def quantum_contrast(record: CountsRecord) -> np.ndarray:
@@ -117,11 +115,17 @@ def normalize_probabilities(contrast: np.ndarray) -> np.ndarray:
 
 
 def gaussian_propagation(record: CountsRecord) -> np.ndarray:
-    """First-order sigma of every P_ij from sqrt(N) count deviations.
+    """First-order sigma of every P_ij from sqrt(N) count deviations (see ``outcome_table``)."""
+    return outcome_table(record).sigmas
 
-    Every count N (coincidences and singles) is treated as an independent
-    variable with variance max(N, 1); the floor keeps zero-count cells from
-    claiming zero uncertainty.  The partial derivatives of
+
+def outcome_table(record: CountsRecord) -> OutcomeTable:
+    """Full analysis of one counts record: contrast, probabilities, sigmas.
+
+    The sigmas propagate sqrt(N) count deviations to first order: every count
+    N (coincidences and singles) is an independent variable with variance
+    max(N, 1); the floor keeps zero-count cells from claiming zero
+    uncertainty.  The partial derivatives of
     P_ij = (Q_ij - 1)/sum_k(Q_ik - 1) are evaluated at the measured values,
     including the common S_Ai factor and the per-column S_Bk factors.
     """
@@ -144,17 +148,8 @@ def gaussian_propagation(record: CountsRecord) -> np.ndarray:
     coincidence_terms = spread((dq_dc / denominators) ** 2 * var_c)
     column_terms = spread((q / (denominators * sb[None, :])) ** 2 * np.maximum(sb, 1.0))
     row_term = (q - p * q.sum(axis=1, keepdims=True)) / (denominators * sa[:, None])
-    return np.sqrt(coincidence_terms + column_terms + row_term**2 * np.maximum(sa, 1.0)[:, None])
-
-
-def outcome_table(record: CountsRecord) -> OutcomeTable:
-    """Full analysis of one counts record: contrast, probabilities, sigmas."""
-    q = quantum_contrast(record)
-    return OutcomeTable(
-        probabilities=normalize_probabilities(q),
-        sigmas=gaussian_propagation(record),
-        quantum_contrast=q,
-    )
+    sigmas = np.sqrt(coincidence_terms + column_terms + row_term**2 * np.maximum(sa, 1.0)[:, None])
+    return OutcomeTable(probabilities=p, sigmas=sigmas, quantum_contrast=q)
 
 
 def classify(mean_total_error: float, mean_error_sigma: float, mesd_bound: float) -> str:
@@ -166,26 +161,19 @@ def classify(mean_total_error: float, mean_error_sigma: float, mesd_bound: float
     return VERDICT_OVERLAPPING
 
 
-def summarize_probabilities(probabilities: np.ndarray, theta: float) -> ErrorSummary:
-    """Per-state and mean error rates of a probability matrix, classified against MESD.
+def summarize_probabilities(probabilities: np.ndarray) -> ErrorSummary:
+    """Per-state and mean error rates of a probability matrix.
 
     The per-state error sums the conclusive off-diagonal probabilities of a
     row; the mean averages over input states.  ``mean_error_sigma`` is the
     sample standard deviation of the per-state errors, i.e. the spread
-    attached to the mean point when classifying it against the bound
-    ``theory.mesd_bound`` at (d, theta); the verdict is below_by_one_sigma /
-    overlapping / above accordingly.  An (R, d, d+1) stack gives lists over
-    the repetitions, each entry bit-equal to the number its matrix alone
-    gives.
+    attached to the mean point when ``classify`` weighs it against a bound.
+    An (R, d, d+1) stack gives lists over the repetitions, each entry
+    bit-equal to the number its matrix alone gives.
     """
     p = np.asarray(probabilities)
     d = p.shape[-2]
     per_state = np.where(~np.eye(d, dtype=bool), p[..., :d], 0.0).sum(axis=-1)
     mean_error = per_state.mean(axis=-1).tolist()
     sigma = (per_state.std(axis=-1, ddof=1) if d > 1 else np.zeros(p.shape[:-2])).tolist()
-    bound = theory.mesd_bound(d, theta)
-    if p.ndim == 2:
-        verdict = classify(mean_error, sigma, bound)
-    else:
-        verdict = tuple(classify(m, s, bound) for m, s in zip(mean_error, sigma))
-    return ErrorSummary(tuple(per_state.tolist()), mean_error, sigma, bound, verdict)
+    return ErrorSummary(tuple(per_state.tolist()), mean_error, sigma)

@@ -98,7 +98,7 @@ def _config_for(spec: SweepSpec, d: int) -> experiment.ExperimentConfig:
 
 def _row(point: theory.TheoryPoint, seed: int | None = None, mean: float | None = None,
          sigma: float | None = None) -> dict:
-    """One output row; a measured ``mean`` and ``sigma`` get their verdict."""
+    """One output row; a measured ``mean`` and ``sigma`` get their verdict (only here)."""
     return {
         "dim": point.dim,
         "theta_deg": math.degrees(point.theta),
@@ -113,9 +113,28 @@ def _row(point: theory.TheoryPoint, seed: int | None = None, mean: float | None 
     }
 
 
+def _sweep(spec: SweepSpec, point_rows) -> list[dict]:
+    """The rows ``point_rows(d, theta, seeds)`` gives at every sweep point, in order.
+
+    An error raised at a point names it in ``exc.point``: dim, theta_deg and the
+    seed of its repetition (the first seed if none; None while ``seeds`` is empty).
+    """
+    rows = []
+    for d in spec.dims:
+        for th in _point_thetas(spec, d):
+            seeds = []  # point_rows fills it when the point reaches its draw
+            try:
+                rows += point_rows(d, th, seeds)
+            except (UsdError, ValueError) as exc:
+                seed = seeds[getattr(exc, "repetition", 0)] if seeds else None
+                exc.point = {"dim": d, "theta_deg": math.degrees(th), "seed": seed}
+                raise
+    return rows
+
+
 def theory_rows(spec: SweepSpec) -> list[dict]:
     """Closed-form rows over the requested (d, theta) grid."""
-    return [_row(theory.theory_point(d, th)) for d in spec.dims for th in _point_thetas(spec, d)]
+    return _sweep(spec, lambda d, th, seeds: [_row(theory.theory_point(d, th))])
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -124,33 +143,25 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     Repetitions use seeds seed, seed+1, ...; a point draws and analyzes them
     as one stack.  When there is more than one, an aggregate row follows with
     the mean of the repetition means, the sample standard deviation across
-    repetitions as its sigma, the verdict recomputed from those, and an empty
-    seed column.  An error raised at a point carries that point's dim,
-    theta_deg and seed (None before the first repetition starts) in its
-    ``point`` attribute.  The first check that fails on the stack names its
-    lowest failing repetition, whose seed alone raises exactly that error.
+    repetitions as its sigma, the verdict of those, and an empty seed column.
+    An error names its point (``_sweep``); the first check that fails on the
+    stack names its lowest failing repetition, whose seed alone raises it.
     """
-    rows = []
-    for d in spec.dims:
-        for th in _point_thetas(spec, d):
-            seeds = None
-            try:
-                basis = states.build_basis(d, th)
-                point = theory.theory_point(d, th)
-                seeds = range(spec.seed, spec.seed + spec.repetitions)
-                record = experiment.run_repetitions(basis, _config_for(spec, d), seeds)
-                p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
-                summary = analysis.summarize_probabilities(p, th)
-            except (UsdError, ValueError) as exc:
-                # an error of no one repetition names the first seed
-                seed = None if seeds is None else seeds[getattr(exc, "repetition", 0)]
-                exc.point = {"dim": d, "theta_deg": math.degrees(th), "seed": seed}
-                raise
-            means = summary.mean_total_error
-            rows += [_row(point, *rep) for rep in zip(seeds, means, summary.mean_error_sigma)]
-            if spec.repetitions > 1:
-                rows.append(_row(point, None, float(np.mean(means)), float(np.std(means, ddof=1))))
-    return rows
+
+    def point_rows(d, th, seeds):
+        basis = states.build_basis(d, th)
+        point = theory.theory_point(d, th)
+        seeds += range(spec.seed, spec.seed + spec.repetitions)
+        record = experiment.run_repetitions(basis, _config_for(spec, d), seeds)
+        p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
+        summary = analysis.summarize_probabilities(p)
+        means = summary.mean_total_error
+        rows = [_row(point, *rep) for rep in zip(seeds, means, summary.mean_error_sigma)]
+        if spec.repetitions > 1:
+            rows.append(_row(point, None, float(np.mean(means)), float(np.std(means, ddof=1))))
+        return rows
+
+    return _sweep(spec, point_rows)
 
 
 def rows_to_csv(rows: list[dict]) -> str:

@@ -215,10 +215,12 @@ def test_error_summary_ideal_matrix():
     p = np.zeros((d, d + 1))
     p[:, :d] = np.eye(d) * p_suc
     p[:, d] = p_inc
-    summary = analysis.summarize_probabilities(p, theta)
+    summary = analysis.summarize_probabilities(p)
     assert summary.mean_total_error == 0.0
     assert summary.mean_error_sigma == 0.0
-    assert summary.verdict == analysis.VERDICT_BELOW
+    bound = theory.mesd_bound(d, theta)
+    verdict = analysis.classify(summary.mean_total_error, summary.mean_error_sigma, bound)
+    assert verdict == analysis.VERDICT_BELOW
 
 
 def test_error_summary_uniform_one_percent_d6():
@@ -226,7 +228,7 @@ def test_error_summary_uniform_one_percent_d6():
     for i in range(6):
         p[i, i] = 0.45
         p[i, 6] = 1.0 - 0.45 - 5 * 0.01
-    summary = analysis.summarize_probabilities(p, theta=0.5)
+    summary = analysis.summarize_probabilities(p)
     assert np.allclose(summary.per_state_error, 0.05, atol=1e-12)
     assert summary.mean_total_error == pytest.approx(0.05, abs=1e-12)
     assert summary.mean_error_sigma == pytest.approx(0.0, abs=1e-12)
@@ -243,8 +245,14 @@ def test_verdict_rule():
 def test_error_summary_uses_theory_bound():
     theta = theory.theta_for_overlap(6, 2**-0.5)
     table = seeded_table(6, theta, seed=3)
-    summary = analysis.summarize_probabilities(table.probabilities, theta)
-    assert summary.mesd_bound == pytest.approx(0.1464466094067262, abs=1e-12)
+    summary = analysis.summarize_probabilities(table.probabilities)
+    bound = theory.mesd_bound(6, theta)
+    assert bound == pytest.approx(0.1464466094067262, abs=1e-12)
+    verdict = analysis.classify(summary.mean_total_error, summary.mean_error_sigma, bound)
+    assert verdict == analysis.VERDICT_BELOW
+    # the summary holds error rates only; the bound and the verdict belong to the caller
+    names = [f.name for f in dataclasses.fields(summary)]
+    assert names == ["per_state_error", "mean_total_error", "mean_error_sigma"]
 
 
 # ------------------------------------------------------ error propagation
@@ -337,6 +345,27 @@ def test_propagation_tracks_ensemble_spread():
     ensemble = np.std(probs, axis=0, ddof=1)
     predicted = np.mean(sigmas, axis=0)
     assert np.max(np.abs(predicted / ensemble - 1.0)) < 0.25
+
+
+def test_outcome_table_computes_contrast_and_probabilities_once(monkeypatch):
+    record = experiment.run_experiment(states.build_basis(5, 0.5), experiment.ExperimentConfig(), 2)
+    expected = analysis.outcome_table(record)
+    calls = []
+    for name in ("quantum_contrast", "normalize_probabilities"):
+        original = getattr(analysis, name)
+
+        def counted(arg, name=name, original=original):
+            calls.append(name)
+            return original(arg)
+
+        monkeypatch.setattr(analysis, name, counted)
+    table = analysis.outcome_table(record)
+    assert calls == ["quantum_contrast", "normalize_probabilities"]
+    for field in ("probabilities", "sigmas", "quantum_contrast"):
+        assert np.array_equal(getattr(table, field), getattr(expected, field))
+    calls.clear()
+    assert np.array_equal(analysis.gaussian_propagation(record), expected.sigmas)
+    assert calls == ["quantum_contrast", "normalize_probabilities"]
 
 
 def test_outcome_table_validation():

@@ -198,11 +198,13 @@ def reference_sweep(spec):
             for seed in range(spec.seed, spec.seed + spec.repetitions):
                 record = experiment.run_experiment(basis, config, seed)
                 table = analysis.outcome_table(record)
-                summary = analysis.summarize_probabilities(table.probabilities, th)
-                means.append(summary.mean_total_error)
+                summary = analysis.summarize_probabilities(table.probabilities)
+                mean, sigma = summary.mean_total_error, summary.mean_error_sigma
+                means.append(mean)
+                verdict = analysis.classify(mean, sigma, theory.mesd_bound(d, th))
                 rows.append(
-                    {**cli._row(point, seed), "mean_total_error": summary.mean_total_error,
-                     "mean_error_sigma": summary.mean_error_sigma, "verdict": summary.verdict}
+                    {**cli._row(point, seed), "mean_total_error": mean,
+                     "mean_error_sigma": sigma, "verdict": verdict}
                 )
             mean, sigma = float(np.mean(means)), float(np.std(means, ddof=1))
             verdict = analysis.classify(mean, sigma, point.mesd_bound)
@@ -242,6 +244,19 @@ def test_run_sweep_computes_expected_means_once_per_point(monkeypatch):
     rows = run_sweep(SweepSpec(dims=(2, 4), repetitions=5, seed=0, **ACCEPTANCE))
     assert len(rows) == 2 * (5 + 1)
     assert calls == [2, 4]
+
+
+def test_run_sweep_classifies_each_row_once(monkeypatch):
+    calls, original = [], analysis.classify
+
+    def counted(mean, sigma, bound):
+        calls.append(mean)
+        return original(mean, sigma, bound)
+
+    monkeypatch.setattr(analysis, "classify", counted)
+    rows = run_sweep(SweepSpec(dims=(2, 4), repetitions=3, seed=0, **ACCEPTANCE))
+    assert len(rows) == 2 * (3 + 1)
+    assert calls == [row["mean_total_error"] for row in rows]
 
 
 def test_seed_independent_error_names_first_seed(capsys):
@@ -612,6 +627,15 @@ def test_run_error_names_failing_point(capsys):
     assert payload["theta_deg"] == pytest.approx(
         math.degrees(theory.theta_for_overlap(40, overlap)), abs=1e-12
     )
+
+
+def test_theory_error_names_failing_point(capsys):
+    # theta_max(2) is 45 deg, so the grid's third angle fails at the first dimension
+    code, out, err = invoke(capsys, "theory", "--dims", "2:3", "--theta-grid", "5:80:3")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert payload["dim"] == 2 and payload["theta_deg"] == 80.0 and payload["seed"] is None
 
 
 def test_failing_repetition_names_its_own_seed(capsys):
