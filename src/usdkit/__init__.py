@@ -32,7 +32,6 @@ from .experiment import (
     apply_noise,
     epsilon_for_percell_error,
     expected_record,
-    ideal_detection_matrix,
     run_experiment,
     run_repetitions,
     spiral_weights,
@@ -44,8 +43,9 @@ from .states import (
     build_basis,
     build_projected_vectors,
     build_state_family,
-    embedded_vectors,
+    ideal_detection_matrix,
     oam_map,
+    residuals,
 )
 from .theory import (
     TheoryPoint,

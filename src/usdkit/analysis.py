@@ -127,8 +127,11 @@ def outcome_table(record: CountsRecord) -> OutcomeTable:
     max(N, 1); the floor keeps zero-count cells from claiming zero
     uncertainty.  The partial derivatives of
     P_ij = (Q_ij - 1)/sum_k(Q_ik - 1) are evaluated at the measured values,
-    including the common S_Ai factor and the per-column S_Bk factors.
+    including the common S_Ai factor and the per-column S_Bk factors.  It takes
+    one run; a stacked record is an error naming its repetition count.
     """
+    if (c := record.coincidences).ndim != 2:
+        raise InvalidDimensionError(f"outcome_table takes one run, not a stack of {len(c)} runs")
     q = quantum_contrast(record)
     p = normalize_probabilities(q)
     denominators = (q - 1.0).sum(axis=1)[:, None]

@@ -214,15 +214,10 @@ def _parse_theta_grid(spec: str) -> tuple[float, ...]:
 
 
 def _resolve_out(args, default_name: str | None = None) -> str | None:
-    out = args.out
-    base = os.environ.get(OUT_DIR_ENV)
+    out, base = args.out, os.environ.get(OUT_DIR_ENV)
     if out is None:
-        if default_name is None or base is None:
-            return None
-        return os.path.join(base, default_name)
-    if base is not None and not os.path.isabs(out):
-        return os.path.join(base, out)
-    return out
+        return None if default_name is None or base is None else os.path.join(base, default_name)
+    return out if base is None else os.path.join(base, out)  # an absolute out wins the join
 
 
 def _check_config_value(key: str, value) -> None:
@@ -275,33 +270,6 @@ def _spec_from_args(args) -> SweepSpec:
 CHECK_GATES = {"completeness": 1e-10, "zero_error": 1e-20, "closure": 1e-12, "theory_match": 1e-12}
 
 
-def _residuals(basis: states.DiscriminationBasis) -> dict[str, float]:
-    """Construction invariants of a built basis, each a max absolute deviation over its angles.
-
-    orthonormality: basis Gram matrix from the identity, as measured when the
-    basis was validated; completeness: sum of the basis projectors from the
-    identity; zero_error: largest conclusive probability of a wrong outcome;
-    closure: success plus inconclusive probability from one; theory_match:
-    detection probabilities from the closed-form p_suc and p_inc.
-    """
-    d, theta = basis.family.dim, basis.family.theta
-    detection = experiment.ideal_detection_matrix(basis)
-    conclusive, inconclusive = detection[..., :d], detection[..., d]
-    success = conclusive.diagonal(axis1=-2, axis2=-1)
-    probabilities = [theory._usd_probabilities(d, th) for th in np.ravel(theta).tolist()]
-    p_suc, p_inc = np.array(probabilities).T.reshape((2,) + np.shape(theta))
-    return {
-        "orthonormality": basis.orthonormality_residual,
-        "completeness": basis.completeness_residual(),
-        "zero_error": float(conclusive[..., states.frame(d).off].max()),
-        "closure": float(np.abs(success + inconclusive - 1.0).max()),
-        "theory_match": max(
-            float(np.abs(success - p_suc[..., None]).max()),
-            float(np.abs(inconclusive - p_inc[..., None]).max()),
-        ),
-    }
-
-
 def cmd_build(args) -> int:
     d = int(args.dim)
     basis = states.build_basis(d, math.radians(args.theta_deg))
@@ -316,7 +284,7 @@ def cmd_build(args) -> int:
     for name, text in artifacts.items():
         with open(os.path.join(outdir, name), "w") as handle:
             handle.write(text + "\n")
-    residuals = _residuals(basis)
+    residuals = states.residuals(basis)
     print(f"wrote family.json basis.json oam_map.json to {outdir}")
     print(f"orthonormality residual: {residuals['orthonormality']:.3e}")
     print(f"zero-error residual: {residuals['zero_error']:.3e}")
@@ -343,7 +311,8 @@ def cmd_check(args) -> int:
         tmax = states.frame(d).tmax
         block = max(1, 2**20 // (d + 1) ** 2)  # angles per build: at most 8 MB per stacked array
         blocks = (range(k, min(k + block, points + 1)) for k in range(1, points + 1, block))
-        parts = [_residuals(states.build_basis(d, [k * tmax / points for k in r])) for r in blocks]
+        builds = (states.build_basis(d, [k * tmax / points for k in r]) for r in blocks)
+        parts = [states.residuals(basis) for basis in builds]
         worst = {key: max(part[key] for part in parts) for key in CHECK_GATES}
         cells = "  ".join(f"{key.replace('_', '-')} {worst[key]:.2e}" for key in CHECK_GATES)
         print(f"d={d:2d}  {cells}")

@@ -2,8 +2,9 @@
 
 One run mimics the real apparatus: for every preparation/measurement pair
 (i, j) a 30 s coincidence count is drawn from a Poisson law whose mean is the
-heralding rate of |Psi_i> times the detection probability |<D_j|Psi_i>|^2,
-plus an accidental floor, while each arm accumulates background singles.
+heralding rate of |Psi_i> times the detection probability |<D_j|Psi_i>|^2
+(``states.ideal_detection_matrix``), plus an accidental floor, while each arm
+accumulates background singles.
 
 Modeling choices (all configurable, none dictated by the measured data):
 
@@ -18,7 +19,8 @@ Modeling choices (all configurable, none dictated by the measured data):
   per arm; the accidental coincidence floor is rate_A * rate_B * window, so
   the quantum contrast of uncorrelated settings is 1 in expectation.  The
   configuration is rejected if the background is too small for the
-  coincidence counts it must dominate (the per-cell counts bound).
+  coincidence counts it must dominate (the per-cell counts bound), or if a
+  state expects no signal above the accidental floor (its rate underflowed).
 
 Every count has its own Poisson stream, keyed [seed, 2, i, j] for coincidence
 cell (i, j) and [seed, 0, i] / [seed, 1, j] for the singles of arm A / B, so a
@@ -40,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, InvalidDimensionError
-from .states import DiscriminationBasis, OamMap, _check_one_angle, embedded_vectors, oam_map
+from .states import DiscriminationBasis, OamMap, _check_one_angle, ideal_detection_matrix, oam_map
 
 #: Expected counts beyond this overflow the int64 draw.
 MAX_EXPECTED_COUNTS = float(2**62)
@@ -93,16 +95,13 @@ class CountsRecord:
     def __post_init__(self):
         # integer dtype is preserved for generated records; synthetic records
         # holding expected values may be float; every check fails on NaN
-        c = np.array(self.coincidences)
-        sa = np.array(self.singles_a)
-        sb = np.array(self.singles_b)
-        for arr in (c, sa, sb):
+        for name in ("coincidences", "singles_a", "singles_b"):
+            arr = np.array(getattr(self, name))
             if not np.issubdtype(arr.dtype, np.number):
                 raise ConfigurationError("counts must be numeric")
             arr.setflags(write=False)
-        object.__setattr__(self, "coincidences", c)
-        object.__setattr__(self, "singles_a", sa)
-        object.__setattr__(self, "singles_b", sb)
+            object.__setattr__(self, name, arr)
+        c, sa, sb = self.coincidences, self.singles_a, self.singles_b
         lead, d = c.shape[:-2], c.shape[-2] if c.ndim >= 2 else -1  # -1 matches no shape
         if c.shape != (*lead, d, d + 1) or sa.shape != (*lead, d) or sb.shape != (*lead, d + 1):
             raise InvalidDimensionError(
@@ -128,12 +127,6 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
             f"per-cell error {per_cell!r} needs epsilon={eps!r}, outside [0, 0.5)"
         )
     return eps
-
-
-def ideal_detection_matrix(basis: DiscriminationBasis) -> np.ndarray:
-    """Probability matrix |<D_j|Psi_i>|^2 of the basis's own states (per angle); rows sum to one."""
-    amplitudes = embedded_vectors(basis.family) @ basis.vectors.swapaxes(-1, -2)
-    return amplitudes**2
 
 
 def apply_noise(ideal: np.ndarray, config: ExperimentConfig) -> np.ndarray:
@@ -180,8 +173,9 @@ def run_repetitions(
     """Draw the runs of all ``seeds`` into one record stacked along a leading axis.
 
     Repetition r is the run of the r-th seed, as ``run_experiment`` draws it.
-    The seeds are checked, and the expected means pass their overflow and
-    singles-dominance gates, once for all.
+    The seeds are checked, and the expected means pass their overflow,
+    singles-dominance and signal gates, once for all: a state whose every cell
+    expects only the accidental floor is a configuration error before any draw.
 
     Each key reaches SeedSequence as uint32 words: the seed's little-endian
     32-bit words (seed 0 gives [0]), then (2, i, j), (0, i) or (1, j).  These
@@ -203,7 +197,16 @@ def run_repetitions(
             f"singles {singles_mean!r} must dominate the largest cell mean {lam_max!r}; "
             "raise singles_rate_scale or lower the coincidence scale"
         )
-    d = basis.family.dim
+    d, rate = basis.family.dim, config.singles_rate_scale
+    silent = (lam == rate * rate * config.coincidence_window * config.integration_time).all(axis=1)
+    if silent.any():  # every cell of such a row is the accidental floor: its signal underflowed
+        ells = sorted((ell for ell, off in zip(oam_map(d).state_ells, silent) if off), key=abs)
+        raise ConfigurationError(
+            f"{len(ells)} of {d} states at d={d} expect no signal above the accidental floor "
+            f"(l = {', '.join(map(str, ells[:4]))}{', ...' if len(ells) > 4 else ''}) with "
+            f"spiral_bandwidth_sigma {config.spiral_bandwidth_sigma!r} and max_coincidence_rate "
+            f"{config.max_coincidence_rate!r}; widen the envelope or raise the rate"
+        )
     cells, n = d * (d + 1), (d + 1) ** 2 + d
     words = [[(s >> k) & 0xFFFFFFFF for k in range(0, max(s.bit_length(), 1), 32)] for s in seeds]
     w = max(map(len, words), default=1)

@@ -17,13 +17,14 @@ which is the unit vector orthogonal to all of them.
 
 theta may be one angle or a 1-D sequence of P angles at one d, which stacks
 the family (P, d, d) and basis (P, d+1, d+1) along a leading axis; every check
-covers the whole stack and residuals are maxima over it.  There is one path:
-each angle is checked once and its sin, cos and tan come from one ``math`` pass
-shared by family and basis, so slice k of a stack is the one-angle build.
+covers the whole stack.  There is one path: each angle is checked once and its
+sin, cos and tan come from one ``math`` pass shared by family and basis, so
+slice k of a stack is the one-angle build.
 
-Measuring |D_i> identifies |Psi_i> with certainty; |D_{d+1}> gives no
-information.  Basis indices map to orbital-angular-momentum mode labels
-through ``oam_map``.
+Measuring |D_i> identifies |Psi_i> with certainty (``ideal_detection_matrix``);
+|D_{d+1}> gives no information.  ``residuals(basis)`` is the one statement of
+what a valid build satisfies, each residual a maximum over the stack.  Basis
+indices map to orbital-angular-momentum mode labels through ``oam_map``.
 
 All construction functions are pure and the returned objects hold read-only
 arrays, so they are safe to share across concurrent readers.  What depends
@@ -107,11 +108,6 @@ class DiscriminationBasis:
         if not residual <= ORTHO_TOL:
             raise DegenerateFamilyError("measurement states must be orthonormal")
         object.__setattr__(self, "orthonormality_residual", residual)
-
-    def completeness_residual(self) -> float:
-        """Max elementwise deviation of sum_j |D_j><D_j| from the identity, over the stack."""
-        resolution = self.vectors.swapaxes(-1, -2) @ self.vectors
-        return float(np.abs(resolution - frame(self.family.dim).eye).max())
 
 
 @dataclass(frozen=True)
@@ -226,12 +222,37 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
     return DiscriminationBasis(family=family, vectors=vectors)
 
 
-def embedded_vectors(family: StateFamily) -> np.ndarray:
-    """The input states embedded in d+1 dimensions with zero ancilla component."""
-    d = family.dim
-    embedded = np.zeros(np.shape(family.theta) + (d, d + 1))
-    embedded[..., :d] = family.vectors
-    return embedded
+def ideal_detection_matrix(basis: DiscriminationBasis) -> np.ndarray:
+    """|<D_j|Psi_i>|^2 of the basis's own states, padded by a zero ancilla; rows sum to one."""
+    d = basis.family.dim
+    embedded = np.zeros(np.shape(basis.family.theta) + (d, d + 1))
+    embedded[..., :d] = basis.family.vectors
+    return (embedded @ basis.vectors.swapaxes(-1, -2)) ** 2
+
+
+def residuals(basis: DiscriminationBasis) -> dict[str, float]:
+    """What a valid build satisfies, as max absolute deviations over its angles.
+
+    orthonormality: basis Gram matrix from the identity, as measured when the
+    basis was validated; completeness: sum of the basis projectors from the
+    identity; zero_error: largest conclusive probability of a wrong outcome;
+    closure: success plus inconclusive probability from one; theory_match:
+    detection probabilities from the closed-form p_suc and p_inc, evaluated
+    once for the whole stack.
+    """
+    d, f, detection = basis.family.dim, frame(basis.family.dim), ideal_detection_matrix(basis)
+    conclusive, inconclusive = detection[..., :d], detection[..., d]
+    success = conclusive.diagonal(axis1=-2, axis2=-1)
+    p_suc, p_inc = theory._usd_probabilities(d, np.asarray(basis.family.theta)[..., None])
+    return {
+        "orthonormality": basis.orthonormality_residual,
+        "completeness": float(np.abs(basis.vectors.swapaxes(-1, -2) @ basis.vectors - f.eye).max()),
+        "zero_error": float(conclusive[..., f.off].max()),
+        "closure": float(np.abs(success + inconclusive - 1.0).max()),
+        "theory_match": max(
+            float(np.abs(success - p_suc).max()), float(np.abs(inconclusive - p_inc).max())
+        ),
+    }
 
 
 def oam_map(d: int) -> OamMap:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, InvalidDimensionError
 
 #: Absolute slack applied when comparing an angle against theta_max.
@@ -57,13 +59,14 @@ def usd_probabilities(d: int, theta: float) -> tuple[float, float]:
     one; the error probability is zero by construction.
     """
     d = _check_dim(d)
-    return _usd_probabilities(d, _check_theta(d, theta))
+    return tuple(float(p) for p in _usd_probabilities(d, _check_theta(d, theta)))
 
 
-def _usd_probabilities(d: int, theta: float) -> tuple[float, float]:  # d and theta checked
-    p_suc = min(d * math.sin(theta) ** 2 / (d - 1.0), 1.0)
-    p_inc = min(max((d * math.cos(theta) ** 2 - 1.0) / (d - 1.0), 0.0), 1.0)
-    return p_suc, p_inc
+def _usd_probabilities(d: int, theta):  # d and theta checked; theta one angle or an array
+    # float_power is libm's pow, as Python's float ** is: each value has the scalar formula's bits
+    p_suc = np.minimum(d * np.float_power(np.sin(theta), 2) / (d - 1.0), 1.0)
+    p_inc = (d * np.float_power(np.cos(theta), 2) - 1.0) / (d - 1.0)
+    return p_suc, np.minimum(np.maximum(p_inc, 0.0), 1.0)
 
 
 def theta_for_overlap(d: int, target: float) -> float:

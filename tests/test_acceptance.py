@@ -37,6 +37,11 @@ def _grid():
     return _cache["grid"]
 
 
+def _embed(family):
+    """The input states beside a zero ancilla component: (d, d+1)."""
+    return np.pad(np.asarray(family.vectors), ((0, 0), (0, 1)))
+
+
 def _report(criterion: str, ok: bool, detail: str):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{criterion}: {detail}"
@@ -50,8 +55,8 @@ def test_criterion_1_construction_oracle():
         for k in range(1, GRID_POINTS + 1):
             theta = k * tmax / GRID_POINTS
             basis = states.build_basis(d, theta)
-            worst_completeness = max(worst_completeness, basis.completeness_residual())
-            probs = (states.embedded_vectors(basis.family) @ np.asarray(basis.vectors).T) ** 2
+            worst_completeness = max(worst_completeness, states.residuals(basis)["completeness"])
+            probs = (_embed(basis.family) @ np.asarray(basis.vectors).T) ** 2
             off = probs[:, :d][~np.eye(d, dtype=bool)]
             worst_zero_error = max(worst_zero_error, float(np.max(off)))
     elapsed = time.perf_counter() - start
@@ -88,7 +93,7 @@ def test_criterion_2_closed_form_d3():
 def test_criterion_3_probability_formulas():
     worst = 0.0
     for (d, _), (theta, basis) in _grid().items():
-        probs = (states.embedded_vectors(basis.family) @ np.asarray(basis.vectors).T) ** 2
+        probs = (_embed(basis.family) @ np.asarray(basis.vectors).T) ** 2
         p_suc, p_inc = theory.usd_probabilities(d, theta)
         worst = max(worst, float(np.max(np.abs(np.diag(probs[:, :d]) - p_suc))))
         worst = max(worst, float(np.max(np.abs(probs[:, d] - p_inc))))

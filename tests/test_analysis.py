@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usdkit import analysis, experiment, states, theory
-from usdkit.errors import DegenerateRowError, InsufficientDataError
+from usdkit.errors import DegenerateRowError, InsufficientDataError, InvalidDimensionError
 
 
 def synthetic_record(counts, singles_a, singles_b, T=1.0, window=25e-9):
@@ -366,6 +366,18 @@ def test_outcome_table_computes_contrast_and_probabilities_once(monkeypatch):
     calls.clear()
     assert np.array_equal(analysis.gaussian_propagation(record), expected.sigmas)
     assert calls == ["quantum_contrast", "normalize_probabilities"]
+
+
+@pytest.mark.parametrize("analyze", [analysis.outcome_table, analysis.gaussian_propagation])
+def test_outcome_table_rejects_a_stacked_record_before_any_arithmetic(analyze, monkeypatch):
+    basis, config = states.build_basis(3, 0.5), experiment.ExperimentConfig()
+    stack = experiment.run_repetitions(basis, config, range(3))
+    calls = []
+    monkeypatch.setattr(analysis, "quantum_contrast", lambda record: calls.append(record))
+    message = r"^outcome_table takes one run, not a stack of 3 runs$"
+    with pytest.raises(InvalidDimensionError, match=message):
+        analyze(stack)
+    assert calls == []
 
 
 def test_outcome_table_validation():

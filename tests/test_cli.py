@@ -40,6 +40,11 @@ def test_build_writes_artifacts_and_residuals(tmp_path, capsys):
     assert "orthonormality residual" in out and "zero-error residual" in out
     basis = json.loads((tmp_path / "basis.json").read_text())
     direct = states.build_basis(3, math.radians(33.0))
+    residuals = states.residuals(direct)
+    assert out.splitlines()[1:] == [
+        f"orthonormality residual: {residuals['orthonormality']:.3e}",
+        f"zero-error residual: {residuals['zero_error']:.3e}",
+    ]
     assert basis["dim"] == 3 and basis["theta_rad"] == direct.family.theta
     assert np.array_equal(np.array(basis["vectors"]), np.asarray(direct.vectors))
     mapping = json.loads((tmp_path / "oam_map.json").read_text())
@@ -579,6 +584,19 @@ def test_check_builds_each_dimension_once(capsys, monkeypatch):
     assert [(d, len(thetas)) for d, thetas in builds] == [(d, 12) for d in range(2, 15)]
 
 
+def test_check_evaluates_the_closed_forms_once_per_stacked_build(capsys, monkeypatch):
+    calls, closed_form = [], theory._usd_probabilities
+
+    def counted(d, theta):
+        calls.append((d, np.size(theta)))
+        return closed_form(d, theta)
+
+    monkeypatch.setattr(theory, "_usd_probabilities", counted)
+    code, _, _ = invoke(capsys, "check", "--dims", "2:14")
+    assert code == 0
+    assert calls == [(d, 12) for d in range(2, 15)]  # 13 calls of 12 angles, not 156 of one
+
+
 def test_check_reads_one_frame_per_dimension(capsys):
     states._frame.cache_clear()
     code, _, _ = invoke(capsys, "check", "--dims", "2:14")
@@ -593,7 +611,7 @@ def test_check_splits_a_large_grid_into_bounded_blocks(capsys, monkeypatch):
     # 2**20 // 201**2 = 25 angles per build: 40 angles take a block of 25 and one of 15
     tmax = theory.theta_max(200)
     grid = [k * tmax / 40 for k in range(1, 41)]
-    each = [cli._residuals(states.build_basis(200, th)) for th in grid]
+    each = [states.residuals(states.build_basis(200, th)) for th in grid]
     worst = {key: max(r[key] for r in each) for key in cli.CHECK_GATES}
     builds = _record_builds(monkeypatch)
     code, out, _ = invoke(capsys, "check", "--dim", "200", "--theta-points", "40")
@@ -627,6 +645,33 @@ def test_run_error_names_failing_point(capsys):
     assert payload["theta_deg"] == pytest.approx(
         math.degrees(theory.theta_for_overlap(40, overlap)), abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--dim", "3", "--theta-deg", "30", "--sigma-spiral", "0.05"),
+         ("2 of 3 states at d=3", "(l = -1, 1)", "spiral_bandwidth_sigma 0.05", "rate 350.0")),
+        (("--dim", "3", "--theta-deg", "30", "--max-rate", "1e-320"),
+         ("3 of 3 states at d=3", "(l = 0, -1, 1)", "spiral_bandwidth_sigma 2.4", "rate 1e-320")),
+        (("--dim", "200", "--overlap", "0.5", "--epsilon", "0.1", "--sigma-spiral", "1e-3"),
+         ("199 of 200 states at d=200", "(l = -1, 1, -2, 2, ...)", "spiral_bandwidth_sigma 0.001",
+          "rate 350.0")),
+    ],
+    ids=["narrow-envelope", "vanishing-rate", "d200-narrow-envelope"],
+)
+def test_signal_free_configuration_is_rejected_before_any_draw(capsys, monkeypatch, argv, named):
+    # every cell of the named rows expects exactly the accidental floor: their signal underflowed
+    def no_draw(*args):
+        raise AssertionError("a signal-free configuration reached the draw")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+    code, out, err = invoke(capsys, "run", *argv)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigurationError"
+    for part in named:
+        assert part in payload["message"]
 
 
 def test_theory_error_names_failing_point(capsys):

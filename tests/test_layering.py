@@ -1,4 +1,5 @@
-"""Each usdkit module imports only the modules below it in the layer graph."""
+"""Each usdkit module imports only the modules below it in the layer graph, and
+the CLI reads only the public names of the modules it drives."""
 
 import ast
 import pathlib
@@ -37,6 +38,52 @@ def package_imports(path: pathlib.Path) -> set[str]:
                 if parts[0] == "usdkit" and len(parts) > 1:
                     found.add(parts[1])
     return found
+
+
+def private_reads(path: pathlib.Path) -> set[str]:
+    """``module._name`` attributes and ``from .module import _name`` imports of other
+    usdkit modules in a source file."""
+    tree = ast.parse(path.read_text())
+    modules, found = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0:
+            if parts[0] != "usdkit":
+                continue
+            parts = parts[1:]  # drop the leading "usdkit"
+        if parts and parts[0]:  # "from .states import _frame" reads a name of states
+            found.update(f"{parts[0]}.{a.name}" for a in node.names if a.name.startswith("_"))
+        else:  # "from . import states as s" binds a module name
+            modules.update(alias.asname or alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    assert private_reads(PACKAGE / "cli.py") == set()
+
+
+def test_private_read_parser_sees_every_form(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from . import theory, states as s\n"
+        "from .experiment import _expected_means, run_repetitions\n"
+        "from usdkit.analysis import _at\n"
+        "import numpy as np\n"
+        "theory._usd_probabilities(2, 0.5)\n"
+        "s._frame(3).off\n"
+        "theory.theta_max(3)\n"
+        "np._private\n"
+        "states._frame\n"  # not bound by an import here
+    )
+    assert private_reads(source) == {
+        "theory._usd_probabilities", "s._frame", "experiment._expected_means", "analysis._at"
+    }
 
 
 def test_every_module_has_a_layer():

@@ -14,6 +14,12 @@ from usdkit.errors import DegenerateFamilyError, DomainError, InvalidDimensionEr
 CHECK_DIMS = list(range(2, 15))
 
 
+def embed(family):
+    """The input states beside a zero ancilla component: (..., d, d+1)."""
+    v = np.asarray(family.vectors)
+    return np.pad(v, [(0, 0)] * (v.ndim - 1) + [(0, 1)])
+
+
 def closed_form_basis_d3(theta):
     """The four measurement states in d=3, written out in closed form.
 
@@ -191,7 +197,7 @@ def test_family_validation_catches_bad_vectors():
 def basis_rows(d, theta):
     """Measurement rows and the input states embedded beside the ancilla."""
     basis = states.build_basis(d, theta)
-    return np.asarray(basis.vectors), states.embedded_vectors(basis.family)
+    return np.asarray(basis.vectors), embed(basis.family)
 
 
 def test_complements_d3_closed_form_direction():
@@ -322,8 +328,8 @@ def test_invariants_hold_over_whole_domain(point):
     basis = states.build_basis(d, theta)
     vectors = np.asarray(basis.vectors)
     assert np.max(np.abs(vectors @ vectors.T - np.eye(d + 1))) < 1e-14
-    assert basis.completeness_residual() < 1e-10
-    probs = (states.embedded_vectors(basis.family) @ vectors.T) ** 2
+    assert states.residuals(basis)["completeness"] < 1e-10
+    probs = (embed(basis.family) @ vectors.T) ** 2
     assert np.max(probs[:, :d][~np.eye(d, dtype=bool)]) < 1e-20
     p_suc, p_inc = theory.usd_probabilities(d, theta)
     assert np.max(np.abs(np.diag(probs[:, :d]) - p_suc)) < 1e-12
@@ -346,8 +352,10 @@ def test_stacked_build_is_each_angle_build_exactly(point):
         assert np.array_equal(stack.family.vectors[k], single.family.vectors)
         assert np.array_equal(stack.vectors[k], single.vectors)
     assert stack.orthonormality_residual == max(b.orthonormality_residual for b in singles)
-    assert stack.completeness_residual() == max(b.completeness_residual() for b in singles)
-    stacked, each = cli._residuals(stack), [cli._residuals(b) for b in singles]
+    assert states.residuals(stack)["completeness"] == max(
+        states.residuals(b)["completeness"] for b in singles
+    )
+    stacked, each = states.residuals(stack), [states.residuals(b) for b in singles]
     assert stacked == {key: max(r[key] for r in each) for key in stacked}
 
 
@@ -449,8 +457,8 @@ def test_grid_invariants(d):
     for k in range(1, 13):
         theta = k * tmax / 12
         basis = states.build_basis(d, theta)
-        assert basis.completeness_residual() < 1e-10
-        embedded = states.embedded_vectors(basis.family)
+        assert states.residuals(basis)["completeness"] < 1e-10
+        embedded = embed(basis.family)
         amplitudes = embedded @ np.asarray(basis.vectors).T
         probs = amplitudes**2
         off = probs[:, :d][~np.eye(d, dtype=bool)]
@@ -468,7 +476,7 @@ def test_grid_invariants(d):
 def test_large_dimension_keeps_closure_and_theory_match_at_roundoff(d):
     # the simplex's entries are closed forms, so its roundoff does not grow with d
     tmax = theory.theta_max(d)
-    residuals = cli._residuals(states.build_basis(d, [tmax / 2, tmax]))
+    residuals = states.residuals(states.build_basis(d, [tmax / 2, tmax]))
     assert residuals["closure"] <= 1e-14
     assert residuals["theory_match"] <= 1e-14
     assert residuals["zero_error"] < cli.CHECK_GATES["zero_error"]

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from usdkit import theory
 from usdkit.errors import DomainError, InvalidDimensionError
@@ -60,6 +63,20 @@ def test_usd_probabilities_checks_its_angle_once(monkeypatch):
     monkeypatch.setattr(theory, "_check_theta", lambda d, th: calls.append(th) or check(d, th))
     assert theory.usd_probabilities(6, 0.4)[1] == theory.overlap(6, 0.4)
     assert calls == [0.4, 0.4]  # one check each for usd_probabilities and overlap
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+# x ** 2 and x * x round sin^2 of the first angle and cos^2 of the second differently
+@example(3, [0.6865644924074132, 0.9705587631326238])
+def test_closed_forms_of_an_angle_array_have_the_scalar_formula_bits(d, fractions):
+    # one numpy pass over a stack must give each angle the bits of the math formula
+    thetas = [f * theory.theta_max(d) for f in fractions]
+    p_suc, p_inc = theory._usd_probabilities(d, np.array(thetas))
+    for k, th in enumerate(thetas):
+        assert p_suc[k] == min(d * math.sin(th) ** 2 / (d - 1.0), 1.0)
+        assert p_inc[k] == min(max((d * math.cos(th) ** 2 - 1.0) / (d - 1.0), 0.0), 1.0)
+        assert theory.usd_probabilities(d, th) == (p_suc[k], p_inc[k])
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)
