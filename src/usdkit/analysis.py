@@ -10,6 +10,8 @@ come from first-order Gaussian propagation of sqrt(N) count deviations; only
 ``outcome_table`` computes them.  The sweep's ``mean_error_sigma`` is instead
 the sample spread of the per-state errors (``summarize_probabilities``);
 ``classify`` weighs a mean error against a bound that the caller supplies.
+Every step but ``classify`` takes one run or a stack of runs along leading
+axes, and each repetition of a stack gets the numbers of its run alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ VERDICT_ABOVE = "above"
 
 @dataclass(frozen=True)
 class OutcomeTable:
-    """Normalized outcome probabilities with propagated uncertainties, each (d, d+1)."""
+    """Normalized outcome probabilities with propagated uncertainties, each (..., d, d+1)."""
 
     probabilities: np.ndarray
     sigmas: np.ndarray
@@ -40,8 +42,8 @@ class OutcomeTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         p, s, q = self.probabilities, self.sigmas, self.quantum_contrast
-        if p.ndim != 2 or p.shape[1] != p.shape[0] + 1 or s.shape != p.shape or q.shape != p.shape:
-            raise InvalidDimensionError("outcome matrices must have shape (d, d+1)")
+        if p.ndim < 2 or p.shape[-1] != p.shape[-2] + 1 or s.shape != p.shape or q.shape != p.shape:
+            raise InvalidDimensionError("outcome matrices must share one shape (..., d, d+1)")
         _check_row_sums(p)
         if np.any(s < 0.0) or not np.all(np.isfinite(s)):
             raise DegenerateRowError("sigmas must be nonnegative and finite")
@@ -49,11 +51,11 @@ class OutcomeTable:
 
 @dataclass(frozen=True)
 class ErrorSummary:
-    """Per-state and mean total error rates of a run (or lists per repetition)."""
+    """Per-state and mean total error rates of a run; a stack's leading axes nest as lists."""
 
-    per_state_error: tuple[float, ...] | tuple[list[float], ...]
-    mean_total_error: float | list[float]
-    mean_error_sigma: float | list[float]
+    per_state_error: tuple
+    mean_total_error: float | list
+    mean_error_sigma: float | list
 
 
 def quantum_contrast(record: CountsRecord) -> np.ndarray:
@@ -120,38 +122,36 @@ def gaussian_propagation(record: CountsRecord) -> np.ndarray:
 
 
 def outcome_table(record: CountsRecord) -> OutcomeTable:
-    """Full analysis of one counts record: contrast, probabilities, sigmas.
+    """Full analysis of a counts record: contrast, probabilities, sigmas.
 
     The sigmas propagate sqrt(N) count deviations to first order: every count
     N (coincidences and singles) is an independent variable with variance
     max(N, 1); the floor keeps zero-count cells from claiming zero
     uncertainty.  The partial derivatives of
     P_ij = (Q_ij - 1)/sum_k(Q_ik - 1) are evaluated at the measured values,
-    including the common S_Ai factor and the per-column S_Bk factors.  It takes
-    one run; a stacked record is an error naming its repetition count.
+    including the common S_Ai factor and the per-column S_Bk factors.  A
+    stack gives one table per repetition, bit-equal to its run's table.
     """
-    if (c := record.coincidences).ndim != 2:
-        raise InvalidDimensionError(f"outcome_table takes one run, not a stack of {len(c)} runs")
     q = quantum_contrast(record)
     p = normalize_probabilities(q)
-    denominators = (q - 1.0).sum(axis=1)[:, None]
-    sa = np.asarray(record.singles_a, dtype=float)
-    sb = np.asarray(record.singles_b, dtype=float)
+    denominators = (q - 1.0).sum(axis=-1, keepdims=True)
+    sa = np.asarray(record.singles_a, dtype=float)[..., :, None]
+    sb = np.asarray(record.singles_b, dtype=float)[..., None, :]
     var_c = np.maximum(np.asarray(record.coincidences, dtype=float), 1.0)
 
     def spread(w):
         # sum_k (delta_jk - P_ij)^2 w_ik for every (i, j); the k != j part comes from
         # exclusive prefix and suffix sums, so unlike row_sum - w_ij nothing cancels
-        pad = np.zeros((len(w), 1))
-        others = np.cumsum(np.hstack([pad, w[:, :-1]]), axis=1)
-        others += np.cumsum(np.hstack([pad, w[:, :0:-1]]), axis=1)[:, ::-1]
+        pad = np.zeros((*w.shape[:-1], 1))
+        others = np.cumsum(np.concatenate([pad, w[..., :-1]], axis=-1), axis=-1)
+        others += np.cumsum(np.concatenate([pad, w[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
         return (1.0 - p) ** 2 * w + p**2 * others
 
-    dq_dc = record.integration_time / (sa[:, None] * sb[None, :] * record.coincidence_window)
+    dq_dc = record.integration_time / (sa * sb * record.coincidence_window)
     coincidence_terms = spread((dq_dc / denominators) ** 2 * var_c)
-    column_terms = spread((q / (denominators * sb[None, :])) ** 2 * np.maximum(sb, 1.0))
-    row_term = (q - p * q.sum(axis=1, keepdims=True)) / (denominators * sa[:, None])
-    sigmas = np.sqrt(coincidence_terms + column_terms + row_term**2 * np.maximum(sa, 1.0)[:, None])
+    column_terms = spread((q / (denominators * sb)) ** 2 * np.maximum(sb, 1.0))
+    row_term = (q - p * q.sum(axis=-1, keepdims=True)) / (denominators * sa)
+    sigmas = np.sqrt(coincidence_terms + column_terms + row_term**2 * np.maximum(sa, 1.0))
     return OutcomeTable(probabilities=p, sigmas=sigmas, quantum_contrast=q)
 
 
@@ -171,8 +171,7 @@ def summarize_probabilities(probabilities: np.ndarray) -> ErrorSummary:
     row; the mean averages over input states.  ``mean_error_sigma`` is the
     sample standard deviation of the per-state errors, i.e. the spread
     attached to the mean point when ``classify`` weighs it against a bound.
-    An (R, d, d+1) stack gives lists over the repetitions, each entry
-    bit-equal to the number its matrix alone gives.
+    An (R, d, d+1) stack gives lists over the repetitions.
     """
     p = np.asarray(probabilities)
     d = p.shape[-2]

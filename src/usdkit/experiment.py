@@ -154,16 +154,30 @@ def spiral_weights(mapping: OamMap, sigma: float) -> np.ndarray:
 def _expected_means(
     basis: DiscriminationBasis, config: ExperimentConfig
 ) -> tuple[np.ndarray, float]:
-    """Per-cell expected coincidence counts and the expected singles count."""
+    """Per-cell expected coincidence counts and the expected singles count, gated."""
     _check_one_angle(basis.family, "a simulated basis")
-    probs = apply_noise(ideal_detection_matrix(basis), config)
-    weights = spiral_weights(oam_map(basis.family.dim), config.spiral_bandwidth_sigma)
+    d, probs = basis.family.dim, apply_noise(ideal_detection_matrix(basis), config)
+    weights = spiral_weights(mapping := oam_map(d), config.spiral_bandwidth_sigma)
     rates = config.max_coincidence_rate * weights
     # a product, not **2, so that a huge rate squares to inf for the overflow gate
     singles_rate = config.singles_rate_scale
     accidental_rate = singles_rate * singles_rate * config.coincidence_window
     lam = (rates[:, None] * probs + accidental_rate) * config.integration_time
     singles_mean = singles_rate * config.integration_time
+    lam_max = float(lam.max())  # the overflow gate first: an infinite floor equals every cell
+    if not (lam_max < MAX_EXPECTED_COUNTS and singles_mean < MAX_EXPECTED_COUNTS):  # NaN fails
+        raise ConfigurationError(
+            f"expected counts not finite or > 2**62: cell {lam_max!r}, singles {singles_mean!r}"
+        )
+    silent = (lam == accidental_rate * config.integration_time).all(axis=1)
+    if silent.any():  # every cell of such a row is the accidental floor: its signal underflowed
+        ells = sorted((ell for ell, off in zip(mapping.state_ells, silent) if off), key=abs)
+        raise ConfigurationError(
+            f"{len(ells)} of {d} states at d={d} expect no signal above the accidental floor "
+            f"(l = {', '.join(map(str, ells[:4]))}{', ...' if len(ells) > 4 else ''}) with "
+            f"spiral_bandwidth_sigma {config.spiral_bandwidth_sigma!r} and max_coincidence_rate "
+            f"{config.max_coincidence_rate!r}; widen the envelope or raise the rate"
+        )
     return lam, singles_mean
 
 
@@ -173,9 +187,9 @@ def run_repetitions(
     """Draw the runs of all ``seeds`` into one record stacked along a leading axis.
 
     Repetition r is the run of the r-th seed, as ``run_experiment`` draws it.
-    The seeds are checked, and the expected means pass their overflow,
-    singles-dominance and signal gates, once for all: a state whose every cell
-    expects only the accidental floor is a configuration error before any draw.
+    The seeds are checked, and the expected means pass their overflow and
+    signal gates and the singles-dominance gate of a draw, once for all and
+    before any draw.
 
     Each key reaches SeedSequence as uint32 words: the seed's little-endian
     32-bit words (seed 0 gives [0]), then (2, i, j), (0, i) or (1, j).  These
@@ -187,26 +201,13 @@ def run_repetitions(
         raise ConfigurationError(f"seed must be nonnegative, got {min(seeds)!r}")
     lam, singles_mean = _expected_means(basis, config)
     lam_max = float(lam.max())
-    if not (lam_max < MAX_EXPECTED_COUNTS and singles_mean < MAX_EXPECTED_COUNTS):  # NaN fails
-        raise ConfigurationError(
-            f"expected counts not finite or > 2**62: cell {lam_max!r}, singles {singles_mean!r}"
-        )
     if lam_max > 0.0 and singles_mean - lam_max < 10.0 * math.sqrt(singles_mean + lam_max):
         raise ConfigurationError(
             "singles_rate_scale is too low for the coincidence rates: expected "
             f"singles {singles_mean!r} must dominate the largest cell mean {lam_max!r}; "
             "raise singles_rate_scale or lower the coincidence scale"
         )
-    d, rate = basis.family.dim, config.singles_rate_scale
-    silent = (lam == rate * rate * config.coincidence_window * config.integration_time).all(axis=1)
-    if silent.any():  # every cell of such a row is the accidental floor: its signal underflowed
-        ells = sorted((ell for ell, off in zip(oam_map(d).state_ells, silent) if off), key=abs)
-        raise ConfigurationError(
-            f"{len(ells)} of {d} states at d={d} expect no signal above the accidental floor "
-            f"(l = {', '.join(map(str, ells[:4]))}{', ...' if len(ells) > 4 else ''}) with "
-            f"spiral_bandwidth_sigma {config.spiral_bandwidth_sigma!r} and max_coincidence_rate "
-            f"{config.max_coincidence_rate!r}; widen the envelope or raise the rate"
-        )
+    d = basis.family.dim
     cells, n = d * (d + 1), (d + 1) ** 2 + d
     words = [[(s >> k) & 0xFFFFFFFF for k in range(0, max(s.bit_length(), 1), 32)] for s in seeds]
     w = max(map(len, words), default=1)
@@ -254,16 +255,16 @@ def run_experiment(basis: DiscriminationBasis, config: ExperimentConfig, seed: i
 def expected_record(basis: DiscriminationBasis, config: ExperimentConfig) -> CountsRecord:
     """Noiseless record holding the exact expected values instead of draws.
 
-    Coincidence cells carry the Poisson means (signal plus accidental floor)
-    and the singles carry their background means; feeding this record through
-    the analysis chain reproduces the noisy detection matrix exactly.
+    Coincidence cells carry the Poisson means (signal plus accidental floor),
+    past the overflow and signal gates of ``run_repetitions``, and the singles
+    their background means; feeding this record through the analysis chain
+    reproduces the noisy detection matrix exactly.
     """
     lam, singles_mean = _expected_means(basis, config)
-    d = basis.family.dim
     return CountsRecord(
         coincidences=lam,
-        singles_a=np.full(d, singles_mean),
-        singles_b=np.full(d + 1, singles_mean),
+        singles_a=np.full(len(lam), singles_mean),
+        singles_b=np.full(len(lam) + 1, singles_mean),
         integration_time=config.integration_time,
         coincidence_window=config.coincidence_window,
     )

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usdkit import analysis, experiment, states, theory
-from usdkit.errors import DegenerateRowError, InsufficientDataError, InvalidDimensionError
+from usdkit.errors import DegenerateRowError, InsufficientDataError, InvalidDimensionError, UsdError
 
 
 def synthetic_record(counts, singles_a, singles_b, T=1.0, window=25e-9):
@@ -286,22 +286,28 @@ def loop_propagation(record):
     st.integers(min_value=2, max_value=100),
     st.floats(min_value=-3.0, max_value=1.0),
     st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([(), (1,), (3,)]),
 )
-def test_propagation_matches_row_loop(d, log_floor, seed):
+def test_propagation_matches_row_loop(d, log_floor, seed, lead):
     # singles of 2e6 to 2e7 counts, an accidental floor of 1e-3 to 40 counts
     # per cell (low floors draw zeros) and a diagonal signal of 1e3 to 1e6
-    # counts, so a diagonal cell can outweigh the rest of its row by 1e6
+    # counts, so a diagonal cell can outweigh the rest of its row by 1e6;
+    # a nonempty lead stacks that many such runs
     rng = np.random.default_rng(seed)
     window = 30.0 * 10.0**log_floor / 1e14
-    singles_a = rng.integers(2_000_000, 20_000_000, d)
-    singles_b = rng.integers(2_000_000, 20_000_000, d + 1)
-    counts = rng.poisson(singles_a[:, None] * singles_b[None, :] * window / 30.0)
-    counts[:, :d] += np.diag(rng.poisson(10.0 ** rng.uniform(3.0, 6.0, d)))
+    singles_a = rng.integers(2_000_000, 20_000_000, (*lead, d))
+    singles_b = rng.integers(2_000_000, 20_000_000, (*lead, d + 1))
+    counts = rng.poisson(singles_a[..., :, None] * singles_b[..., None, :] * window / 30.0)
+    signal = rng.poisson(10.0 ** rng.uniform(3.0, 6.0, (*lead, d)))
+    counts[..., :d] += signal[..., None] * np.eye(d, dtype=int)
     record = synthetic_record(counts, singles_a, singles_b, T=30.0, window=window)
     sigmas = analysis.gaussian_propagation(record)
+    assert sigmas.shape == (*lead, d, d + 1)
     assert np.all(sigmas >= 0.0) and np.all(np.isfinite(sigmas))
-    reference = loop_propagation(record)
-    assert np.max(np.abs(sigmas - reference) / reference) < 1e-12
+    for r in np.ndindex(lead):
+        run = synthetic_record(counts[r], singles_a[r], singles_b[r], T=30.0, window=window)
+        reference = loop_propagation(run)
+        assert np.max(np.abs(sigmas[r] - reference) / reference) < 1e-12
 
 
 def test_propagation_scales_as_sqrt_counts():
@@ -336,12 +342,10 @@ def test_propagation_zero_count_floor():
 def test_propagation_tracks_ensemble_spread():
     d, theta, n_seeds = 3, math.radians(30.0), 300
     basis = states.build_basis(d, theta)
-    probs, sigmas = [], []
     config = experiment.ExperimentConfig(crosstalk_epsilon=0.2)
-    for seed in range(n_seeds):
-        record = experiment.run_experiment(basis, config, seed)
-        probs.append(analysis.normalize_probabilities(analysis.quantum_contrast(record)))
-        sigmas.append(analysis.gaussian_propagation(record))
+    stack = experiment.run_repetitions(basis, config, range(n_seeds))
+    probs = analysis.normalize_probabilities(analysis.quantum_contrast(stack))
+    sigmas = analysis.gaussian_propagation(stack)
     ensemble = np.std(probs, axis=0, ddof=1)
     predicted = np.mean(sigmas, axis=0)
     assert np.max(np.abs(predicted / ensemble - 1.0)) < 0.25
@@ -368,16 +372,46 @@ def test_outcome_table_computes_contrast_and_probabilities_once(monkeypatch):
     assert calls == ["quantum_contrast", "normalize_probabilities"]
 
 
-@pytest.mark.parametrize("analyze", [analysis.outcome_table, analysis.gaussian_propagation])
-def test_outcome_table_rejects_a_stacked_record_before_any_arithmetic(analyze, monkeypatch):
+def zero_singles(stack):
+    # repetition 2 loses the arm-A singles of state 1, and so its coincidences
+    coincidences, singles_a = np.array(stack.coincidences), np.array(stack.singles_a)
+    coincidences[2, 1], singles_a[2, 1] = 0, 0
+    return dataclasses.replace(stack, coincidences=coincidences, singles_a=singles_a)
+
+
+def silent_row(stack):
+    # repetition 2 counts nothing for state 1: its contrast excess is -(d + 1)
+    coincidences = np.array(stack.coincidences)
+    coincidences[2, 1] = 0
+    return dataclasses.replace(stack, coincidences=coincidences)
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [(zero_singles, InsufficientDataError), (silent_row, DegenerateRowError)],
+    ids=["zero-singles", "silent-row"],
+)
+def test_outcome_table_of_a_stack_names_the_failing_repetition(corrupt, error):
     basis, config = states.build_basis(3, 0.5), experiment.ExperimentConfig()
-    stack = experiment.run_repetitions(basis, config, range(3))
-    calls = []
-    monkeypatch.setattr(analysis, "quantum_contrast", lambda record: calls.append(record))
-    message = r"^outcome_table takes one run, not a stack of 3 runs$"
-    with pytest.raises(InvalidDimensionError, match=message):
-        analyze(stack)
-    assert calls == []
+    stack = corrupt(experiment.run_repetitions(basis, config, range(4)))
+    counts = ("coincidences", "singles_a", "singles_b")
+    run = dataclasses.replace(stack, **{name: getattr(stack, name)[2] for name in counts})
+    with pytest.raises(error) as alone:  # the run of repetition 2 alone
+        analysis.outcome_table(run)
+    for analyze in (analysis.outcome_table, analysis.gaussian_propagation):
+        with pytest.raises(UsdError) as err:
+            analyze(stack)
+        assert type(err.value) is error and str(err.value) == str(alone.value)
+        assert err.value.repetition == 2
+
+
+def test_outcome_table_rejects_mismatched_lead_shapes():
+    with pytest.raises(InvalidDimensionError):
+        analysis.OutcomeTable(
+            probabilities=np.full((2, 3, 4), 0.25),
+            sigmas=np.zeros((3, 3, 4)),
+            quantum_contrast=np.ones((2, 3, 4)),
+        )
 
 
 def test_outcome_table_validation():

@@ -157,6 +157,7 @@ def test_stacked_repetitions_match_single_seed_runs(d, reps, base):
     assert stack.singles_a.shape == (reps, d) and stack.singles_b.shape == (reps, d + 1)
     probabilities = analysis.normalize_probabilities(analysis.quantum_contrast(stack))
     summary = analysis.summarize_probabilities(probabilities)
+    table = analysis.outcome_table(stack)
     for r, seed in enumerate(seeds):
         single = experiment.run_experiment(basis, config, seed)
         for name in ("coincidences", "singles_a", "singles_b"):
@@ -165,6 +166,9 @@ def test_stacked_repetitions_match_single_seed_runs(d, reps, base):
         alone = analysis.summarize_probabilities(p)
         # bit-equal, not approximately equal
         assert np.array_equal(probabilities[r], p)
+        table_alone = analysis.outcome_table(single)
+        for name in ("probabilities", "sigmas", "quantum_contrast"):
+            assert np.array_equal(getattr(table, name)[r], getattr(table_alone, name))
         assert summary.mean_total_error[r] == alone.mean_total_error
         assert summary.mean_error_sigma[r] == alone.mean_error_sigma
         assert tuple(summary.per_state_error[r]) == alone.per_state_error
@@ -258,10 +262,20 @@ def test_overflow_raises_configuration_error():
 
 def test_overflow_gate_rejects_nan_expected_counts(monkeypatch):
     basis, config = make_setup(3, 0.5)
-    lam = np.full((3, 4), math.nan)
-    monkeypatch.setattr(experiment, "_expected_means", lambda *args: (lam, 15000.0))
+    monkeypatch.setattr(experiment, "apply_noise", lambda ideal, config: np.full((3, 4), math.nan))
     with pytest.raises(ConfigurationError, match="finite"):
         experiment.run_experiment(basis, config, 0)
+
+
+def test_expected_record_of_a_signal_free_configuration_is_the_draw_error():
+    # the signal gate guards the expected means, so the noiseless record fails
+    # with the draw's message before any analysis, not with a degenerate row
+    basis, config = make_setup(3, math.radians(30.0), spiral_bandwidth_sigma=0.05)
+    with pytest.raises(ConfigurationError, match=r"\(l = -1, 1\)") as record_error:
+        experiment.expected_record(basis, config)
+    with pytest.raises(ConfigurationError) as draw_error:
+        experiment.run_repetitions(basis, config, (0,))
+    assert str(record_error.value) == str(draw_error.value)
 
 
 def test_spiral_weights_tiny_sigma():
