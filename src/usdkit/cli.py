@@ -208,8 +208,8 @@ def _parse_theta_grid(spec: str) -> tuple[float, ...]:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise UsdError(f"--theta-grid needs 'start:stop:count' or a list, got {spec!r}") from None
-    if count < 1:
-        raise UsdError(f"--theta-grid needs a count >= 1, got {count}")
+    if not (count >= 1 and math.isfinite(stop - start)):  # a non-finite step would warn in numpy
+        raise UsdError(f"--theta-grid needs finite ends and a count >= 1, got {spec!r}")
     return tuple(math.radians(x) for x in np.linspace(start, stop, count))
 
 

@@ -162,7 +162,8 @@ def _expected_means(
     # a product, not **2, so that a huge rate squares to inf for the overflow gate
     singles_rate = config.singles_rate_scale
     accidental_rate = singles_rate * singles_rate * config.coincidence_window
-    lam = (rates[:, None] * probs + accidental_rate) * config.integration_time
+    with np.errstate(over="ignore"):  # an inf is the overflow gate's to reject, without a warning
+        lam = (rates[:, None] * probs + accidental_rate) * config.integration_time
     singles_mean = singles_rate * config.integration_time
     lam_max = float(lam.max())  # the overflow gate first: an infinite floor equals every cell
     if not (lam_max < MAX_EXPECTED_COUNTS and singles_mean < MAX_EXPECTED_COUNTS):  # NaN fails

@@ -24,18 +24,19 @@ slice k of a stack is the one-angle build.
 Measuring |D_i> identifies |Psi_i> with certainty (``ideal_detection_matrix``);
 |D_{d+1}> gives no information.  ``residuals(basis)`` is the one statement of
 what a valid build satisfies, each residual a maximum over the stack.  Basis
-indices map to orbital-angular-momentum mode labels through ``oam_map``.
+indices map to orbital-angular-momentum mode labels through ``oam_map``, in
+closed form: the d labels closest to zero and one ancilla label beside them.
 
 All construction functions are pure and the returned objects hold read-only
 arrays, so they are safe to share across concurrent readers.  What depends
 only on d (theta_max, the simplex, the off-diagonal mask and the identity) is
-one read-only ``Frame``, memoized per dimension by ``frame(d)``: every build,
-validation and check at that d reads the same arrays.
+one read-only ``Frame``, and ``frame(d)`` is the only way to it: every build,
+validation and check at that d reads the same arrays.  Its memo holds frames
+within ``FRAME_BUDGET`` bytes and starts over when a new frame would pass it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -126,12 +127,18 @@ class OamMap:
 
 @dataclass(frozen=True)
 class Frame:
-    """The read-only constants of one dimension d that every build and check at d shares."""
+    """The read-only constants of dimension d that every build and check at d reads via frame."""
 
     tmax: float  #: theta_max(d)
-    simplex: np.ndarray  #: the (d, d-1) projected vectors, ``build_projected_vectors(d)``
+    simplex: np.ndarray  #: (d, d-1) |p_i>, overlaps -1/(d-1): scaled Helmert columns, closed form
     off: np.ndarray  #: (d, d) bool mask of the off-diagonal entries
     eye: np.ndarray  #: (d+1, d+1) bool identity
+    nbytes: int  #: bytes of the three arrays, what the frame costs the memo
+
+
+#: Bytes of frames the memo may hold; about 2 KB at d = 14 and 10 MB at d = 1,000.
+FRAME_BUDGET = 4 * 2**20
+_frames: dict[int, Frame] = {}  # keyed on the validated int
 
 
 def frame(d: int) -> Frame:
@@ -139,8 +146,17 @@ def frame(d: int) -> Frame:
     return _frame(theory._check_dim(d))
 
 
-@functools.lru_cache(maxsize=16)  # keyed on the validated int
 def _frame(d: int) -> Frame:
+    f = _frames.get(d)
+    if f is None:  # one dict call per step: a race can only build twice or overshoot the budget
+        f = _new_frame(d)
+        if sum(x.nbytes for x in list(_frames.values())) + f.nbytes > FRAME_BUDGET:
+            _frames.clear()  # the newest stays, whatever its size
+        _frames[d] = f
+    return f
+
+
+def _new_frame(d: int) -> Frame:
     rows, cols = np.arange(d)[:, None], np.arange(d - 1)
     m, s = d - cols, math.sqrt(d / (d - 1.0))  # column k spans the last m = d - k rows
     below, diag = -s / np.sqrt(m * (m - 1.0)), s * np.sqrt((m - 1.0) / m)
@@ -149,19 +165,7 @@ def _frame(d: int) -> Frame:
     off, eye = ~np.eye(d, dtype=bool), np.eye(d + 1, dtype=bool)
     for arr in (v, off, eye):
         arr.setflags(write=False)
-    return Frame(theory.theta_max(d), v, off, eye)
-
-
-def build_projected_vectors(d: int) -> np.ndarray:
-    """The d maximally-separated unit vectors in d-1 dimensions (read-only).
-
-    Pairwise overlaps all equal -1/(d-1).  Column k is a Helmert column scaled
-    by s = sqrt(d/(d-1)): with m = d - k it is zero above row k, s sqrt((m-1)/m)
-    at row k and -s/sqrt(m (m-1)) below, so each entry is one closed-form value
-    and its roundoff does not grow with d.  The array is the memoized
-    ``frame(d).simplex``, shared by every caller.
-    """
-    return frame(d).simplex
+    return Frame(theory.theta_max(d), v, off, eye, v.nbytes + off.nbytes + eye.nbytes)
 
 
 def _lift(d: int, theta) -> tuple[StateFamily, np.ndarray, float]:
@@ -256,21 +260,16 @@ def residuals(basis: DiscriminationBasis) -> dict[str, float]:
 
 
 def oam_map(d: int) -> OamMap:
-    """OAM labels closest to zero for the d states plus one ancilla label.
+    """The d OAM labels closest to zero for the states plus one ancilla label.
 
-    State labels break |l| ties toward positive l (d=2 uses {0, 1}); the
-    ancilla label breaks ties toward negative l (d=3 ancilla is -2, d=5 is
+    The state labels run from -((d-1)//2) to d//2, so an |l| tie goes to
+    positive l (d=2 uses {0, 1}); the ancilla is the next label below them,
+    -((d+1)//2), so its tie goes to negative l (d=3 ancilla is -2, d=5 is
     -3), matching the published table in both conventions.
     """
     d = theory._check_dim(d)
-    pool = range(-(d + 2), d + 3)
-    by_state = sorted(pool, key=lambda ell: (abs(ell), 0 if ell > 0 else 1))
-    states = tuple(sorted(by_state[:d]))
-    by_ancilla = sorted(
-        (ell for ell in pool if ell not in states),
-        key=lambda ell: (abs(ell), 0 if ell < 0 else 1),
-    )
-    return OamMap(dim=d, state_ells=states, ancilla_ell=by_ancilla[0])
+    return OamMap(dim=d, state_ells=tuple(range(-((d - 1) // 2), d // 2 + 1)),
+                  ancilla_ell=-((d + 1) // 2))
 
 
 def _fmt(x: float) -> str:

@@ -414,6 +414,15 @@ def test_outcome_table_rejects_mismatched_lead_shapes():
         )
 
 
+def test_outcome_table_rejects_a_negative_sigma():
+    with pytest.raises(DegenerateRowError, match="^sigmas must be nonnegative and finite$"):
+        analysis.OutcomeTable(
+            probabilities=np.full((2, 3), 0.5) * [1.0, 1.0, 0.0],
+            sigmas=np.full((2, 3), 0.01) - [0.0, 0.0, 0.02],
+            quantum_contrast=np.ones((2, 3)),
+        )
+
+
 def test_outcome_table_validation():
     with pytest.raises(DegenerateRowError):
         analysis.OutcomeTable(

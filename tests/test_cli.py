@@ -1,18 +1,24 @@
 """CLI verbs, sweep output schema, determinism, and error reporting."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from usdkit import analysis, cli, experiment, states, theory
+from usdkit import analysis, cli, errors, experiment, states, theory
 from usdkit.cli import CSV_COLUMNS, SweepSpec, run_sweep, theory_rows
 from usdkit.errors import UsdError
 
@@ -323,6 +329,7 @@ def test_huge_singles_rate_is_a_config_error(capsys):
             # a non-finite flag meets the same value check as a --config key
             (("--sigma-spiral", "inf"), "UsdError", "spiral_bandwidth_sigma"),
             (("--max-rate", "inf", "--sigma-spiral", "1e-160"), "UsdError", "max_coincidence_rate"),
+            (("--max-rate", "1e300", "--integration-time", "1e300"), "ConfigurationError", None),
         ]
     ],
 )
@@ -410,6 +417,18 @@ def test_config_file_rejects_bad_values(tmp_path, capsys, key, value):
     payload = json.loads(err)
     assert payload["error"] == "UsdError"
     assert repr(key) in payload["message"]
+
+
+def test_config_file_rejects_an_unknown_key(tmp_path, capsys):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({"seed": 1, "bogus": 2}))
+    code, out, err = invoke(
+        capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsdError"
+    assert payload["message"].startswith("unknown config keys ['bogus']; accepted: ")
 
 
 def test_config_file_accepts_null_percell_error_and_integer_floats(tmp_path, capsys):
@@ -516,6 +535,8 @@ def test_conflicting_flags_are_one_json_error(tmp_path, capsys, argv, flags):
         (("theory", "--dims", "5:2", "--theta-deg", "10"), "--dims"),
         (("run", "--dims", "5:2", "--theta-deg", "10"), "--dims"),
         (("check", "--dims", "5:2"), "--dims"),
+        (("theory", "--dim", "3", "--theta-grid", "inf:1:2"), "--theta-grid"),
+        (("theory", "--dim", "3", "--theta-grid", "-1e308:1e308:3"), "--theta-grid"),
     ],
 )
 def test_malformed_or_empty_grid_names_its_flag(capsys, argv, flag):
@@ -524,6 +545,107 @@ def test_malformed_or_empty_grid_names_its_flag(capsys, argv, flag):
     payload = json.loads(err)
     assert payload["error"] == "UsdError"
     assert flag in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--dim", "3", "--theta-deg", "30", "--reps", "0"), "repetitions must be >= 1"),
+        (("run", "--theta-deg", "30"), "provide --dim or --dims"),
+    ],
+    ids=["reps-0", "no-dim"],
+)
+def test_missing_or_empty_request_is_one_json_error(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    line, = err.splitlines()
+    assert json.loads(line) == {"error": "UsdError", "message": message}
+
+
+# every numeric flag meets its edge values; each value is passed as --flag=value, so that
+# a leading "-" reaches the flag's own conversion
+NUMBERS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-320", "1e-300", "1e-9", "0.5",
+           "1", "2.4", "45", "90", "1e300")
+DIMS = [("--dim", v) for v in ("-1", "0", "1", "2", "3", "14", "30", "2.5")]
+DIM_LISTS = [("--dims", v) for v in ("2:4", "4:2", "2,30", "0:3", "1e3", "x")]
+ANGLES = [("--theta-deg", v) for v in NUMBERS]
+OTHER_ANGLES = [("--overlap", v) for v in NUMBERS] + [
+    ("--theta-grid", v) for v in ("5:45:3", "0:90:2", "nan,10", "5:45:0", "10", "inf:1:2")
+]
+THETA_POINTS = [("--theta-points", v) for v in ("-1", "0", "1", "12")]
+RUN_FLAGS = {
+    **dict.fromkeys(("--epsilon", "--percell-error", "--sigma-spiral", "--singles-rate",
+                     "--max-rate", "--integration-time"), NUMBERS),
+    "--seed": ("-1", "0", "1", str(2**40), str(2**64), str(2**70), "1.5"),
+    "--reps": ("-1", "0", "1", "3", "x"),
+}
+#: the columns a row may leave empty: theory rows have no measurement, an aggregate no seed
+EMPTY_CELLS = {"theory": {"mean_total_error", "mean_error_sigma", "verdict", "seed"},
+               "run": {"seed"}}
+ERROR_CLASSES = {name for name, cls in vars(errors).items()
+                 if isinstance(cls, type) and issubclass(cls, UsdError)}
+
+
+@st.composite
+def cli_argv(draw):
+    """A valid spine for one verb (d <= 30), then edge values in its numeric flags."""
+
+    def pick(pairs):
+        return "=".join(draw(st.sampled_from(pairs)))
+
+    verb = draw(st.sampled_from(["build", "theory", "run", "check"]))
+    if verb == "build":
+        return [verb, pick(DIMS), pick(ANGLES)]
+    argv = [verb, pick(DIMS + DIM_LISTS)]
+    if verb == "check":
+        return argv + [pick(THETA_POINTS)] if draw(st.booleans()) else argv
+    argv += [pick(ANGLES + OTHER_ANGLES), pick([("--format", "csv"), ("--format", "json")])]
+    if verb == "run":
+        flags = draw(st.lists(st.sampled_from(sorted(RUN_FLAGS)), unique=True, max_size=4))
+        argv += [f"{flag}={draw(st.sampled_from(RUN_FLAGS[flag]))}" for flag in flags]
+    return argv
+
+
+def _assert_finite_output(verb, out):
+    """Every number is finite, and a sweep cell is empty only where the schema leaves it so."""
+    if verb == "check":
+        *lines, verdict = out.splitlines()
+        assert verdict == "all invariants within tolerance"
+        values = [cell.split()[1] for line in lines for cell in line.split("  ")[1:]]
+    elif verb == "build":
+        values = [line.rsplit(": ", 1)[1] for line in out.splitlines()[1:]]
+    else:
+        if out.startswith("["):
+            rows = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in JSON output"))
+        else:
+            header, *lines = [line.split(",") for line in out.splitlines()]
+            assert tuple(header) == CSV_COLUMNS
+            rows = [dict(zip(header, line)) for line in lines]
+        cells = [(key, value) for row in rows for key, value in row.items()]
+        assert all(key in EMPTY_CELLS[verb] for key, value in cells if value in ("", None))
+        values = [value for key, value in cells if value not in ("", None) and key != "verdict"]
+    assert values and all(math.isfinite(float(v)) for v in values), out
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_any_argv_ends_in_finite_output_or_one_json_error(argv):
+    with tempfile.TemporaryDirectory() as outdir:
+        out, err = io.StringIO(), io.StringIO()
+        argv = argv + ["--out", outdir] if argv[0] == "build" else argv
+        # a fresh interpreter would print a warning on stderr beside the error object
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        _assert_finite_output(argv[0], out.getvalue())
+        return
+    assert code == 1, argv
+    line, = err.getvalue().splitlines()
+    payload = json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} in the error object"))
+    assert payload["error"] in ERROR_CLASSES | {"OSError"}, payload
 
 
 # ------------------------------------------------------------------ check
@@ -597,14 +719,16 @@ def test_check_evaluates_the_closed_forms_once_per_stacked_build(capsys, monkeyp
     assert calls == [(d, 12) for d in range(2, 15)]  # 13 calls of 12 angles, not 156 of one
 
 
-def test_check_reads_one_frame_per_dimension(capsys):
-    states._frame.cache_clear()
+def test_check_reads_one_frame_per_dimension(capsys, monkeypatch):
+    built, new_frame = [], states._new_frame
+    monkeypatch.setattr(states, "_frames", {})  # a cold memo
+    monkeypatch.setattr(states, "_new_frame", lambda d: built.append(d) or new_frame(d))
     code, _, _ = invoke(capsys, "check", "--dims", "2:14")
     assert code == 0
-    assert states._frame.cache_info().misses == 13  # one per d, on a cold memo
+    assert built == list(range(2, 15))  # one build per d
     code, _, _ = invoke(capsys, "check", "--dims", "2:14")
     assert code == 0
-    assert states._frame.cache_info().misses == 13  # the second call misses none
+    assert built == list(range(2, 15))  # the second call builds none
 
 
 def test_check_splits_a_large_grid_into_bounded_blocks(capsys, monkeypatch):

@@ -192,6 +192,15 @@ def test_counts_record_checks_stacks_on_trailing_axes():
         dataclasses.replace(stack, coincidences=stack.coincidences[:, :, :3])
 
 
+@pytest.mark.parametrize("kind", [bool, str])
+def test_counts_record_rejects_non_numeric_counts(kind):
+    record = experiment.expected_record(*make_setup(3, 0.5))
+    for name in ("coincidences", "singles_a", "singles_b"):
+        counts = np.asarray(getattr(record, name)).astype(kind)
+        with pytest.raises(ConfigurationError, match="^counts must be numeric$"):
+            dataclasses.replace(record, **{name: counts})
+
+
 @pytest.mark.parametrize("seed", [0, 1, 17])
 def test_counts_record_invariants(seed):
     basis, config = make_setup(6, math.radians(40.0))
@@ -344,6 +353,12 @@ NAN_INPUTS = {
         np.array([[NAN, 0.5, 0.5]]), experiment.ExperimentConfig()
     ),
     "spiral_sigma": lambda: experiment.spiral_weights(states.oam_map(3), NAN),
+    "outcome_table_sigma": lambda: analysis.OutcomeTable(
+        probabilities=[[0.5, 0.5]],
+        sigmas=[[NAN, 0.0]],
+        quantum_contrast=np.ones((1, 2)),
+    ),
+    "mesd_overlap": lambda: theory.mesd_bound_from_overlap(NAN),
 }
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -42,16 +45,16 @@ def closed_form_basis_d3(theta):
 
 
 def test_projected_vectors_d2():
-    assert np.allclose(states.build_projected_vectors(2), [[1.0], [-1.0]], atol=1e-15)
+    assert np.allclose(states.frame(2).simplex, [[1.0], [-1.0]], atol=1e-15)
 
 
 def test_projected_vectors_d3_trine():
     expected = [[1.0, 0.0], [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]]
-    assert np.allclose(states.build_projected_vectors(3), expected, atol=1e-15)
+    assert np.allclose(states.frame(3).simplex, expected, atol=1e-15)
 
 
 def test_projected_vectors_d5_gram():
-    v = states.build_projected_vectors(5)
+    v = states.frame(5).simplex
     gram = v @ v.T
     off = gram[~np.eye(5, dtype=bool)]
     assert np.max(np.abs(np.diag(gram) - 1.0)) < 1e-12
@@ -60,7 +63,7 @@ def test_projected_vectors_d5_gram():
 
 @pytest.mark.parametrize("d", CHECK_DIMS)
 def test_projected_vectors_structure(d):
-    v = states.build_projected_vectors(d)
+    v = states.frame(d).simplex
     assert v.shape == (d, d - 1)
     assert np.allclose(v[0], np.eye(d - 1)[0], atol=1e-15)
     gram = v @ v.T
@@ -95,7 +98,7 @@ def projected_vectors_recurrence(d):
 
 def test_projected_vectors_match_entrywise_reference():
     for d in [*range(2, 41), 64, 100]:
-        v = states.build_projected_vectors(d)
+        v = states.frame(d).simplex
         # same arithmetic per entry, so the bytes must agree, not just the values
         assert v.tobytes() == projected_vectors_reference(d).tobytes()
         # the same simplex, orientation included, as the overlap conditions give
@@ -104,12 +107,10 @@ def test_projected_vectors_match_entrywise_reference():
 
 def test_projected_vectors_invalid_dimension():
     with pytest.raises(InvalidDimensionError):
-        states.build_projected_vectors(1)
+        states.frame(1)
 
 
-@pytest.mark.parametrize(
-    "build", [theory.theta_max, states.build_projected_vectors, states.frame, states.oam_map]
-)
+@pytest.mark.parametrize("build", [theory.theta_max, states.frame, states.oam_map])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "3", 2.5, 3 + 0j])
 def test_non_integer_dimension_is_invalid(build, bad):
     with pytest.raises(InvalidDimensionError):
@@ -123,19 +124,19 @@ def test_integral_float_dimension_builds_as_its_int():
 
 
 def test_projected_vectors_memoized_read_only():
-    v = states.build_projected_vectors(5)
+    v = states.frame(5).simplex
     # an unhashable d reaches the memo only as its validated int
-    assert states.build_projected_vectors(np.array(5)) is v
+    assert states.frame(np.array(5)).simplex is v
     with pytest.raises(ValueError):
         v[1, 0] = 0.0
-    assert states.build_projected_vectors(5)[1, 0] == -0.25
+    assert states.frame(5).simplex[1, 0] == -0.25
 
 
 @pytest.mark.parametrize("d", [2, 3, 14])
 def test_frame_is_one_read_only_memo_per_dimension(d):
     frame = states.frame(d)
     assert states.frame(float(d)) is frame and states.frame(np.array(d)) is frame
-    assert states.build_projected_vectors(d) is frame.simplex
+    assert frame.nbytes == frame.simplex.nbytes + frame.off.nbytes + frame.eye.nbytes
     assert frame.tmax == theory.theta_max(d)
     assert np.array_equal(frame.off, ~np.eye(d, dtype=bool))
     assert np.array_equal(frame.eye, np.eye(d + 1))
@@ -143,6 +144,56 @@ def test_frame_is_one_read_only_memo_per_dimension(d):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = arr[0, 0]
+
+
+def test_frame_memo_stays_within_its_byte_budget_and_keeps_the_newest(monkeypatch):
+    monkeypatch.setattr(states, "_frames", {})
+    small = [states.frame(d) for d in CHECK_DIMS]  # about 2 KB each at most: all are kept
+    assert all(states.frame(d) is f for d, f in zip(CHECK_DIMS, small))
+    for d in (600, 601, 602):  # about 3.6 MB each: the budget holds one of them
+        newest = states.frame(d)
+        assert sum(f.nbytes for f in states._frames.values()) <= states.FRAME_BUDGET
+        assert states._frames[d] is newest and states.frame(d) is newest
+    big = states.frame(1000)  # about 10 MB, past the budget alone: kept for the reads that follow
+    assert big.nbytes > states.FRAME_BUDGET
+    assert list(states._frames) == [1000] and states.frame(1000) is big
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=700), min_size=1, max_size=8))
+def test_frame_memo_bytes_stay_bounded_after_any_sequence(dims):
+    for d in dims:
+        newest = states.frame(d)
+        held = list(states._frames.values())
+        assert sum(f.nbytes for f in held) <= states.FRAME_BUDGET or held == [newest]
+        assert states._frames[d] is newest
+
+
+def test_frame_memo_serves_concurrent_readers(monkeypatch):
+    monkeypatch.setattr(states, "_frames", {})
+    dims = [*range(2, 15), *range(300, 306)]  # about 0.9 MB apiece: misses cross the budget often
+    failures = []
+
+    def reader(seed):
+        try:
+            for d in random.Random(seed).choices(dims, k=200):
+                f = states.frame(d)
+                assert f.simplex.shape == (d, d - 1) and f.tmax == theory.theta_max(d)
+        except Exception as exc:  # the main thread reports it
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # ------------------------------------------------------------------ family
@@ -451,6 +502,25 @@ def test_basis_matches_independent_reference(d, fraction):
         assert min(np.max(np.abs(row - ref)), np.max(np.abs(row + ref))) < 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(dim_and_theta(max_dim=60))
+def test_lifted_basis_realizes_the_optimal_usd_povm(point):
+    # an oracle that shares no algebra with build_basis: from the family matrix alone, the
+    # reciprocal states |R_i> (<R_i|Psi_j> = delta_ij) give the optimal USD POVM
+    # E_i = (1 - s)|R_i><R_i|, E_0 = I - sum_i E_i (Chefles and Barnett 1998)
+    d, theta = point
+    basis = states.build_basis(d, theta)
+    psi = np.asarray(basis.family.vectors)
+    gram = psi @ psi.T
+    reciprocal = np.linalg.solve(psi, np.eye(d)).T
+    povm = (1.0 - gram[0, 1]) * reciprocal[:, :, None] * reciprocal[:, None, :]
+    system = np.asarray(basis.vectors)[:, :d]  # P_sys |D_i>
+    blocks = system[:, :, None] * system[:, None, :]
+    tol = 100 * np.finfo(float).eps * np.linalg.cond(gram)
+    assert np.abs(blocks[:d] - povm).max() <= tol
+    assert np.abs(blocks[d] - (np.eye(d) - povm.sum(axis=0))).max() <= tol
+
+
 @pytest.mark.parametrize("d", CHECK_DIMS)
 def test_grid_invariants(d):
     tmax = theory.theta_max(d)
@@ -500,14 +570,23 @@ def test_oam_map_published_rows(d, state_ells, ancilla):
     assert mapping.ancilla_ell == ancilla
 
 
-@pytest.mark.parametrize("d", CHECK_DIMS)
+@pytest.mark.parametrize("d", [*CHECK_DIMS, 15, 40, 101, 1000])
 def test_oam_map_minimality(d):
     mapping = states.oam_map(d)
     labels = set(mapping.state_ells) | {mapping.ancilla_ell}
     assert len(labels) == d + 1
     assert max(abs(ell) for ell in mapping.state_ells) == d // 2
+    # the d labels closest to zero: |l| runs 0, 1, 1, 2, 2, ...
+    assert sorted(abs(ell) for ell in mapping.state_ells) == [(k + 1) // 2 for k in range(d)]
+    lowest, highest = mapping.state_ells[0], mapping.state_ells[-1]
+    assert list(mapping.state_ells) == list(range(lowest, highest + 1))  # contiguous
     assert abs(mapping.ancilla_ell) == (d + 1) // 2
     assert mapping.ancilla_ell not in mapping.state_ells
+
+
+def test_oam_map_validates_a_directly_built_map():
+    with pytest.raises(InvalidDimensionError, match="distinct"):
+        states.OamMap(dim=2, state_ells=(0, 1), ancilla_ell=1)
 
 
 # ----------------------------------------------------------- serialization

@@ -128,6 +128,12 @@ def test_mesd_bound_limits():
     assert theory.mesd_bound(5, 0.0) == pytest.approx(0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("s", [1.5, -0.1])
+def test_mesd_bound_from_overlap_domain(s):
+    with pytest.raises(DomainError, match=r"^overlap must lie in \[0, 1\], got "):
+        theory.mesd_bound_from_overlap(s)
+
+
 @pytest.mark.parametrize("target", [0.1, 0.3, SQRT_HALF, 0.9])
 def test_mesd_bound_dimension_invariance(target):
     bounds = [theory.mesd_bound(d, theory.theta_for_overlap(d, target)) for d in ALL_DIMS]
