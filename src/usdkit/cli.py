@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import analysis, experiment, states, theory
-from .errors import UsdError
+from .errors import ConfigurationError, UsdError
 
 CSV_COLUMNS = (
     "dim",
@@ -54,7 +54,7 @@ OUT_DIR_ENV = "USDKIT_OUT_DIR"
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One reproducible sweep request (the serializable CLI contract)."""
+    """One reproducible sweep request; flags, ``--config`` and Python callers meet one check."""
 
     dims: tuple[int, ...]
     thetas: tuple[float, ...] | None = None
@@ -70,6 +70,15 @@ class SweepSpec:
     singles_rate_scale: float = experiment.ExperimentConfig.singles_rate_scale
 
     def __post_init__(self):
+        for f in _SCALARS:
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            types, kind = (int, "an integer") if f.type == "int" else ((int, float), "a number")
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise UsdError(f"sweep parameter {f.name!r} must be {kind}, got {value!r}")
+            if not math.isfinite(value):
+                raise UsdError(f"sweep parameter {f.name!r} must be finite, got {value!r}")
         if not self.dims:
             raise UsdError("sweep needs at least one dimension")
         if (self.thetas is None) == (self.fixed_overlap is None):
@@ -78,6 +87,9 @@ class SweepSpec:
             raise UsdError("repetitions must be >= 1")
         if self.crosstalk_epsilon is not None and self.percell_error is not None:
             raise UsdError("give --epsilon (crosstalk_epsilon) or --percell-error, not both")
+
+
+_SCALARS = fields(SweepSpec)[3:]  # after fixed_overlap: the checked values, the --config keys
 
 
 def _point_thetas(spec: SweepSpec, d: int) -> tuple[float, ...]:
@@ -113,6 +125,10 @@ def _row(point: theory.TheoryPoint, seed: int | None = None, mean: float | None 
     }
 
 
+def _too_large(d: int) -> ConfigurationError:
+    return ConfigurationError(f"d={d} needs more memory than this process can allocate")
+
+
 def _sweep(spec: SweepSpec, point_rows) -> list[dict]:
     """The rows ``point_rows(d, theta, seeds)`` gives at every sweep point, in order.
 
@@ -125,10 +141,11 @@ def _sweep(spec: SweepSpec, point_rows) -> list[dict]:
             seeds = []  # point_rows fills it when the point reaches its draw
             try:
                 rows += point_rows(d, th, seeds)
-            except (UsdError, ValueError) as exc:
+            except (UsdError, ValueError, MemoryError) as exc:
+                exc = _too_large(d) if isinstance(exc, MemoryError) else exc
                 seed = seeds[getattr(exc, "repetition", 0)] if seeds else None
                 exc.point = {"dim": d, "theta_deg": math.degrees(th), "seed": seed}
-                raise
+                raise exc
     return rows
 
 
@@ -170,12 +187,8 @@ def rows_to_csv(rows: list[dict]) -> str:
     return "".join(",".join(line) + "\n" for line in lines)
 
 
-def rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-
-
 def write_rows(rows: list[dict], path: str | None, fmt: str) -> None:
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
+    text = rows_to_csv(rows) if fmt == "csv" else json.dumps(rows, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -220,18 +233,6 @@ def _resolve_out(args, default_name: str | None = None) -> str | None:
     return out if base is None else os.path.join(base, out)  # an absolute out wins the join
 
 
-def _check_config_value(key: str, value) -> None:
-    """Reject a config-file or flag value that the SweepSpec field cannot take."""
-    if key == "percell_error" and value is None:
-        return
-    integer = key in ("seed", "repetitions")
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise UsdError(f"sweep parameter {key!r} must be {kind}, got {value!r}")
-    if not math.isfinite(value):
-        raise UsdError(f"sweep parameter {key!r} must be finite, got {value!r}")
-
-
 def _spec_from_args(args) -> SweepSpec:
     """Resolve the sweep request; flags (dest = SweepSpec field) beat --config keys.
 
@@ -245,9 +246,7 @@ def _spec_from_args(args) -> SweepSpec:
         thetas = _parse_theta_grid(args.theta_grid)
     elif args.theta_deg is not None:
         thetas = (math.radians(args.theta_deg),)
-    known = tuple(
-        f.name for f in fields(SweepSpec) if f.name not in ("dims", "thetas", "fixed_overlap")
-    )
+    known = [f.name for f in _SCALARS]
     merged = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
@@ -261,8 +260,8 @@ def _spec_from_args(args) -> SweepSpec:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    for key, value in merged.items():
-        _check_config_value(key, value)
+    if merged.get("crosstalk_epsilon", 0.0) is None:  # a file's null stands for percell_error only
+        raise UsdError("sweep parameter 'crosstalk_epsilon' must be a number, got None")
     return SweepSpec(dims=dims, thetas=thetas, fixed_overlap=args.overlap, **merged)
 
 
@@ -308,11 +307,14 @@ def cmd_check(args) -> int:
         raise UsdError(f"--theta-points must be >= 1, got {points}")
     ok = True
     for d in dims:
-        tmax = states.frame(d).tmax
-        block = max(1, 2**20 // (d + 1) ** 2)  # angles per build: at most 8 MB per stacked array
-        blocks = (range(k, min(k + block, points + 1)) for k in range(1, points + 1, block))
-        builds = (states.build_basis(d, [k * tmax / points for k in r]) for r in blocks)
-        parts = [states.residuals(basis) for basis in builds]
+        try:
+            tmax = states.frame(d).tmax
+            block = max(1, 2**20 // (d + 1) ** 2)  # angles per build: at most 8 MB per array
+            blocks = (range(k, min(k + block, points + 1)) for k in range(1, points + 1, block))
+            builds = (states.build_basis(d, [k * tmax / points for k in r]) for r in blocks)
+            parts = [states.residuals(basis) for basis in builds]
+        except MemoryError:
+            raise _too_large(d) from None
         worst = {key: max(part[key] for part in parts) for key in CHECK_GATES}
         cells = "  ".join(f"{key.replace('_', '-')} {worst[key]:.2e}" for key in CHECK_GATES)
         print(f"d={d:2d}  {cells}")
@@ -326,7 +328,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsdError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # one parser per process; parsing leaves it unchanged
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="usdkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -373,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--theta-points", type=int, default=12, dest="theta_points")
 
     return parser
-
-
-_parser = functools.cache(build_parser)  # one parser per process; parsing leaves it unchanged
 
 
 def main(argv: list[str] | None = None) -> int:

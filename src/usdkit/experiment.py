@@ -90,7 +90,7 @@ class CountsRecord:
     singles_a: np.ndarray
     singles_b: np.ndarray
     integration_time: float
-    coincidence_window: float = 25e-9
+    coincidence_window: float = ExperimentConfig.coincidence_window
 
     def __post_init__(self):
         # integer dtype is preserved for generated records; synthetic records

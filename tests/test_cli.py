@@ -349,6 +349,38 @@ def test_degenerate_config_leaves_one_json_line_on_stderr(flags, error, key):
     assert key is None or repr(key) in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (("check", "--dim", "30000", "--theta-points", "1"), {"error", "message"}),
+        (("run", "--dim", "20000", "--overlap", "0.5", "--epsilon", "0.1",
+          "--sigma-spiral", "9000"), {"error", "message", "dim", "theta_deg", "seed"}),
+    ],
+    ids=["check", "run"],
+)
+def test_too_large_dimension_is_one_json_error(argv, keys):
+    # a 2.5 GB address-space cap on the child alone makes its first (d, d-1) array fail to allocate
+    resource = pytest.importorskip("resource")
+    cap = 2_500_000_000
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "usdkit.cli", *argv], capture_output=True, text=True,
+        preexec_fn=limit, env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    payload = json.loads(line)
+    assert set(payload) == keys
+    assert payload["error"] == "ConfigurationError"
+    assert f"d={argv[2]} " in payload["message"]
+    assert payload.get("dim", int(argv[2])) == int(argv[2])
+
+
 def test_env_var_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
     code, _, _ = invoke(
@@ -373,7 +405,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert float(row["mean_total_error"]) < 0.01  # flag epsilon=0 beat the file's 0.4
 
 
-def test_spec_validation():
+def test_spec_validation(monkeypatch):
     with pytest.raises(UsdError):
         SweepSpec(dims=(3,), thetas=(0.5,), fixed_overlap=0.5)
     with pytest.raises(UsdError):
@@ -381,6 +413,13 @@ def test_spec_validation():
     # a directly built spec meets the same epsilon / per-cell check as the flags
     with pytest.raises(UsdError, match="--epsilon .*--percell-error"):
         SweepSpec(dims=(3,), thetas=(0.5,), crosstalk_epsilon=0.3, percell_error=0.01)
+    # and the same value check, when it is built: a fractional count or a bool seed never runs
+    builds = []
+    monkeypatch.setattr(states, "build_basis", lambda *args: builds.append(args))
+    for key, value in (("repetitions", 2.5), ("seed", True), ("seed", 1.5)):
+        with pytest.raises(UsdError, match=f"^sweep parameter {key!r} must be an integer"):
+            run_sweep(SweepSpec(dims=(3,), thetas=(0.5,), **{key: value}))
+    assert builds == []
 
 
 def test_spec_epsilon_reaches_config():
@@ -417,6 +456,10 @@ def test_config_file_rejects_bad_values(tmp_path, capsys, key, value):
     payload = json.loads(err)
     assert payload["error"] == "UsdError"
     assert repr(key) in payload["message"]
+    if (key, value) != ("crosstalk_epsilon", None):  # a file's null stands for percell_error only
+        with pytest.raises(UsdError) as direct:
+            SweepSpec(dims=(3,), thetas=(0.5,), **{key: value})
+        assert str(direct.value) == payload["message"]
 
 
 def test_config_file_rejects_an_unknown_key(tmp_path, capsys):
