@@ -29,7 +29,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -70,7 +72,7 @@ class SweepSpec:
     singles_rate_scale: float = experiment.ExperimentConfig.singles_rate_scale
 
     def __post_init__(self):
-        for f in _SCALARS:
+        for f in fields(self)[2:]:  # fixed_overlap, then the _SCALARS
             value = getattr(self, f.name)
             if value is None and f.default is None:
                 continue
@@ -79,8 +81,13 @@ class SweepSpec:
                 raise UsdError(f"sweep parameter {f.name!r} must be {kind}, got {value!r}")
             if not math.isfinite(value):
                 raise UsdError(f"sweep parameter {f.name!r} must be finite, got {value!r}")
-        if not self.dims:
-            raise UsdError("sweep needs at least one dimension")
+        if isinstance(self.dims, str) or not (isinstance(self.dims, Sequence) and self.dims):
+            raise UsdError(f"sweep parameter 'dims' must be a non-empty sequence, got {self.dims!r}")
+        real_thetas = isinstance(self.thetas, Sequence) and self.thetas and all(
+            isinstance(th, Real) and not isinstance(th, bool) for th in self.thetas)
+        if not (self.thetas is None or real_thetas):  # a str holds no numbers
+            raise UsdError("sweep parameter 'thetas' must be None or a non-empty sequence of "
+                           f"numbers, got {self.thetas!r}")
         if (self.thetas is None) == (self.fixed_overlap is None):
             raise UsdError("give exactly one of --theta-deg, --theta-grid or --overlap")
         if self.repetitions < 1:
@@ -90,12 +97,6 @@ class SweepSpec:
 
 
 _SCALARS = fields(SweepSpec)[3:]  # after fixed_overlap: the checked values, the --config keys
-
-
-def _point_thetas(spec: SweepSpec, d: int) -> tuple[float, ...]:
-    if spec.thetas is not None:
-        return spec.thetas
-    return (theory.theta_for_overlap(d, spec.fixed_overlap),)
 
 
 def _config_for(spec: SweepSpec, d: int) -> experiment.ExperimentConfig:
@@ -132,20 +133,23 @@ def _too_large(d: int) -> ConfigurationError:
 def _sweep(spec: SweepSpec, point_rows) -> list[dict]:
     """The rows ``point_rows(d, theta, seeds)`` gives at every sweep point, in order.
 
-    An error raised at a point names it in ``exc.point``: dim, theta_deg and the
-    seed of its repetition (the first seed if none; None while ``seeds`` is empty).
+    An error raised at a point names it in ``exc.point``: dim, theta_deg (None
+    while the angle is unresolved) and the seed of its repetition (the first
+    seed if none; None while ``seeds`` is empty).
     """
     rows = []
     for d in spec.dims:
-        for th in _point_thetas(spec, d):
-            seeds = []  # point_rows fills it when the point reaches its draw
-            try:
+        th, seeds = None, []  # SweepSpec keeps a given thetas non-empty, so `or` picks it
+        try:
+            for th in spec.thetas or (theory.theta_for_overlap(d, spec.fixed_overlap),):
+                seeds = []  # point_rows fills it when the point reaches its draw
                 rows += point_rows(d, th, seeds)
-            except (UsdError, ValueError, MemoryError) as exc:
-                exc = _too_large(d) if isinstance(exc, MemoryError) else exc
-                seed = seeds[getattr(exc, "repetition", 0)] if seeds else None
-                exc.point = {"dim": d, "theta_deg": math.degrees(th), "seed": seed}
-                raise exc
+        except (UsdError, ValueError, MemoryError) as exc:
+            exc = _too_large(d) if isinstance(exc, MemoryError) else exc
+            seed = seeds[getattr(exc, "repetition", 0)] if seeds else None
+            theta_deg = None if th is None else math.degrees(th)
+            exc.point = {"dim": d, "theta_deg": theta_deg, "seed": seed}
+            raise exc
     return rows
 
 

@@ -24,8 +24,9 @@ Modeling choices (all configurable, none dictated by the measured data):
 
 Every count has its own Poisson stream, keyed [seed, 2, i, j] for coincidence
 cell (i, j) and [seed, 0, i] / [seed, 1, j] for the singles of arm A / B, so a
-run is deterministic and independent of evaluation order.  The keys reach
-SeedSequence as the uint32 words it makes of these int lists, and each count
+run is deterministic and independent of evaluation order.  A key reaches
+SeedSequence as uint32 words: the seed's words, then the tail (2, i, j),
+(0, i) or (1, j), as SeedSequence splits the int list itself.  Each count
 comes from Generator(PCG64(SeedSequence(key))), the generator that
 np.random.default_rng(key) builds, so the streams (and every seed recorded
 with the int-list keys) stay the same.  ``run_repetitions`` draws the runs of
@@ -192,43 +193,36 @@ def run_repetitions(
     signal gates and the singles-dominance gate of a draw, once for all and
     before any draw.
 
-    Each key reaches SeedSequence as uint32 words: the seed's little-endian
-    32-bit words (seed 0 gives [0]), then (2, i, j), (0, i) or (1, j).  These
-    are the words of the int-list key [seed, 2, i, j], so the streams match it.
-    The keys sit right-aligned in one table: a seed with fewer words starts later.
+    A key is the seed's little-endian 32-bit words (seed 0 gives [0]), then
+    the tail (2, i, j), (0, i) or (1, j): the words of the int-list key
+    [seed, 2, i, j], so the streams match it.  Each seed gets one uint32 key
+    table for its cells and one for its singles, drawn in that order.
     """
     seeds = [operator.index(seed) for seed in seeds]
     if not all(seed >= 0 for seed in seeds):
         raise ConfigurationError(f"seed must be nonnegative, got {min(seeds)!r}")
     lam, singles_mean = _expected_means(basis, config)
-    lam_max = float(lam.max())
-    if lam_max > 0.0 and singles_mean - lam_max < 10.0 * math.sqrt(singles_mean + lam_max):
+    lam_max = float(lam.max())  # > 0: all-zero cells would be rows at a zero floor, gated above
+    if singles_mean - lam_max < 10.0 * math.sqrt(singles_mean + lam_max):
         raise ConfigurationError(
             "singles_rate_scale is too low for the coincidence rates: expected "
             f"singles {singles_mean!r} must dominate the largest cell mean {lam_max!r}; "
             "raise singles_rate_scale or lower the coincidence scale"
         )
     d = basis.family.dim
-    cells, n = d * (d + 1), (d + 1) ** 2 + d
-    words = [[(s >> k) & 0xFFFFFFFF for k in range(0, max(s.bit_length(), 1), 32)] for s in seeds]
-    w = max(map(len, words), default=1)
-    starts = [w - len(seed_words) for seed_words in words]
-    keys = np.zeros((len(seeds), n, w + 3), dtype=np.uint32)
-    keys[:, :cells, w:] = [(2, i, j) for i in range(d) for j in range(d + 1)]
-    keys[:, cells:, w + 1 :] = [(0, i) for i in range(d)] + [(1, j) for j in range(d + 1)]
-    for row, start, seed_words in zip(keys, starts, words):
-        row[:cells, start:w] = row[cells:, start + 1 : w + 1] = seed_words
+    cell_tails = np.array([(2, i, j) for i in range(d) for j in range(d + 1)], np.uint32)
+    single_tails = np.array([(0, i) for i in range(d)] + [(1, j) for j in range(d + 1)], np.uint32)
+    tails = ((cell_tails, lam.ravel().tolist()), (single_tails, [singles_mean] * len(single_tails)))
     Generator, PCG64, SeedSequence = np.random.Generator, np.random.PCG64, np.random.SeedSequence
-
-    def draw(rows, means):
-        return [Generator(PCG64(SeedSequence(key))).poisson(m) for key, m in zip(rows, means)]
-
-    means, singles = lam.ravel().tolist(), [singles_mean] * (n - cells)
-    counts = [
-        draw(row[:cells, start:], means) + draw(row[cells:, start + 1 :], singles)
-        for row, start in zip(keys, starts)
-    ]
-    counts = np.array(counts, dtype=np.int64).reshape(len(seeds), n)
+    counts = []
+    for seed in seeds:
+        words = [(seed >> k) & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+        for tail, means in tails:  # a key is the seed's words, then the tail
+            keys = np.empty((len(tail), len(words) + tail.shape[1]), np.uint32)
+            keys[:, : len(words)], keys[:, len(words) :] = words, tail
+            counts += [Generator(PCG64(SeedSequence(k))).poisson(m) for k, m in zip(keys, means)]
+    cells = d * (d + 1)
+    counts = np.array(counts, dtype=np.int64).reshape(len(seeds), cells + 2 * d + 1)
     return CountsRecord(
         coincidences=counts[:, :cells].reshape(-1, d, d + 1),
         singles_a=counts[:, cells : cells + d],

@@ -201,7 +201,7 @@ def reference_sweep(spec):
     """``run_sweep`` rebuilt from the full per-record chain, one run per repetition."""
     rows = []
     for d in spec.dims:
-        for th in cli._point_thetas(spec, d):
+        for th in spec.thetas or (theory.theta_for_overlap(d, spec.fixed_overlap),):
             basis = states.build_basis(d, th)
             point = theory.theory_point(d, th)
             means = []
@@ -381,6 +381,26 @@ def test_too_large_dimension_is_one_json_error(argv, keys):
     assert payload.get("dim", int(argv[2])) == int(argv[2])
 
 
+@pytest.mark.parametrize("verb", ["run", "theory"])
+def test_overlap_sweep_names_its_failing_dimension(verb):
+    # the angle of d = 1 is never resolved, so theta_deg is null; an explicit angle is named
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    payloads = []
+    for angle in (("--overlap", "0.5"), ("--theta-deg", "30")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "usdkit.cli", verb, "--dims", "2,1", *angle],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        line, = proc.stderr.splitlines()
+        payloads.append(json.loads(line))
+    message = "dimension must be an integer >= 2, got 1"
+    assert payloads[0] == {"error": "InvalidDimensionError", "message": message,
+                           "dim": 1, "theta_deg": None, "seed": None}
+    assert payloads[1] == {**payloads[0], "theta_deg": pytest.approx(30.0, abs=1e-12)}
+
+
 def test_env_var_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
     code, _, _ = invoke(
@@ -419,7 +439,24 @@ def test_spec_validation(monkeypatch):
     for key, value in (("repetitions", 2.5), ("seed", True), ("seed", 1.5)):
         with pytest.raises(UsdError, match=f"^sweep parameter {key!r} must be an integer"):
             run_sweep(SweepSpec(dims=(3,), thetas=(0.5,), **{key: value}))
+    # and the containers: each bad one is a UsdError naming its field, through both sweeps
+    containers = [
+        ("dims", dict(dims=3, thetas=(0.5,))),
+        ("dims", dict(dims="3", thetas=(0.5,))),
+        ("thetas", dict(dims=(3,), thetas=0.5)),
+        ("thetas", dict(dims=(3,), thetas=("0.5",))),
+        ("thetas", dict(dims=(3,), thetas=(True,))),
+        ("thetas", dict(dims=(3,), thetas=())),
+        ("fixed_overlap", dict(dims=(3,), fixed_overlap="0.5")),
+        ("fixed_overlap", dict(dims=(3,), fixed_overlap=math.inf)),
+    ]
+    for name, given in containers:
+        for sweep in (run_sweep, theory_rows):
+            with pytest.raises(UsdError, match=f"^sweep parameter {name!r} must be"):
+                sweep(SweepSpec(**given))
     assert builds == []
+    monkeypatch.undo()
+    assert len(run_sweep(SweepSpec(dims=[3], thetas=[0.5]))) == 1  # lists stay valid
 
 
 def test_spec_epsilon_reaches_config():

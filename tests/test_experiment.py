@@ -174,6 +174,20 @@ def test_stacked_repetitions_match_single_seed_runs(d, reps, base):
         assert tuple(summary.per_state_error[r]) == alone.per_state_error
 
 
+def test_stack_of_seeds_with_different_word_counts_matches_single_seed_runs():
+    # 1, 3, 2 and 1 words, out of order: each seed's key is its own words, then the tail
+    basis, config = make_setup(4, 0.6)
+    seeds = [7, 2**64 + 5, 2**32, 0]
+    stack = experiment.run_repetitions(basis, config, seeds)
+    for r, seed in enumerate(seeds):
+        single = experiment.run_experiment(basis, config, seed)
+        for name in ("coincidences", "singles_a", "singles_b"):
+            assert np.array_equal(getattr(stack, name)[r], getattr(single, name))
+    empty = experiment.run_repetitions(basis, config, [])
+    assert empty.coincidences.shape == (0, 4, 5)
+    assert empty.singles_a.shape == (0, 4) and empty.singles_b.shape == (0, 5)
+
+
 def test_run_repetitions_checks_each_seed_config():
     basis, config = make_setup(3, 0.5)
     with pytest.raises(ConfigurationError, match="^seed must be nonnegative, got -1$"):

@@ -87,6 +87,20 @@ def test_probabilities_sum_to_one(d):
         assert 0.0 <= p_suc <= 1.0 and 0.0 <= p_inc <= 1.0
 
 
+# Optimal USD of d states with equal real pairwise overlap s succeeds with 1 - s
+# (Chefles and Barnett, Phys. Lett. A 250, 223 (1998)): certified over the whole domain
+@settings(max_examples=300, deadline=None)
+@example(d=2, fraction=1.0)
+@example(d=10_000, fraction=0.0)
+@given(d=st.integers(2, 10_000), fraction=st.floats(0.0, 1.0))
+def test_probabilities_sum_to_one_over_the_whole_domain(d, fraction):
+    th = fraction * theory.theta_max(d)
+    p_suc, p_inc = theory.usd_probabilities(d, th)
+    assert abs(p_suc - (1.0 - theory.overlap(d, th))) <= 1e-12
+    assert abs(p_suc + p_inc - 1.0) <= 1e-12
+    assert 0.0 <= p_suc <= 1.0 and 0.0 <= p_inc <= 1.0
+
+
 def test_theta_for_overlap_half_angle_identity():
     # cos^2(theta) = (1 + cos 45deg)/2  =>  theta = 22.5deg exactly
     theta = theory.theta_for_overlap(2, SQRT_HALF)
