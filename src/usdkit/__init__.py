@@ -41,7 +41,6 @@ from .states import (
     OamMap,
     StateFamily,
     build_basis,
-    build_state_family,
     ideal_detection_matrix,
     oam_map,
     residuals,

@@ -79,7 +79,7 @@ class SweepSpec:
             types, kind = (int, "an integer") if f.type == "int" else ((int, float), "a number")
             if isinstance(value, bool) or not isinstance(value, types):
                 raise UsdError(f"sweep parameter {f.name!r} must be {kind}, got {value!r}")
-            if not math.isfinite(value):
+            if f.type != "int" and not abs(value) <= sys.float_info.max:  # NaN, inf, 10**400
                 raise UsdError(f"sweep parameter {f.name!r} must be finite, got {value!r}")
         if isinstance(self.dims, str) or not (isinstance(self.dims, Sequence) and self.dims):
             raise UsdError(f"sweep parameter 'dims' must be a non-empty sequence, got {self.dims!r}")
@@ -92,6 +92,8 @@ class SweepSpec:
             raise UsdError("give exactly one of --theta-deg, --theta-grid or --overlap")
         if self.repetitions < 1:
             raise UsdError("repetitions must be >= 1")
+        if self.repetitions > sys.maxsize:  # more seeds than one list can hold
+            raise UsdError(f"repetitions must be <= {sys.maxsize}")
         if self.crosstalk_epsilon is not None and self.percell_error is not None:
             raise UsdError("give --epsilon (crosstalk_epsilon) or --percell-error, not both")
 
@@ -126,8 +128,8 @@ def _row(point: theory.TheoryPoint, seed: int | None = None, mean: float | None 
     }
 
 
-def _too_large(d: int) -> ConfigurationError:
-    return ConfigurationError(f"d={d} needs more memory than this process can allocate")
+def _too_large(what: str) -> ConfigurationError:
+    return ConfigurationError(f"{what} needs more memory than this process can allocate")
 
 
 def _sweep(spec: SweepSpec, point_rows) -> list[dict]:
@@ -145,7 +147,7 @@ def _sweep(spec: SweepSpec, point_rows) -> list[dict]:
                 seeds = []  # point_rows fills it when the point reaches its draw
                 rows += point_rows(d, th, seeds)
         except (UsdError, ValueError, MemoryError) as exc:
-            exc = _too_large(d) if isinstance(exc, MemoryError) else exc
+            exc = _too_large(f"d={d}") if isinstance(exc, MemoryError) else exc
             seed = seeds[getattr(exc, "repetition", 0)] if seeds else None
             theta_deg = None if th is None else math.degrees(th)
             exc.point = {"dim": d, "theta_deg": theta_deg, "seed": seed}
@@ -212,6 +214,8 @@ def _parse_dims(args) -> tuple[int, ...]:
         dims = tuple(range(int(lo), int(hi) + 1) if colon else map(int, args.dims.split(",")))
     except ValueError:
         raise UsdError(f"--dims needs 'lo:hi' or a comma list, got {args.dims!r}") from None
+    except OverflowError:  # more dimensions than a tuple can index
+        raise MemoryError from None
     if not dims:
         raise UsdError(f"--dims {args.dims!r} selects no dimension")
     return dims
@@ -227,6 +231,8 @@ def _parse_theta_grid(spec: str) -> tuple[float, ...]:
         raise UsdError(f"--theta-grid needs 'start:stop:count' or a list, got {spec!r}") from None
     if not (count >= 1 and math.isfinite(stop - start)):  # a non-finite step would warn in numpy
         raise UsdError(f"--theta-grid needs finite ends and a count >= 1, got {spec!r}")
+    if count > sys.maxsize // 8:  # more angles than numpy can size
+        raise MemoryError
     return tuple(math.radians(x) for x in np.linspace(start, stop, count))
 
 
@@ -254,7 +260,10 @@ def _spec_from_args(args) -> SweepSpec:
     merged = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
-            merged = json.load(handle)
+            try:
+                merged = json.load(handle)
+            except RecursionError:
+                raise UsdError(f"--config {args.config} is nested too deeply to parse") from None
         if not isinstance(merged, dict):
             raise UsdError(f"--config must hold a JSON object, got {type(merged).__name__}")
         unknown = sorted(set(merged) - set(known))
@@ -318,7 +327,7 @@ def cmd_check(args) -> int:
             builds = (states.build_basis(d, [k * tmax / points for k in r]) for r in blocks)
             parts = [states.residuals(basis) for basis in builds]
         except MemoryError:
-            raise _too_large(d) from None
+            raise _too_large(f"d={d}") from None
         worst = {key: max(part[key] for part in parts) for key in CHECK_GATES}
         cells = "  ".join(f"{key.replace('_', '-')} {worst[key]:.2e}" for key in CHECK_GATES)
         print(f"d={d:2d}  {cells}")
@@ -386,7 +395,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return globals()["cmd_" + args.command](args)  # looked up per call: patches apply
-    except (UsdError, ValueError, OSError) as exc:
+    except (UsdError, ValueError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # a sweep point and a checked d name themselves
+            ranges = [f"--{k.replace('_', '-')} {getattr(args, k)}"  # else what sized the request
+                      for k in ("dims", "theta_grid") if getattr(args, k, None)]
+            exc = _too_large(" ".join(ranges) or f"d={args.dim}")
         payload = {"error": type(exc).__name__, "message": str(exc)}
         payload.update(getattr(exc, "point", {}))
         # strict JSON has no NaN or Infinity: a non-finite number goes out as its repr

@@ -4,10 +4,10 @@
 basis.  d maximally-separated unit vectors |p_i> in d-1 dimensions (a simplex
 whose columns are scaled Helmert columns, in closed form) are lifted by an
 angle theta onto a common axis |e> to form the input states
-|Psi_i> = sin(theta) |p_i> + cos(theta) |e> (``build_state_family``).  The
-measurement basis then follows in closed form and holds that family, the one
-owner of (d, theta).  Its derivation: the complement states |Psi-perp_i>,
-orthogonal to every |Psi_j> with j != i, are
+|Psi_i> = sin(theta) |p_i> + cos(theta) |e>.  The measurement basis then
+follows in closed form and holds that family, the one owner of (d, theta); a
+family alone is ``build_basis(d, theta).family``.  Its derivation: the
+complement states |Psi-perp_i>, orthogonal to every |Psi_j> with j != i, are
 (d-1) cos(theta) |p_i> + sin(theta) |e> (Chefles and Barnett, "Optimum
 unambiguous discrimination between linearly independent symmetric states",
 Phys. Lett. A 250, 223 (1998)).  Appending one ancilla component
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -143,11 +144,7 @@ _frames: dict[int, Frame] = {}  # keyed on the validated int
 
 def frame(d: int) -> Frame:
     """The frame of dimension d, checked and memoized; a sweep or check visits d in turn."""
-    return _frame(theory._check_dim(d))
-
-
-def _frame(d: int) -> Frame:
-    f = _frames.get(d)
+    f = _frames.get(d := theory._check_dim(d))
     if f is None:  # one dict call per step: a race can only build twice or overshoot the budget
         f = _new_frame(d)
         if sum(x.nbytes for x in list(_frames.values())) + f.nbytes > FRAME_BUDGET:
@@ -157,6 +154,8 @@ def _frame(d: int) -> Frame:
 
 
 def _new_frame(d: int) -> Frame:
+    if (d + 1) ** 2 * 8 > sys.maxsize:  # numpy could not even size a (d+1, d+1) float array
+        raise MemoryError(f"d={d} needs arrays larger than any address space")
     rows, cols = np.arange(d)[:, None], np.arange(d - 1)
     m, s = d - cols, math.sqrt(d / (d - 1.0))  # column k spans the last m = d - k rows
     below, diag = -s / np.sqrt(m * (m - 1.0)), s * np.sqrt((m - 1.0) / m)
@@ -168,38 +167,13 @@ def _new_frame(d: int) -> Frame:
     return Frame(theory.theta_max(d), v, off, eye, v.nbytes + off.nbytes + eye.nbytes)
 
 
-def _lift(d: int, theta) -> tuple[StateFamily, np.ndarray, float]:
-    """The family of (d, theta), tan of its angles and the smallest, from one ``math`` pass."""
-    angles = np.asarray(theta)  # the one conversion of theta
-    if angles.ndim > 1 or angles.size == 0:
-        raise DomainError(f"theta must be one angle or a nonempty 1-D sequence, got {theta!r}")
-    f = _frame(d := theory._check_dim(d))
-    checked = [theory._check_theta(d, th, f.tmax) for th in angles.ravel().tolist()]
-    trig = np.array([(math.sin(th), math.cos(th), math.tan(th)) for th in checked])
-    sin, cos, tan = trig.T.reshape((3,) + angles.shape)
-    vectors = np.zeros(angles.shape + (d, d))
-    vectors[..., : d - 1] = sin[..., None, None] * f.simplex
-    vectors[..., d - 1] = cos[..., None]
-    theta = _freeze(checked, angles.shape) if angles.ndim else checked[0]
-    return StateFamily(dim=d, theta=theta, vectors=vectors), tan, min(checked)
-
-
-def build_state_family(d: int, theta) -> StateFamily:
-    """Lift the projected vectors by theta (one angle or a 1-D sequence) onto the last axis.
-
-    Row i is sin(theta) |Psi'_i> + cos(theta) |d>, so every state carries the
-    same cos(theta) component along the lift axis and the pairwise overlap is
-    (d cos^2(theta) - 1)/(d - 1).
-    """
-    return _lift(d, theta)[0]
-
-
 def build_basis(d: int, theta) -> DiscriminationBasis:
     """The input states of (d, theta) and their measurement basis, in closed form.
 
-    The family is ``build_state_family``'s for theta (one angle or a 1-D
-    sequence), from the same scalar pass, and the rows use the frame's simplex
-    |p_i>.  With t = tan(theta) and a = sqrt(d - 1 - t^2), row i is
+    theta is one angle or a 1-D sequence.  Family row i is
+    sin(theta) |p_i> + cos(theta) |e> on the frame's simplex |p_i>, so the
+    pairwise overlap is (d cos^2(theta) - 1)/(d - 1).  With t = tan(theta) and
+    a = sqrt(d - 1 - t^2), basis row i is
     sqrt((d-1)/d) |p_i> + (t |e> + a |d+1>) / sqrt(d (d-1)) and the
     inconclusive row is (-a |e> + t |d+1>) / sqrt(d-1): the normalized
     complements lifted by the ancilla, and the unit vector orthogonal to them.
@@ -208,18 +182,28 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
     sqrt(d - 1) together, so the rows stay orthogonal.  Every row is
     renormalized, which keeps roundoff out of the orthonormality residual.
     """
-    family, t, low = _lift(d, theta)
-    d = family.dim
-    if low < MIN_THETA:
+    angles = np.asarray(theta)  # the one conversion of theta
+    if angles.ndim > 1 or angles.size == 0:
+        raise DomainError(f"theta must be one angle or a nonempty 1-D sequence, got {theta!r}")
+    f = frame(d := theory._check_dim(d))
+    checked = [theory._check_theta(d, th, f.tmax) for th in angles.ravel().tolist()]
+    if min(checked) < MIN_THETA:
         raise DegenerateFamilyError(
-            f"theta={low!r} leaves all states coincident; no measurement basis exists"
+            f"theta={min(checked)!r} leaves all states coincident; no measurement basis exists"
         )
+    trig = np.array([(math.sin(th), math.cos(th), math.tan(th)) for th in checked])
+    sin, cos, t = trig.T.reshape((3,) + angles.shape)
+    lifted = np.zeros(angles.shape + (d, d))
+    lifted[..., : d - 1] = sin[..., None, None] * f.simplex
+    lifted[..., d - 1] = cos[..., None]
+    theta = _freeze(checked, angles.shape) if angles.ndim else checked[0]
+    family = StateFamily(dim=d, theta=theta, vectors=lifted)
     slack = d - 1.0 - t * t
     clamped = slack <= 1e-13 * (d - 1.0)
     t, a = np.where(clamped, math.sqrt(d - 1.0), t), np.sqrt(np.where(clamped, 0.0, slack))
     scale = math.sqrt(d * (d - 1.0))
     vectors = np.zeros(t.shape + (d + 1, d + 1))
-    vectors[..., :d, : d - 1] = math.sqrt((d - 1.0) / d) * _frame(d).simplex
+    vectors[..., :d, : d - 1] = math.sqrt((d - 1.0) / d) * f.simplex
     vectors[..., :d, d - 1], vectors[..., :d, d] = (t / scale)[..., None], (a / scale)[..., None]
     vectors[..., d, d - 1], vectors[..., d, d] = -a, t
     vectors /= np.sqrt((vectors * vectors).sum(axis=-1))[..., None]

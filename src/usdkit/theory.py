@@ -13,6 +13,7 @@ degrees at the boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,13 @@ THETA_TOL = 1e-12
 
 def _check_dim(d: int) -> int:
     try:
-        if int(d) == d and d >= 2:
-            return int(d)
+        valid = int(d) == d and d >= 2
     except (TypeError, ValueError, OverflowError):  # None, NaN, inf, other non-numbers
-        pass
-    raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d!r}")
+        valid = False
+    if valid and d <= sys.float_info.max:  # every closed form takes d as a float
+        return int(d)
+    need = "fit in a float" if valid else "be an integer >= 2"
+    raise InvalidDimensionError(f"dimension must {need}, got {d!r}")
 
 
 def theta_max(d: int) -> float:

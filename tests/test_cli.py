@@ -350,16 +350,22 @@ def test_degenerate_config_leaves_one_json_line_on_stderr(flags, error, key):
 
 
 @pytest.mark.parametrize(
-    "argv, keys",
+    "argv, keys, named",
     [
-        (("check", "--dim", "30000", "--theta-points", "1"), {"error", "message"}),
+        (("check", "--dim", "30000", "--theta-points", "1"), {"error", "message"}, "d=30000 "),
         (("run", "--dim", "20000", "--overlap", "0.5", "--epsilon", "0.1",
-          "--sigma-spiral", "9000"), {"error", "message", "dim", "theta_deg", "seed"}),
+          "--sigma-spiral", "9000"), {"error", "message", "dim", "theta_deg", "seed"}, "d=20000 "),
+        (("build", "--dim", "30000", "--theta-deg", "10"), {"error", "message"}, "d=30000 "),
+        (("theory", "--dims", "2:100000000000", "--theta-deg", "10"), {"error", "message"},
+         "--dims 2:100000000000 "),
+        (("theory", "--dim", "3", "--theta-grid", "1:2:100000000000"), {"error", "message"},
+         "--theta-grid 1:2:100000000000 "),
     ],
-    ids=["check", "run"],
+    ids=["check", "run", "build", "dims-range", "theta-grid-range"],
 )
-def test_too_large_dimension_is_one_json_error(argv, keys):
-    # a 2.5 GB address-space cap on the child alone makes its first (d, d-1) array fail to allocate
+def test_too_large_dimension_is_one_json_error(argv, keys, named):
+    # a 2.5 GB address-space cap on the child alone makes its first large array fail to allocate:
+    # the (d, d-1) simplex at these d, or the tuple or grid of a range of 10**11 values
     resource = pytest.importorskip("resource")
     cap = 2_500_000_000
 
@@ -377,8 +383,8 @@ def test_too_large_dimension_is_one_json_error(argv, keys):
     payload = json.loads(line)
     assert set(payload) == keys
     assert payload["error"] == "ConfigurationError"
-    assert f"d={argv[2]} " in payload["message"]
-    assert payload.get("dim", int(argv[2])) == int(argv[2])
+    assert named in payload["message"]
+    assert "dim" not in payload or f"d={payload['dim']} " == named
 
 
 @pytest.mark.parametrize("verb", ["run", "theory"])
@@ -481,6 +487,7 @@ def test_spec_epsilon_reaches_config():
         ("max_coincidence_rate", float("inf")),
         ("crosstalk_epsilon", None),
         ("percell_error", [0.01]),
+        pytest.param("integration_time", 10**400, id="integration_time-10**400"),
     ],
 )
 def test_config_file_rejects_bad_values(tmp_path, capsys, key, value):
@@ -518,6 +525,19 @@ def test_config_file_accepts_null_percell_error_and_integer_floats(tmp_path, cap
         capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
     )
     assert code == 0, err
+
+
+def test_config_file_nested_too_deeply_is_one_json_error(tmp_path, capsys):
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text("[" * 100_000)
+    code, out, err = invoke(
+        capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
+    )
+    assert code == 1 and out == ""
+    line, = err.splitlines()
+    assert json.loads(line) == {
+        "error": "UsdError", "message": f"--config {config_path} is nested too deeply to parse"
+    }
 
 
 def test_config_file_must_be_an_object(tmp_path, capsys):
@@ -646,7 +666,8 @@ def test_missing_or_empty_request_is_one_json_error(capsys, argv, message):
 # a leading "-" reaches the flag's own conversion
 NUMBERS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-320", "1e-300", "1e-9", "0.5",
            "1", "2.4", "45", "90", "1e300")
-DIMS = [("--dim", v) for v in ("-1", "0", "1", "2", "3", "14", "30", "2.5")]
+DIMS = [("--dim", v) for v in ("-1", "0", "1", "2", "3", "14", "30", "2.5", str(10**400),
+                               "1000000000000000000000")]
 DIM_LISTS = [("--dims", v) for v in ("2:4", "4:2", "2,30", "0:3", "1e3", "x")]
 ANGLES = [("--theta-deg", v) for v in NUMBERS]
 OTHER_ANGLES = [("--overlap", v) for v in NUMBERS] + [
@@ -656,8 +677,8 @@ THETA_POINTS = [("--theta-points", v) for v in ("-1", "0", "1", "12")]
 RUN_FLAGS = {
     **dict.fromkeys(("--epsilon", "--percell-error", "--sigma-spiral", "--singles-rate",
                      "--max-rate", "--integration-time"), NUMBERS),
-    "--seed": ("-1", "0", "1", str(2**40), str(2**64), str(2**70), "1.5"),
-    "--reps": ("-1", "0", "1", "3", "x"),
+    "--seed": ("-1", "0", "1", str(2**40), str(2**64), str(2**70), str(10**400), "1.5"),
+    "--reps": ("-1", "0", "1", "3", str(10**400), "x"),
 }
 #: the columns a row may leave empty: theory rows have no measurement, an aggregate no seed
 EMPTY_CELLS = {"theory": {"mean_total_error", "mean_error_sigma", "verdict", "seed"},
@@ -703,7 +724,10 @@ def _assert_finite_output(verb, out):
             rows = [dict(zip(header, line)) for line in lines]
         cells = [(key, value) for row in rows for key, value in row.items()]
         assert all(key in EMPTY_CELLS[verb] for key, value in cells if value in ("", None))
-        values = [value for key, value in cells if value not in ("", None) and key != "verdict"]
+        seeds = [value for key, value in cells if key == "seed" and value not in ("", None)]
+        assert all(int(seed) >= 0 for seed in seeds)  # any nonnegative integer, 10**400 too
+        values = [value for key, value in cells
+                  if value not in ("", None) and key not in ("verdict", "seed")]
     assert values and all(math.isfinite(float(v)) for v in values), out
 
 
@@ -944,6 +968,45 @@ def test_lowest_of_several_failing_seeds_is_named(capsys):
     payload = json.loads(err)
     assert code == 1 and payload["seed"] == min(failures)
     assert payload["message"] == failures[min(failures)]
+
+
+def test_run_takes_a_seed_that_no_float_holds(capsys):
+    seed = 10**400
+    code, out, err = invoke(
+        capsys, "run", "--dim", "3", "--theta-deg", "30", "--seed", str(seed), "--reps", "2"
+    )
+    assert code == 0 and err == ""
+    _, *rows = [line.split(",") for line in out.splitlines()]
+    assert [row[-1] for row in rows] == [str(seed), str(seed + 1), ""]
+
+
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        (("theory", "--dim", str(10**400), "--theta-deg", "10"), "InvalidDimensionError",
+         f"dimension must fit in a float, got {10**400}"),
+        (("run", "--dim", "3", "--theta-deg", "30", "--reps", str(10**400)), "UsdError",
+         f"repetitions must be <= {sys.maxsize}"),
+        *[((verb, "--dim", "1000000000000000000000", "--theta-deg", "10"), "ConfigurationError",
+           "d=1000000000000000000000 needs more memory than this process can allocate")
+          for verb in ("build", "run")],
+        (("check", "--dim", "1000000000000000000000"), "ConfigurationError",
+         "d=1000000000000000000000 needs more memory than this process can allocate"),
+        (("theory", "--dims", f"2:{10**23}", "--theta-deg", "10"), "ConfigurationError",
+         f"--dims 2:{10**23} needs more memory than this process can allocate"),
+        (("theory", "--dim", "3", "--theta-grid", f"1:2:{10**23}"), "ConfigurationError",
+         f"--theta-grid 1:2:{10**23} needs more memory than this process can allocate"),
+    ],
+    ids=["theory-dim", "run-reps", "build-dim", "run-dim", "check-dim", "dims", "theta-grid"],
+)
+def test_integer_beyond_every_array_is_one_json_error(tmp_path, capsys, argv, error, message):
+    # nothing is allocated for these: the check comes before any array of that size
+    argv = argv + ("--out", str(tmp_path)) if argv[0] == "build" else argv
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    line, = err.splitlines()
+    payload = json.loads(line)
+    assert (payload["error"], payload["message"]) == (error, message)
 
 
 def test_run_negative_seed_is_a_config_error(capsys):

@@ -352,7 +352,7 @@ def nan_record(nan_cell=False, **changes):
 NAN_INPUTS = {
     "family": lambda: states.StateFamily(dim=3, theta=0.5, vectors=np.full((3, 3), NAN)),
     "basis": lambda: states.DiscriminationBasis(
-        family=states.build_state_family(3, 0.5), vectors=np.full((4, 4), NAN)
+        family=states.build_basis(3, 0.5).family, vectors=np.full((4, 4), NAN)
     ),
     "coincidence": lambda: nan_record(nan_cell=True),
     "integration_time": lambda: nan_record(integration_time=NAN),

@@ -201,40 +201,41 @@ def test_frame_memo_serves_concurrent_readers(monkeypatch):
 
 def test_family_d3_first_state():
     theta = math.radians(33.0)
-    family = states.build_state_family(3, theta)
+    family = states.build_basis(3, theta).family
     expected = [math.sin(theta), 0.0, math.cos(theta)]
     assert np.allclose(family.vectors[0], expected, atol=1e-15)
 
 
 def test_family_theta_zero_collapses():
-    family = states.build_state_family(5, 0.0)
+    # at theta = 0 every state is |e>; the family validates, though no basis exists for it
+    family = states.StateFamily(dim=5, theta=0.0, vectors=np.tile([0.0, 0, 0, 0, 1], (5, 1)))
     for row in family.vectors:
         assert np.allclose(row, [0, 0, 0, 0, 1], atol=1e-15)
 
 
 def test_family_overlap_frozen_value():
-    family = states.build_state_family(6, math.radians(40.0))
+    family = states.build_basis(6, math.radians(40.0)).family
     gram = family.vectors @ family.vectors.T
     off = gram[~np.eye(6, dtype=bool)]
     assert np.max(np.abs(off - 0.5041889066001582)) < 1e-12
 
 
 def test_family_admits_theta_max_exactly():
-    family = states.build_state_family(7, theory.theta_max(7))
+    family = states.build_basis(7, theory.theta_max(7)).family
     gram = family.vectors @ family.vectors.T
     assert np.max(np.abs(gram - np.eye(7))) < 1e-12
 
 
 def test_family_rejects_theta_outside_interval():
     with pytest.raises(DomainError) as err:
-        states.build_state_family(3, theory.theta_max(3) + 1e-6)
+        states.build_basis(3, theory.theta_max(3) + 1e-6).family
     assert "[0," in str(err.value)
     with pytest.raises(DomainError):
-        states.build_state_family(3, -0.2)
+        states.build_basis(3, -0.2).family
 
 
 def test_family_validation_catches_bad_vectors():
-    good = states.build_state_family(3, 0.5)
+    good = states.build_basis(3, 0.5).family
     with pytest.raises(DegenerateFamilyError):
         states.StateFamily(dim=3, theta=0.5, vectors=np.asarray(good.vectors) * 1.001)
 
@@ -427,7 +428,7 @@ def _corrupt_overlap(v):
     [(_corrupt_norm, "unit norm"), (_corrupt_lift, "cos"), (_corrupt_overlap, "overlaps")],
 )
 def test_family_validation_covers_the_last_slice(corrupt, message):
-    good = states.build_state_family(4, [0.3, 0.5, 0.7])
+    good = states.build_basis(4, [0.3, 0.5, 0.7]).family
     vectors = np.array(good.vectors)
     corrupt(vectors[-1])
     with pytest.raises(DegenerateFamilyError, match=message):
@@ -459,9 +460,8 @@ def test_stacked_build_rejects_its_last_angle():
     "theta", [[], [[0.3, 0.5]], np.zeros((2, 1)), (), np.zeros(0), ((0.3,),), np.zeros((1, 0))]
 )
 def test_theta_must_be_one_angle_or_a_nonempty_list(theta):
-    for build in (states.build_state_family, states.build_basis):
-        with pytest.raises(DomainError, match="^theta must be one angle or a nonempty 1-D sequence"):
-            build(4, theta)
+    with pytest.raises(DomainError, match="^theta must be one angle or a nonempty 1-D sequence"):
+        states.build_basis(4, theta)
 
 
 @pytest.mark.parametrize(
@@ -593,7 +593,7 @@ def test_oam_map_validates_a_directly_built_map():
 
 
 def test_family_json_round_trip():
-    family = states.build_state_family(6, math.radians(40.0))
+    family = states.build_basis(6, math.radians(40.0)).family
     back = json.loads(states.to_json(family))
     assert back["dim"] == family.dim
     assert back["theta_rad"] == family.theta
@@ -608,15 +608,16 @@ def test_basis_json_round_trip_is_exact():
 
 
 def test_json_prints_17_significant_digits():
-    family = states.build_state_family(2, math.radians(30.0))
+    family = states.build_basis(2, math.radians(30.0)).family
     text = states.to_json(family)
     assert "0.49999999999999994" in text  # sin(30deg) in doubles, all 17 digits
 
 
-@pytest.mark.parametrize("stacked", [states.build_state_family, states.build_basis])
-def test_json_rejects_a_stacked_object(stacked):
+@pytest.mark.parametrize("part", ["family", "basis"])
+def test_json_rejects_a_stacked_object(part):
+    basis = states.build_basis(4, [0.3, 0.5, 0.7])
     with pytest.raises(DomainError, match=r"^to_json takes one angle, got a stack of 3$"):
-        states.to_json(stacked(4, [0.3, 0.5, 0.7]))
+        states.to_json(basis.family if part == "family" else basis)
 
 
 def test_oam_map_json_round_trip():
