@@ -315,23 +315,26 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     dims = tuple(range(2, 15)) if args.dims is None and args.dim is None else _parse_dims(args)
-    points = args.theta_points
-    if points < 1:
+    if (points := args.theta_points) < 1:
         raise UsdError(f"--theta-points must be >= 1, got {points}")
-    ok = True
-    for d in dims:
-        try:
-            tmax = states.frame(d).tmax
+    line = "d={:2d}  " + "  ".join(key.replace("_", "-") + " {:.2e}" for key in CHECK_GATES)
+    ok, d = True, min(dims)  # theta_max grows with d: the smallest d has the smallest first angle
+    try:  # frame(d) checks d before the count is judged, so a bad d keeps its own error
+        if states.frame(d).tmax / min(points, sys.maxsize) < states.MIN_THETA:  # as block 1 builds
+            raise UsdError(f"--theta-points {points} puts the first angle of d={d} below "
+                           f"{states.MIN_THETA!r} rad, where its states coincide")
+        for d in dims:
+            tmax, worst = states.frame(d).tmax, [-math.inf] * len(CHECK_GATES)
             block = max(1, 2**20 // (d + 1) ** 2)  # angles per build: at most 8 MB per array
-            blocks = (range(k, min(k + block, points + 1)) for k in range(1, points + 1, block))
-            builds = (states.build_basis(d, [k * tmax / points for k in r]) for r in blocks)
-            parts = [states.residuals(basis) for basis in builds]
-        except MemoryError:
-            raise _too_large(f"d={d}") from None
-        worst = {key: max(part[key] for part in parts) for key in CHECK_GATES}
-        cells = "  ".join(f"{key.replace('_', '-')} {worst[key]:.2e}" for key in CHECK_GATES)
-        print(f"d={d:2d}  {cells}")
-        ok = ok and all(worst[key] < gate for key, gate in CHECK_GATES.items())
+            for k in range(1, points + 1, block):
+                grid = [j * tmax / points for j in range(k, min(k + block, points + 1))]
+                part = states.residuals(states.build_basis(d, grid))
+                worst = [w if w >= part[key] or w != w else part[key]  # a NaN in any block stays
+                         for w, key in zip(worst, CHECK_GATES)]
+            print(line.format(d, *worst))
+            ok = ok and all(w < gate for w, gate in zip(worst, CHECK_GATES.values()))
+    except MemoryError:
+        raise _too_large(f"d={d}") from None
     print("all invariants within tolerance" if ok else "INVARIANT VIOLATION")
     return 0 if ok else 1
 

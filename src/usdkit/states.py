@@ -17,9 +17,9 @@ which is the unit vector orthogonal to all of them.
 
 theta may be one angle or a 1-D sequence of P angles at one d, which stacks
 the family (P, d, d) and basis (P, d+1, d+1) along a leading axis; every check
-covers the whole stack.  There is one path: each angle is checked once and its
-sin, cos and tan come from one ``math`` pass shared by family and basis, so
-slice k of a stack is the one-angle build.
+covers the whole stack.  There is one path: one scalar ``math`` pass per angle
+checks it and gives its sin, cos, tan and clamped (t, a) to family and basis,
+so slice k of a stack is the one-angle build.
 
 Measuring |D_i> identifies |Psi_i> with certainty (``ideal_detection_matrix``);
 |D_{d+1}> gives no information.  ``residuals(basis)`` is the one statement of
@@ -83,8 +83,8 @@ class StateFamily:
         object.__setattr__(self, "vectors", v)
         cos = np.cos(self.theta)[..., None]
         gram = v @ v.swapaxes(-1, -2)
-        norms = np.sqrt(gram.diagonal(axis1=-2, axis2=-1))
-        if not np.abs(norms - 1.0).max() <= EXACT_TOL:
+        norms2 = gram.diagonal(axis1=-2, axis2=-1)  # |norm - 1| <= EXACT_TOL, squared
+        if not ((1.0 - EXACT_TOL) ** 2 <= norms2.min() and norms2.max() <= (1.0 + EXACT_TOL) ** 2):
             raise DegenerateFamilyError("state vectors must have unit norm")
         if not np.abs(v[..., -1] - cos).max() <= EXACT_TOL:
             raise DegenerateFamilyError("last component of every state must equal cos(theta)")
@@ -144,9 +144,9 @@ _frames: dict[int, Frame] = {}  # keyed on the validated int
 
 def frame(d: int) -> Frame:
     """The frame of dimension d, checked and memoized; a sweep or check visits d in turn."""
-    f = _frames.get(d := theory._check_dim(d))
-    if f is None:  # one dict call per step: a race can only build twice or overshoot the budget
-        f = _new_frame(d)
+    f = _frames.get(d) if type(d) is int else None  # only a checked d is a key: no check again
+    if f is None and (f := _frames.get(d := theory._check_dim(d))) is None:
+        f = _new_frame(d)  # one dict call per step: a race can only build twice or overshoot
         if sum(x.nbytes for x in list(_frames.values())) + f.nbytes > FRAME_BUDGET:
             _frames.clear()  # the newest stays, whatever its size
         _frames[d] = f
@@ -179,28 +179,30 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
     complements lifted by the ancilla, and the unit vector orthogonal to them.
     Within float roundoff of theta_max, where the states are orthogonal and
     need no ancilla, a is clamped to an exact zero and t to its limit
-    sqrt(d - 1) together, so the rows stay orthogonal.  Every row is
-    renormalized, which keeps roundoff out of the orthonormality residual.
+    sqrt(d - 1) together, so the rows stay orthogonal; the checks, this clamp
+    and sin, cos, tan are one scalar ``math`` pass per angle, and the first
+    angle that fails ends the build.  Every row is renormalized, which keeps
+    roundoff out of the orthonormality residual.
     """
     angles = np.asarray(theta)  # the one conversion of theta
     if angles.ndim > 1 or angles.size == 0:
         raise DomainError(f"theta must be one angle or a nonempty 1-D sequence, got {theta!r}")
     f = frame(d := theory._check_dim(d))
-    checked = [theory._check_theta(d, th, f.tmax) for th in angles.ravel().tolist()]
-    if min(checked) < MIN_THETA:
-        raise DegenerateFamilyError(
-            f"theta={min(checked)!r} leaves all states coincident; no measurement basis exists"
-        )
-    trig = np.array([(math.sin(th), math.cos(th), math.tan(th)) for th in checked])
-    sin, cos, t = trig.T.reshape((3,) + angles.shape)
+    flat = []  # one scalar pass per angle: checked theta, sin, cos and the clamped t and a
+    for th in angles.ravel().tolist():
+        if (th := theory._check_theta(d, th, f.tmax)) < MIN_THETA:
+            raise DegenerateFamilyError(f"theta={th!r} leaves all states coincident; "
+                                        "no measurement basis exists")
+        t = math.tan(th)
+        if (slack := d - 1.0 - t * t) <= 1e-13 * (d - 1.0):
+            t, slack = math.sqrt(d - 1.0), 0.0
+        flat += th, math.sin(th), math.cos(th), t, math.sqrt(slack)
+    (trig := np.array(flat)).setflags(write=False)  # so the stacked theta, a view, is read-only
+    theta, sin, cos, t, a = trig.reshape(-1, 5).T.reshape((5,) + angles.shape)
     lifted = np.zeros(angles.shape + (d, d))
     lifted[..., : d - 1] = sin[..., None, None] * f.simplex
     lifted[..., d - 1] = cos[..., None]
-    theta = _freeze(checked, angles.shape) if angles.ndim else checked[0]
-    family = StateFamily(dim=d, theta=theta, vectors=lifted)
-    slack = d - 1.0 - t * t
-    clamped = slack <= 1e-13 * (d - 1.0)
-    t, a = np.where(clamped, math.sqrt(d - 1.0), t), np.sqrt(np.where(clamped, 0.0, slack))
+    family = StateFamily(dim=d, theta=theta if angles.ndim else flat[0], vectors=lifted)
     scale = math.sqrt(d * (d - 1.0))
     vectors = np.zeros(t.shape + (d + 1, d + 1))
     vectors[..., :d, : d - 1] = math.sqrt((d - 1.0) / d) * f.simplex

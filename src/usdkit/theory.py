@@ -47,7 +47,7 @@ def _check_theta(d: int, theta: float, tmax: float | None = None) -> float:
         raise DomainError(
             f"theta must lie in [0, {tmax!r}] rad (theta_max for d={d}); got {theta!r}"
         )
-    return min(max(float(theta), 0.0), tmax)
+    return 0.0 if (theta := float(theta)) < 0.0 else tmax if theta > tmax else theta
 
 
 def overlap(d: int, theta: float) -> float:

@@ -854,6 +854,91 @@ def test_check_single_dim_is_not_replaced_by_default_grid(capsys):
     assert json.loads(err)["error"] == "InvalidDimensionError"
 
 
+@pytest.mark.parametrize(
+    "dims, points",
+    [(("--dim", "3"), "100000000000000000000000"), (("--dims", "5,3,40"), "100000000000000000000000"),
+     (("--dim", "3"), str(10**400))],
+    ids=["dim", "dims-list", "beyond-float"],
+)
+def test_check_rejects_a_count_whose_first_angle_is_below_min_theta(capsys, dims, points):
+    # theta_max grows with d, so d=3 is the one named; nothing is printed before the error
+    code, out, err = invoke(capsys, "check", *dims, "--theta-points", points)
+    assert code == 1 and out == ""
+    line, = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "UsdError"
+    assert f"--theta-points {points} " in payload["message"] and "d=3 " in payload["message"]
+
+
+def test_theta_points_rejection_fires_exactly_where_the_first_build_fails(capsys, monkeypatch):
+    tmax = theory.theta_max(3)
+    most = int(tmax / states.MIN_THETA) + 2  # then step down to the last count that builds
+    while tmax / most < states.MIN_THETA:
+        most -= 1
+    states.build_basis(3, [1 * tmax / most])  # the first block's first angle still builds
+    with pytest.raises(errors.DegenerateFamilyError):
+        states.build_basis(3, [1 * tmax / (most + 1)])
+    code, out, err = invoke(capsys, "check", "--dim", "3", "--theta-points", str(most + 1))
+    assert code == 1 and out == "" and json.loads(err)["error"] == "UsdError"
+
+    class Reached(Exception):
+        pass
+
+    def stop(d, theta):
+        raise Reached(d, theta[0])
+
+    monkeypatch.setattr(cli.states, "build_basis", stop)
+    with pytest.raises(Reached) as reached:  # `most` passes the check and reaches the build
+        cli.main(["check", "--dim", "3", "--theta-points", str(most)])
+    assert reached.value.args == (3, tmax / most)
+
+
+@pytest.mark.parametrize(
+    "dims, error, named",
+    [(("--dims", "5,1"), "InvalidDimensionError", "got 1"),
+     (("--dim", "1000000000000000000000"), "ConfigurationError", "d=1000000000000000000000 ")],
+    ids=["invalid", "too-large"],
+)
+def test_check_keeps_the_dimension_error_before_the_theta_points_one(capsys, dims, error, named):
+    code, out, err = invoke(capsys, "check", *dims, "--theta-points", "100000000000000000000000")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == error and named in payload["message"]
+
+
+def _patch_residuals(monkeypatch, corrupt):
+    """Make states.residuals report corrupt(basis, residuals) to cmd_check."""
+    real = states.residuals
+    monkeypatch.setattr(cli.states, "residuals", lambda basis: corrupt(basis, real(basis)))
+
+
+@pytest.mark.parametrize("value, shown", [(1e-9, "1.00e-09"), (math.nan, "nan")],
+                         ids=["above-gate", "nan"])
+def test_check_fails_when_one_dimension_breaks_a_gate(capsys, monkeypatch, value, shown):
+    def corrupt(basis, r):
+        return {**r, "completeness": value} if basis.family.dim == 3 else r
+
+    _patch_residuals(monkeypatch, corrupt)
+    code, out, _ = invoke(capsys, "check", "--dims", "2:4")
+    *lines, verdict = out.splitlines()
+    assert code == 1 and verdict == "INVARIANT VIOLATION"
+    assert [line[:4] for line in lines] == ["d= 2", "d= 3", "d= 4"]
+    assert f"  completeness {shown}  " in lines[1]
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_check_fails_on_a_nan_in_either_block_of_a_split_grid(capsys, monkeypatch, block):
+    # d = 200 at 40 angles builds a block of 25 and one of 15, as in the block-split test
+    def corrupt(basis, r):
+        return {**r, "closure": math.nan} if np.size(basis.family.theta) == (25, 15)[block] else r
+
+    _patch_residuals(monkeypatch, corrupt)
+    code, out, _ = invoke(capsys, "check", "--dim", "200", "--theta-points", "40")
+    line, verdict = out.splitlines()
+    assert code == 1 and verdict == "INVARIANT VIOLATION"
+    assert "  closure nan  " in line
+
+
 # ----------------------------------------------------------- error context
 
 

@@ -411,6 +411,24 @@ def test_stacked_build_is_each_angle_build_exactly(point):
     assert stacked == {key: max(r[key] for r in each) for key in stacked}
 
 
+@pytest.mark.parametrize(
+    "scale, accepted",
+    [(1 + 2 * states.EXACT_TOL, False), (1 - 2 * states.EXACT_TOL, False),
+     (1 + 0.4 * states.EXACT_TOL, True), (1 - 0.4 * states.EXACT_TOL, True), (math.nan, False)],
+    ids=["above", "below", "just-inside-above", "just-inside-below", "nan"],
+)
+@pytest.mark.parametrize("thetas", [0.5, [0.3, 0.5, 0.7]], ids=["one-angle", "last-slice"])
+def test_family_unit_norm_tolerance_boundary(scale, accepted, thetas):
+    good = states.build_basis(4, thetas).family
+    vectors = np.array(good.vectors)
+    vectors.reshape(-1, 4, 4)[-1, 0] *= scale  # one state: of the family, or of the last slice
+    if accepted:
+        states.StateFamily(dim=4, theta=good.theta, vectors=vectors)
+        return
+    with pytest.raises(DegenerateFamilyError, match="unit norm"):
+        states.StateFamily(dim=4, theta=good.theta, vectors=vectors)
+
+
 def _corrupt_norm(v):
     v *= 1.001
 
