@@ -132,32 +132,38 @@ def _too_large(what: str) -> ConfigurationError:
     return ConfigurationError(f"{what} needs more memory than this process can allocate")
 
 
-def _sweep(spec: SweepSpec, point_rows) -> list[dict]:
-    """The rows ``point_rows(d, theta, seeds)`` gives at every sweep point, in order.
+def sweep_points(spec: SweepSpec, simulate: bool = True):
+    """Each sweep point in order as (point, seeds, summary), built, drawn and analyzed once.
 
-    An error raised at a point names it in ``exc.point``: dim, theta_deg (None
-    while the angle is unresolved) and the seed of its repetition (the first
-    seed if none; None while ``seeds`` is empty).
+    ``summary`` is the ``ErrorSummary`` of the stack of seeds seed, seed+1, ...;
+    without ``simulate`` nothing is built or drawn: (point, (), None).  An error
+    at a point names it in ``exc.point``: dim, theta_deg (None while the angle is
+    unresolved) and its repetition's seed (the first if none; None before the draw).
     """
-    rows = []
     for d in spec.dims:
-        th, seeds = None, []  # SweepSpec keeps a given thetas non-empty, so `or` picks it
+        th, seeds = None, ()  # SweepSpec keeps a given thetas non-empty, so `or` picks it
         try:
             for th in spec.thetas or (theory.theta_for_overlap(d, spec.fixed_overlap),):
-                seeds = []  # point_rows fills it when the point reaches its draw
-                rows += point_rows(d, th, seeds)
+                seeds, summary = (), None
+                basis = states.build_basis(d, th) if simulate else None
+                point = theory.theory_point(d, th)
+                if simulate:  # a list: a count too large to hold fails before the draw
+                    seeds = [*range(spec.seed, spec.seed + spec.repetitions)]
+                    record = experiment.run_repetitions(basis, _config_for(spec, d), seeds)
+                    p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
+                    summary = analysis.summarize_probabilities(p)
+                yield point, seeds, summary
         except (UsdError, ValueError, MemoryError) as exc:
             exc = _too_large(f"d={d}") if isinstance(exc, MemoryError) else exc
             seed = seeds[getattr(exc, "repetition", 0)] if seeds else None
             theta_deg = None if th is None else math.degrees(th)
             exc.point = {"dim": d, "theta_deg": theta_deg, "seed": seed}
             raise exc
-    return rows
 
 
 def theory_rows(spec: SweepSpec) -> list[dict]:
     """Closed-form rows over the requested (d, theta) grid."""
-    return _sweep(spec, lambda d, th, seeds: [_row(theory.theory_point(d, th))])
+    return [_row(point) for point, _, _ in sweep_points(spec, simulate=False)]
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -167,24 +173,16 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     as one stack.  When there is more than one, an aggregate row follows with
     the mean of the repetition means, the sample standard deviation across
     repetitions as its sigma, the verdict of those, and an empty seed column.
-    An error names its point (``_sweep``); the first check that fails on the
-    stack names its lowest failing repetition, whose seed alone raises it.
+    An error names its point (``sweep_points``); the first check that fails on
+    the stack names its lowest failing repetition, whose seed alone raises it.
     """
-
-    def point_rows(d, th, seeds):
-        basis = states.build_basis(d, th)
-        point = theory.theory_point(d, th)
-        seeds += range(spec.seed, spec.seed + spec.repetitions)
-        record = experiment.run_repetitions(basis, _config_for(spec, d), seeds)
-        p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
-        summary = analysis.summarize_probabilities(p)
+    rows = []
+    for point, seeds, summary in sweep_points(spec):
         means = summary.mean_total_error
-        rows = [_row(point, *rep) for rep in zip(seeds, means, summary.mean_error_sigma)]
-        if spec.repetitions > 1:
+        rows += [_row(point, *rep) for rep in zip(seeds, means, summary.mean_error_sigma)]
+        if len(seeds) > 1:
             rows.append(_row(point, None, float(np.mean(means)), float(np.std(means, ddof=1))))
-        return rows
-
-    return _sweep(spec, point_rows)
+    return rows
 
 
 def rows_to_csv(rows: list[dict]) -> str:

@@ -112,6 +112,21 @@ def test_theory_rows_fixed_overlap_picks_theta_per_dim():
     assert all(r["mesd_bound"] == pytest.approx(0.1464466094067262, abs=1e-12) for r in rows)
 
 
+@pytest.mark.parametrize(
+    "angles", [dict(thetas=(0.2, 0.5)), dict(fixed_overlap=2**-0.5)], ids=["theta-grid", "overlap"]
+)
+def test_theory_sweep_never_builds_or_draws(monkeypatch, angles):
+    spec = SweepSpec(dims=(2, 5, 9), **angles)
+    expected = theory_rows(spec)
+
+    def refuse(*args):
+        raise AssertionError("a theory sweep built or drew")
+
+    monkeypatch.setattr(states, "build_basis", refuse)
+    monkeypatch.setattr(experiment, "run_repetitions", refuse)
+    assert theory_rows(spec) == expected
+
+
 # -------------------------------------------------------------------- run
 
 
@@ -268,6 +283,36 @@ def test_run_sweep_classifies_each_row_once(monkeypatch):
     rows = run_sweep(SweepSpec(dims=(2, 4), repetitions=3, seed=0, **ACCEPTANCE))
     assert len(rows) == 2 * (3 + 1)
     assert calls == [row["mean_total_error"] for row in rows]
+
+
+@st.composite
+def small_specs(draw):
+    """Small sweeps with theta from a grid or from a fixed overlap."""
+    dims = tuple(draw(st.lists(st.integers(2, 8), min_size=1, max_size=3)))
+    common = dict(dims=dims, repetitions=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**40)))
+    if draw(st.booleans()):
+        degrees = draw(st.lists(st.floats(10.0, 40.0), min_size=1, max_size=2))
+        return SweepSpec(thetas=tuple(map(math.radians, degrees)), **common)
+    return SweepSpec(fixed_overlap=draw(st.floats(0.1, 0.9)), **common)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_specs())
+def test_run_rows_extend_the_theory_row_of_their_point(spec):
+    # per point, in spec order: one row per seed, then an aggregate row when reps > 1
+    points = theory_rows(spec)
+    assert [(r["dim"], r["theta_deg"]) for r in points] == [
+        (d, math.degrees(th)) for d in spec.dims
+        for th in spec.thetas or (theory.theta_for_overlap(d, spec.fixed_overlap),)
+    ]
+    seeds = [*range(spec.seed, spec.seed + spec.repetitions)] + [None] * (spec.repetitions > 1)
+    rows = run_sweep(spec)
+    assert len(rows) == len(seeds) * len(points)
+    for k, point in enumerate(points):
+        group = rows[k * len(seeds) : (k + 1) * len(seeds)]
+        assert [r["seed"] for r in group] == seeds
+        for row in group:
+            assert [row[c] for c in CSV_COLUMNS[:6]] == [point[c] for c in CSV_COLUMNS[:6]]
 
 
 def test_seed_independent_error_names_first_seed(capsys):
