@@ -92,7 +92,7 @@ class SweepSpec:
             raise UsdError("give exactly one of --theta-deg, --theta-grid or --overlap")
         if self.repetitions < 1:
             raise UsdError("repetitions must be >= 1")
-        if self.repetitions > sys.maxsize:  # more seeds than one list can hold
+        if self.repetitions > sys.maxsize:  # the range's len() limit; lists stop at maxsize // 8
             raise UsdError(f"repetitions must be <= {sys.maxsize}")
         if self.crosstalk_epsilon is not None and self.percell_error is not None:
             raise UsdError("give --epsilon (crosstalk_epsilon) or --percell-error, not both")
@@ -148,7 +148,10 @@ def sweep_points(spec: SweepSpec, simulate: bool = True):
                 basis = states.build_basis(d, th) if simulate else None
                 point = theory.theory_point(d, th)
                 if simulate:  # a list: a count too large to hold fails before the draw
-                    seeds = [*range(spec.seed, spec.seed + spec.repetitions)]
+                    try:
+                        seeds = [*range(spec.seed, spec.seed + spec.repetitions)]
+                    except MemoryError:  # the count, not d, sized it
+                        raise _too_large(f"repetitions={spec.repetitions}") from None
                     record = experiment.run_repetitions(basis, _config_for(spec, d), seeds)
                     p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
                     summary = analysis.summarize_probabilities(p)
@@ -204,9 +207,7 @@ def _parse_dims(args) -> tuple[int, ...]:
     if args.dims is None:
         if args.dim is None:
             raise UsdError("provide --dim or --dims")
-        return (int(args.dim),)
-    if args.dim is not None:
-        raise UsdError("give --dim or --dims, not both")
+        return (args.dim,)
     lo, colon, hi = args.dims.partition(":")
     try:
         dims = tuple(range(int(lo), int(hi) + 1) if colon else map(int, args.dims.split(",")))
@@ -244,11 +245,10 @@ def _resolve_out(args, default_name: str | None = None) -> str | None:
 def _spec_from_args(args) -> SweepSpec:
     """Resolve the sweep request; flags (dest = SweepSpec field) beat --config keys.
 
-    Two ways of giving the same quantity (d, the angles, or epsilon) are an error.
+    The parser rejects --dim with --dims and --theta-deg with --theta-grid;
+    SweepSpec rejects the angles with --overlap and epsilon with --percell-error.
     """
     dims = _parse_dims(args)
-    if args.theta_deg is not None and args.theta_grid is not None:
-        raise UsdError("give --theta-deg or --theta-grid, not both")
     thetas = None
     if args.theta_grid is not None:
         thetas = _parse_theta_grid(args.theta_grid)
@@ -281,9 +281,8 @@ CHECK_GATES = {"completeness": 1e-10, "zero_error": 1e-20, "closure": 1e-12, "th
 
 
 def cmd_build(args) -> int:
-    d = int(args.dim)
-    basis = states.build_basis(d, math.radians(args.theta_deg))
-    mapping = states.oam_map(d)
+    basis = states.build_basis(args.dim, math.radians(args.theta_deg))
+    mapping = states.oam_map(args.dim)
     outdir = _resolve_out(args, default_name="") or "."
     os.makedirs(outdir, exist_ok=True)
     artifacts = {
@@ -347,46 +346,47 @@ def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="usdkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, experiment_flags=True):
-        p.add_argument("--dim", type=int, help="single dimension d")
-        p.add_argument("--dims", help="comma list '2,3,5' or inclusive range '2:14'")
-        p.add_argument("--theta-deg", type=float, dest="theta_deg", help="angle in degrees")
-        p.add_argument("--theta-grid", dest="theta_grid", help="'start:stop:count' in degrees or comma list")
+    def common(p):  # each exclusive pair gives one quantity, so the parser takes one flag of it
+        dims, angles = p.add_mutually_exclusive_group(), p.add_mutually_exclusive_group()
+        dims.add_argument("--dim", type=int, help="single dimension d")
+        dims.add_argument("--dims", help="comma list '2,3,5' or inclusive range '2:14'")
+        angles.add_argument("--theta-deg", type=float, dest="theta_deg", help="angle in degrees")
+        angles.add_argument("--theta-grid", dest="theta_grid",
+                            help="'start:stop:count' in degrees or comma list")
         p.add_argument("--overlap", type=float, help="fixed pairwise overlap; theta chosen per dimension")
         p.add_argument("--out", help="output path (files land under $USDKIT_OUT_DIR if relative)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if experiment_flags:
-            p.add_argument("--config", help="JSON file of sweep parameters; flags win")
-            p.add_argument("--epsilon", type=float, dest="crosstalk_epsilon",
-                           metavar="EPSILON", help="depolarizing noise strength")
-            p.add_argument("--percell-error", type=float, dest="percell_error",
-                           help="calibrate epsilon to this error per wrong conclusive outcome")
-            p.add_argument("--sigma-spiral", type=float, dest="spiral_bandwidth_sigma",
-                           metavar="SIGMA_SPIRAL", help="spiral bandwidth envelope width")
-            p.add_argument("--singles-rate", type=float, dest="singles_rate_scale",
-                           metavar="SINGLES_RATE", help="background singles rate per arm (Hz)")
-            p.add_argument("--max-rate", type=float, dest="max_coincidence_rate",
-                           metavar="MAX_RATE", help="maximal coincidence rate (Hz)")
-            p.add_argument("--integration-time", type=float, dest="integration_time",
-                           help="integration time per setting (s)")
-            p.add_argument("--seed", type=int, help="base RNG seed")
-            p.add_argument("--reps", type=int, dest="repetitions", metavar="REPS",
-                           help="seeded repetitions per point")
 
     p_build = sub.add_parser("build", help="construct and serialize states, basis, OAM map")
     p_build.add_argument("--dim", type=int, required=True)
     p_build.add_argument("--theta-deg", type=float, dest="theta_deg", required=True)
     p_build.add_argument("--out", help="output directory")
 
-    p_theory = sub.add_parser("theory", help="closed-form sweep to CSV/JSON")
-    common(p_theory, experiment_flags=False)
+    common(sub.add_parser("theory", help="closed-form sweep to CSV/JSON"))
 
     p_run = sub.add_parser("run", help="simulate, analyze, and classify sweep points")
     common(p_run)
+    p_run.add_argument("--config", help="JSON file of sweep parameters; flags win")
+    p_run.add_argument("--epsilon", type=float, dest="crosstalk_epsilon",
+                       metavar="EPSILON", help="depolarizing noise strength")
+    p_run.add_argument("--percell-error", type=float, dest="percell_error",
+                       help="calibrate epsilon to this error per wrong conclusive outcome")
+    p_run.add_argument("--sigma-spiral", type=float, dest="spiral_bandwidth_sigma",
+                       metavar="SIGMA_SPIRAL", help="spiral bandwidth envelope width")
+    p_run.add_argument("--singles-rate", type=float, dest="singles_rate_scale",
+                       metavar="SINGLES_RATE", help="background singles rate per arm (Hz)")
+    p_run.add_argument("--max-rate", type=float, dest="max_coincidence_rate",
+                       metavar="MAX_RATE", help="maximal coincidence rate (Hz)")
+    p_run.add_argument("--integration-time", type=float, dest="integration_time",
+                       help="integration time per setting (s)")
+    p_run.add_argument("--seed", type=int, help="base RNG seed")
+    p_run.add_argument("--reps", type=int, dest="repetitions", metavar="REPS",
+                       help="seeded repetitions per point")
 
     p_check = sub.add_parser("check", help="run the construction invariant suite")
-    p_check.add_argument("--dim", type=int)
-    p_check.add_argument("--dims", help="comma list or range; default 2:14")
+    dims = p_check.add_mutually_exclusive_group()
+    dims.add_argument("--dim", type=int)
+    dims.add_argument("--dims", help="comma list or range; default 2:14")
     p_check.add_argument("--theta-points", type=int, default=12, dest="theta_points")
 
     return parser

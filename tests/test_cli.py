@@ -432,6 +432,32 @@ def test_too_large_dimension_is_one_json_error(argv, keys, named):
     assert "dim" not in payload or f"d={payload['dim']} " == named
 
 
+@pytest.mark.parametrize("reps", ["9223372036854775807", "1000000000"])
+def test_too_many_repetitions_name_the_count_not_the_dimension(reps):
+    # under the same child-only cap the seed list of d = 3 cannot be sized: sys.maxsize items
+    # are more than any list holds, 10**9 need 8 GB; never run these without the cap
+    resource = pytest.importorskip("resource")
+    cap = 2_500_000_000
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "usdkit.cli", "run", "--dim", "3", "--theta-deg", "30",
+         "--reps", reps], capture_output=True, text=True, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    payload = json.loads(line)
+    message = f"repetitions={reps} needs more memory than this process can allocate"
+    assert payload == {"error": "ConfigurationError", "message": message, "dim": 3,
+                       "theta_deg": pytest.approx(30.0, abs=1e-12), "seed": None}
+    assert "d=" not in payload["message"]
+
+
 @pytest.mark.parametrize("verb", ["run", "theory"])
 def test_overlap_sweep_names_its_failing_dimension(verb):
     # the angle of d = 1 is never resolved, so theta_deg is null; an explicit angle is named
@@ -715,9 +741,11 @@ DIMS = [("--dim", v) for v in ("-1", "0", "1", "2", "3", "14", "30", "2.5", str(
                                "1000000000000000000000")]
 DIM_LISTS = [("--dims", v) for v in ("2:4", "4:2", "2,30", "0:3", "1e3", "x")]
 ANGLES = [("--theta-deg", v) for v in NUMBERS]
-OTHER_ANGLES = [("--overlap", v) for v in NUMBERS] + [
-    ("--theta-grid", v) for v in ("5:45:3", "0:90:2", "nan,10", "5:45:0", "10", "inf:1:2")
-]
+THETA_GRIDS = [("--theta-grid", v)
+               for v in ("5:45:3", "0:90:2", "nan,10", "5:45:0", "10", "inf:1:2")]
+OTHER_ANGLES = [("--overlap", v) for v in NUMBERS] + THETA_GRIDS
+#: the other flag of each pair that gives one quantity
+PARTNERS = {"--dim": DIM_LISTS, "--dims": DIMS, "--theta-deg": THETA_GRIDS, "--theta-grid": ANGLES}
 THETA_POINTS = [("--theta-points", v) for v in ("-1", "0", "1", "12")]
 RUN_FLAGS = {
     **dict.fromkeys(("--epsilon", "--percell-error", "--sigma-spiral", "--singles-rate",
@@ -733,22 +761,32 @@ ERROR_CLASSES = {name for name, cls in vars(errors).items()
 
 
 @st.composite
-def cli_argv(draw):
-    """A valid spine for one verb (d <= 30), then edge values in its numeric flags."""
+def cli_argv(draw, clash=None):
+    """A valid spine for one verb (d <= 30), then edge values in its numeric flags.
+
+    With ``clash`` (drawn, one time in four, when None) a theory, run or check argv
+    also gives the partner of each flag of its spine that has one in ``PARTNERS``.
+    """
 
     def pick(pairs):
         return "=".join(draw(st.sampled_from(pairs)))
 
-    verb = draw(st.sampled_from(["build", "theory", "run", "check"]))
+    verb = draw(st.sampled_from(([] if clash else ["build"]) + ["theory", "run", "check"]))
     if verb == "build":
         return [verb, pick(DIMS), pick(ANGLES)]
     argv = [verb, pick(DIMS + DIM_LISTS)]
     if verb == "check":
-        return argv + [pick(THETA_POINTS)] if draw(st.booleans()) else argv
-    argv += [pick(ANGLES + OTHER_ANGLES), pick([("--format", "csv"), ("--format", "json")])]
+        argv += [pick(THETA_POINTS)] if draw(st.booleans()) else []
+    else:
+        argv += [pick(ANGLES + OTHER_ANGLES), pick([("--format", "csv"), ("--format", "json")])]
     if verb == "run":
         flags = draw(st.lists(st.sampled_from(sorted(RUN_FLAGS)), unique=True, max_size=4))
         argv += [f"{flag}={draw(st.sampled_from(RUN_FLAGS[flag]))}" for flag in flags]
+    if clash is None:
+        clash = draw(st.integers(0, 3)) == 0
+    if clash:
+        spine = [arg.partition("=")[0] for arg in argv[1:3]]
+        argv += [pick(PARTNERS[flag]) for flag in spine if flag in PARTNERS]
     return argv
 
 
@@ -795,6 +833,20 @@ def test_any_argv_ends_in_finite_output_or_one_json_error(argv):
     line, = err.getvalue().splitlines()
     payload = json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} in the error object"))
     assert payload["error"] in ERROR_CLASSES | {"OSError"}, payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_argv(clash=True))
+def test_argv_with_both_flags_of_a_pair_ends_in_one_parser_error(argv):
+    # --dim/--dims and --theta-deg/--theta-grid each give one quantity: the parser takes one flag
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 1 and out.getvalue() == ""
+    line, = err.getvalue().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "UsdError"
+    assert payload["message"].startswith(f"usdkit {argv[0]}: "), payload
 
 
 # ------------------------------------------------------------------ check
