@@ -102,12 +102,11 @@ _SCALARS = fields(SweepSpec)[3:]  # after fixed_overlap: the checked values, the
 
 
 def _config_for(spec: SweepSpec, d: int) -> experiment.ExperimentConfig:
-    """The experiment config at dimension d; every config field has a spec field of its name."""
-    settings = {f.name: getattr(spec, f.name) for f in fields(experiment.ExperimentConfig)}
+    """The experiment config at dimension d from the spec field of each config field's name."""
+    settings = {f.name: value for f in fields(experiment.ExperimentConfig)
+                if (value := getattr(spec, f.name)) is not None}  # None: ExperimentConfig's default
     if spec.percell_error is not None:
         settings["crosstalk_epsilon"] = experiment.epsilon_for_percell_error(d, spec.percell_error)
-    elif spec.crosstalk_epsilon is None:
-        del settings["crosstalk_epsilon"]  # ExperimentConfig's default applies
     return experiment.ExperimentConfig(**settings)
 
 
@@ -204,17 +203,17 @@ def write_rows(rows: list[dict], path: str | None, fmt: str) -> None:
 
 
 def _parse_dims(args) -> tuple[int, ...]:
-    if args.dims is None:
-        if args.dim is None:
-            raise UsdError("provide --dim or --dims")
+    if args.dim is not None:  # first: check's exclusive group still fills the --dims default
         return (args.dim,)
+    if args.dims is None:
+        raise UsdError("provide --dim or --dims")
     lo, colon, hi = args.dims.partition(":")
     try:
         dims = tuple(range(int(lo), int(hi) + 1) if colon else map(int, args.dims.split(",")))
     except ValueError:
         raise UsdError(f"--dims needs 'lo:hi' or a comma list, got {args.dims!r}") from None
-    except OverflowError:  # more dimensions than a tuple can index
-        raise MemoryError from None
+    except (OverflowError, MemoryError):  # more dimensions than a tuple can index or hold
+        raise _too_large(f"--dims {args.dims}") from None
     if not dims:
         raise UsdError(f"--dims {args.dims!r} selects no dimension")
     return dims
@@ -230,16 +229,18 @@ def _parse_theta_grid(spec: str) -> tuple[float, ...]:
         raise UsdError(f"--theta-grid needs 'start:stop:count' or a list, got {spec!r}") from None
     if not (count >= 1 and math.isfinite(stop - start)):  # a non-finite step would warn in numpy
         raise UsdError(f"--theta-grid needs finite ends and a count >= 1, got {spec!r}")
-    if count > sys.maxsize // 8:  # more angles than numpy can size
-        raise MemoryError
-    return tuple(math.radians(x) for x in np.linspace(start, stop, count))
+    try:
+        if count > sys.maxsize // 8:  # more angles than numpy can size
+            raise MemoryError
+        return tuple(math.radians(x) for x in np.linspace(start, stop, count))
+    except MemoryError:
+        raise _too_large(f"--theta-grid {spec}") from None
 
 
-def _resolve_out(args, default_name: str | None = None) -> str | None:
-    out, base = args.out, os.environ.get(OUT_DIR_ENV)
-    if out is None:
-        return None if default_name is None or base is None else os.path.join(base, default_name)
-    return out if base is None else os.path.join(base, out)  # an absolute out wins the join
+def _resolve_out(args) -> str | None:
+    """--out under $USDKIT_OUT_DIR if set (an absolute one wins); None: stdout, "": the dir."""
+    base = os.environ.get(OUT_DIR_ENV)
+    return args.out if args.out is None or base is None else os.path.join(base, args.out)
 
 
 def _spec_from_args(args) -> SweepSpec:
@@ -283,7 +284,7 @@ CHECK_GATES = {"completeness": 1e-10, "zero_error": 1e-20, "closure": 1e-12, "th
 def cmd_build(args) -> int:
     basis = states.build_basis(args.dim, math.radians(args.theta_deg))
     mapping = states.oam_map(args.dim)
-    outdir = _resolve_out(args, default_name="") or "."
+    outdir = _resolve_out(args) or "."
     os.makedirs(outdir, exist_ok=True)
     artifacts = {
         "family.json": states.to_json(basis.family),
@@ -311,7 +312,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    dims = tuple(range(2, 15)) if args.dims is None and args.dim is None else _parse_dims(args)
+    dims = _parse_dims(args)
     if (points := args.theta_points) < 1:
         raise UsdError(f"--theta-points must be >= 1, got {points}")
     line = "d={:2d}  " + "  ".join(key.replace("_", "-") + " {:.2e}" for key in CHECK_GATES)
@@ -360,7 +361,7 @@ def _parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="construct and serialize states, basis, OAM map")
     p_build.add_argument("--dim", type=int, required=True)
     p_build.add_argument("--theta-deg", type=float, dest="theta_deg", required=True)
-    p_build.add_argument("--out", help="output directory")
+    p_build.add_argument("--out", default="", help="output directory; default $USDKIT_OUT_DIR or .")
 
     common(sub.add_parser("theory", help="closed-form sweep to CSV/JSON"))
 
@@ -386,7 +387,7 @@ def _parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the construction invariant suite")
     dims = p_check.add_mutually_exclusive_group()
     dims.add_argument("--dim", type=int)
-    dims.add_argument("--dims", help="comma list or range; default 2:14")
+    dims.add_argument("--dims", default="2:14", help="comma list or range; default 2:14")
     p_check.add_argument("--theta-points", type=int, default=12, dest="theta_points")
 
     return parser
@@ -397,8 +398,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         return globals()["cmd_" + args.command](args)  # looked up per call: patches apply
     except (UsdError, ValueError, OSError, MemoryError) as exc:
-        if isinstance(exc, MemoryError):  # a sweep point and a checked d name themselves
-            ranges = [f"--{k.replace('_', '-')} {getattr(args, k)}"  # else what sized the request
+        if isinstance(exc, MemoryError):  # a sweep point, a checked d, a range name themselves;
+            ranges = [f"--{k.replace('_', '-')} {getattr(args, k)}"  # after parsing: the inputs
                       for k in ("dims", "theta_grid") if getattr(args, k, None)]
             exc = _too_large(" ".join(ranges) or f"d={args.dim}")
         payload = {"error": type(exc).__name__, "message": str(exc)}

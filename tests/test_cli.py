@@ -57,6 +57,28 @@ def test_build_writes_artifacts_and_residuals(tmp_path, capsys):
     assert mapping == {"dim": 3, "state_ells": [-1, 0, 1], "ancilla_ell": -2}
 
 
+def test_build_without_out_writes_into_the_output_directory(tmp_path, capsys, monkeypatch):
+    # --out defaults to the output directory itself: $USDKIT_OUT_DIR if set, else the working one
+    argv = ("build", "--dim", "3", "--theta-deg", "33")
+    names = ["basis.json", "family.json", "oam_map.json"]
+    invoke(capsys, *argv, "--out", str(tmp_path / "explicit"))
+    expected = [(tmp_path / "explicit" / name).read_text() for name in names]
+    env_dir, cwd = tmp_path / "env", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(env_dir))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == f"wrote family.json basis.json oam_map.json to {env_dir}{os.sep}"
+    assert [(env_dir / name).read_text() for name in names] == expected
+    monkeypatch.delenv(cli.OUT_DIR_ENV)
+    monkeypatch.chdir(cwd)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "wrote family.json basis.json oam_map.json to ."
+    assert sorted(os.listdir(cwd)) == names
+    assert [(cwd / name).read_text() for name in names] == expected
+
+
 def test_build_invalid_dimension_exits_nonzero(capsys):
     code, out, err = invoke(capsys, "build", "--dim", "1", "--theta-deg", "20")
     assert code == 1
@@ -430,6 +452,35 @@ def test_too_large_dimension_is_one_json_error(argv, keys, named):
     assert payload["error"] == "ConfigurationError"
     assert named in payload["message"]
     assert "dim" not in payload or f"d={payload['dim']} " == named
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--dims", "2:100000000000", "--theta-grid", "1:2:3"), "--dims 2:100000000000"),
+        (("--dims", "2,3", "--theta-grid", "1:2:100000000000"), "--theta-grid 1:2:100000000000"),
+    ],
+    ids=["dims", "theta-grid"],
+)
+def test_too_large_range_names_only_its_own_flag(argv, flag):
+    # under the same child-only cap the 10**11-long range fails to allocate while it is parsed,
+    # so the other range flag, which sized nothing, is not named; never run these without the cap
+    resource = pytest.importorskip("resource")
+    cap = 2_500_000_000
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "usdkit.cli", "theory", *argv], capture_output=True, text=True,
+        preexec_fn=limit, env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    message = f"{flag} needs more memory than this process can allocate"
+    assert json.loads(line) == {"error": "ConfigurationError", "message": message}
 
 
 @pytest.mark.parametrize("reps", ["9223372036854775807", "1000000000"])
@@ -1178,8 +1229,13 @@ def test_run_takes_a_seed_that_no_float_holds(capsys):
          f"--dims 2:{10**23} needs more memory than this process can allocate"),
         (("theory", "--dim", "3", "--theta-grid", f"1:2:{10**23}"), "ConfigurationError",
          f"--theta-grid 1:2:{10**23} needs more memory than this process can allocate"),
+        (("theory", "--dims", f"2:{10**23}", "--theta-grid", "1:2:3"), "ConfigurationError",
+         f"--dims 2:{10**23} needs more memory than this process can allocate"),
+        (("theory", "--dims", "2,3", "--theta-grid", f"1:2:{10**23}"), "ConfigurationError",
+         f"--theta-grid 1:2:{10**23} needs more memory than this process can allocate"),
     ],
-    ids=["theory-dim", "run-reps", "build-dim", "run-dim", "check-dim", "dims", "theta-grid"],
+    ids=["theory-dim", "run-reps", "build-dim", "run-dim", "check-dim", "dims", "theta-grid",
+         "dims-with-theta-grid", "theta-grid-with-dims"],
 )
 def test_integer_beyond_every_array_is_one_json_error(tmp_path, capsys, argv, error, message):
     # nothing is allocated for these: the check comes before any array of that size
