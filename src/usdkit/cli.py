@@ -96,16 +96,17 @@ class SweepSpec:
             raise UsdError(f"repetitions must be <= {sys.maxsize}")
         if self.crosstalk_epsilon is not None and self.percell_error is not None:
             raise UsdError("give --epsilon (crosstalk_epsilon) or --percell-error, not both")
+        _config_for(self)  # ExperimentConfig's own rules, once before any point
 
 
 _SCALARS = fields(SweepSpec)[3:]  # after fixed_overlap: the checked values, the --config keys
 
 
-def _config_for(spec: SweepSpec, d: int) -> experiment.ExperimentConfig:
-    """The experiment config at dimension d from the spec field of each config field's name."""
+def _config_for(spec: SweepSpec, d: int | None = None) -> experiment.ExperimentConfig:
+    """The config at d from the same-named spec fields; without d, no --percell-error epsilon."""
     settings = {f.name: value for f in fields(experiment.ExperimentConfig)
                 if (value := getattr(spec, f.name)) is not None}  # None: ExperimentConfig's default
-    if spec.percell_error is not None:
+    if spec.percell_error is not None and d is not None:
         settings["crosstalk_epsilon"] = experiment.epsilon_for_percell_error(d, spec.percell_error)
     return experiment.ExperimentConfig(**settings)
 
@@ -277,10 +278,6 @@ def _spec_from_args(args) -> SweepSpec:
     return SweepSpec(dims=dims, thetas=thetas, fixed_overlap=args.overlap, **merged)
 
 
-#: Bounds of ``usdkit check``: every residual it reports must stay below its bound.
-CHECK_GATES = {"completeness": 1e-10, "zero_error": 1e-20, "closure": 1e-12, "theory_match": 1e-12}
-
-
 def cmd_build(args) -> int:
     basis = states.build_basis(args.dim, math.radians(args.theta_deg))
     mapping = states.oam_map(args.dim)
@@ -315,22 +312,22 @@ def cmd_check(args) -> int:
     dims = _parse_dims(args)
     if (points := args.theta_points) < 1:
         raise UsdError(f"--theta-points must be >= 1, got {points}")
-    line = "d={:2d}  " + "  ".join(key.replace("_", "-") + " {:.2e}" for key in CHECK_GATES)
+    line = "d={:2d}  " + "  ".join(key.replace("_", "-") + " {:.2e}" for key in states.GATES)
     ok, d = True, min(dims)  # theta_max grows with d: the smallest d has the smallest first angle
     try:  # frame(d) checks d before the count is judged, so a bad d keeps its own error
         if states.frame(d).tmax / min(points, sys.maxsize) < states.MIN_THETA:  # as block 1 builds
             raise UsdError(f"--theta-points {points} puts the first angle of d={d} below "
                            f"{states.MIN_THETA!r} rad, where its states coincide")
         for d in dims:
-            tmax, worst = states.frame(d).tmax, [-math.inf] * len(CHECK_GATES)
+            tmax, worst = states.frame(d).tmax, -math.inf  # points >= 1: a block makes it an array
             block = max(1, 2**20 // (d + 1) ** 2)  # angles per build: at most 8 MB per array
             for k in range(1, points + 1, block):
                 grid = [j * tmax / points for j in range(k, min(k + block, points + 1))]
                 part = states.residuals(states.build_basis(d, grid))
-                worst = [w if w >= part[key] or w != w else part[key]  # a NaN in any block stays
-                         for w, key in zip(worst, CHECK_GATES)]
+                worst = np.maximum(worst, [part[key] for key in states.GATES])  # NaN propagates
+            worst = worst.tolist()  # floats format and compare faster than numpy scalars
             print(line.format(d, *worst))
-            ok = ok and all(w < gate for w, gate in zip(worst, CHECK_GATES.values()))
+            ok = ok and all(w < gate for w, gate in zip(worst, states.GATES.values()))
     except MemoryError:
         raise _too_large(f"d={d}") from None
     print("all invariants within tolerance" if ok else "INVARIANT VIOLATION")

@@ -22,10 +22,10 @@ checks it and gives its sin, cos, tan and clamped (t, a) to family and basis,
 so slice k of a stack is the one-angle build.
 
 Measuring |D_i> identifies |Psi_i> with certainty (``ideal_detection_matrix``);
-|D_{d+1}> gives no information.  ``residuals(basis)`` is the one statement of
-what a valid build satisfies, each residual a maximum over the stack.  Basis
-indices map to orbital-angular-momentum mode labels through ``oam_map``, in
-closed form: the d labels closest to zero and one ancilla label beside them.
+|D_{d+1}> gives no information.  ``residuals(basis)`` and ``GATES`` are the one
+statement of what a valid build satisfies: each residual, a maximum over the
+stack, stays below its gate.  Basis indices map to OAM mode labels through
+``oam_map``, in closed form: the d labels closest to zero and an ancilla beside.
 
 All construction functions are pure and the returned objects hold read-only
 arrays, so they are safe to share across concurrent readers.  What depends
@@ -213,11 +213,13 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
 
 
 def ideal_detection_matrix(basis: DiscriminationBasis) -> np.ndarray:
-    """|<D_j|Psi_i>|^2 of the basis's own states, padded by a zero ancilla; rows sum to one."""
-    d = basis.family.dim
-    embedded = np.zeros(np.shape(basis.family.theta) + (d, d + 1))
-    embedded[..., :d] = basis.family.vectors
-    return (embedded @ basis.vectors.swapaxes(-1, -2)) ** 2
+    """|<D_j|Psi_i>|^2 of the basis's own states, which lack the ancilla; rows sum to one."""
+    return (basis.family.vectors @ basis.vectors[..., : basis.family.dim].swapaxes(-1, -2)) ** 2
+
+
+#: The bound of each residual that ``check`` reports; orthonormality is the build's own check.
+GATES = {"completeness": ORTHO_TOL, "zero_error": 1e-20, "closure": EXACT_TOL,
+         "theory_match": EXACT_TOL}
 
 
 def residuals(basis: DiscriminationBasis) -> dict[str, float]:

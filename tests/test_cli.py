@@ -362,6 +362,31 @@ def test_run_rejects_zero_max_rate(capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, field, message",
+    [
+        ("--integration-time", "-1", "integration_time", "integration_time must be positive"),
+        ("--epsilon", "0.7", "crosstalk_epsilon", "crosstalk_epsilon must lie in [0, 0.5)"),
+        ("--sigma-spiral", "-2", "spiral_bandwidth_sigma",
+         "spiral_bandwidth_sigma must be positive"),
+        ("--max-rate", "0", "max_coincidence_rate", "max_coincidence_rate must be positive"),
+        ("--singles-rate", "-5", "singles_rate_scale", "singles_rate_scale must be nonnegative"),
+    ],
+    ids=["integration-time", "epsilon", "sigma-spiral", "max-rate", "singles-rate"],
+)
+def test_setting_valid_at_no_point_is_one_error_before_any_build(
+    capsys, monkeypatch, flag, value, field, message
+):
+    builds = []
+    monkeypatch.setattr(cli.states, "build_basis", lambda *args: builds.append(args))
+    code, out, err = invoke(capsys, "run", "--dims", "3,4", "--theta-deg", "30", f"{flag}={value}")
+    assert (code, out, builds) == (1, "", [])
+    line, = err.splitlines()
+    assert json.loads(line) == {"error": "ConfigurationError", "message": message}
+    with pytest.raises(errors.ConfigurationError, match=re.escape(message)):
+        SweepSpec(dims=(3, 4), thetas=(0.5,), **{field: float(value)})  # theory_rows' spec too
+
+
+@pytest.mark.parametrize(
     "flag, value", [("--theta-deg", "nan"), ("--theta-deg", "inf"), ("--theta-grid", "nan,10")]
 )
 def test_nonfinite_theta_error_is_strict_json(capsys, flag, value):
@@ -909,7 +934,7 @@ def test_check_default_grid_is_not_vacuous(capsys):
     *lines, verdict = out.splitlines()
     assert verdict == "all invariants within tolerance"
     assert [line[: line.index("  ")] for line in lines] == [f"d={d:2d}" for d in range(2, 15)]
-    gates = {key.replace("_", "-"): gate for key, gate in cli.CHECK_GATES.items()}
+    gates = {key.replace("_", "-"): gate for key, gate in states.GATES.items()}
     for line in lines:
         cells = dict(cell.split() for cell in line.split("  ")[1:])
         assert cells.keys() == gates.keys()
@@ -935,7 +960,7 @@ def test_check_rejects_empty_theta_grid(capsys, points):
 
 
 def _check_line(d, residuals):
-    cells = "  ".join(f"{key.replace('_', '-')} {residuals[key]:.2e}" for key in cli.CHECK_GATES)
+    cells = "  ".join(f"{key.replace('_', '-')} {residuals[key]:.2e}" for key in states.GATES)
     return f"d={d:2d}  {cells}"
 
 
@@ -988,7 +1013,7 @@ def test_check_splits_a_large_grid_into_bounded_blocks(capsys, monkeypatch):
     tmax = theory.theta_max(200)
     grid = [k * tmax / 40 for k in range(1, 41)]
     each = [states.residuals(states.build_basis(200, th)) for th in grid]
-    worst = {key: max(r[key] for r in each) for key in cli.CHECK_GATES}
+    worst = {key: max(r[key] for r in each) for key in states.GATES}
     builds = _record_builds(monkeypatch)
     code, out, _ = invoke(capsys, "check", "--dim", "200", "--theta-points", "40")
     assert code == 0
@@ -1291,7 +1316,7 @@ GOLDEN_OUTPUTS = {
     "faebe78d4e0e1e5838ad26462e4afe1fa9b7a0ae5bc77e191f64c0f835c7baaa": (
         "check", "--dims", "2:14",
     ),
-    "218188295ebc0abfb5b290f0a7649764ef34ee83904624f8460dcbc14bf23633": (
+    "ce206410855464749379304a2467b52d8c5ab8ba0a9f2358f804edb2444afbcb": (
         "check", "--dims", "15:40", "--theta-points", "5",
     ),
     "1acfc4b80dd6befa9fc4132a2e293366cfc8c61a12dfcacc1f933324ec2fe716": (
@@ -1319,7 +1344,7 @@ def test_shared_parser_gives_pinned_bytes_after_a_usage_error(capsys):
     code, out, err = invoke(capsys, "check", "--theta-points", "x")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "UsdError"
-    digest = "218188295ebc0abfb5b290f0a7649764ef34ee83904624f8460dcbc14bf23633"
+    digest = "ce206410855464749379304a2467b52d8c5ab8ba0a9f2358f804edb2444afbcb"
     code, out, err = invoke(capsys, *GOLDEN_OUTPUTS[digest])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

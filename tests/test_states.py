@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usdkit import cli, states, theory
+from usdkit import states, theory
 from usdkit.errors import DegenerateFamilyError, DomainError, InvalidDimensionError
 
 CHECK_DIMS = list(range(2, 15))
@@ -560,6 +560,16 @@ def test_grid_invariants(d):
         assert np.max(np.abs(probs[:, d] - p_inc)) < 1e-12
 
 
+@pytest.mark.parametrize("d", range(2, 61))
+def test_detection_matrix_equals_the_padded_embedding(d):
+    # the states lack the ancilla, so the basis's first d columns give the padded product;
+    # BLAS may block the two products differently (at d = 31 they differ by 4.4e-16)
+    tmax = theory.theta_max(d)
+    basis = states.build_basis(d, [k * tmax / 12 for k in range(1, 13)])
+    padded = (embed(basis.family) @ np.asarray(basis.vectors).swapaxes(-1, -2)) ** 2
+    assert np.abs(states.ideal_detection_matrix(basis) - padded).max() <= 1e-15
+
+
 @pytest.mark.parametrize("d", [500, 1000])
 def test_large_dimension_keeps_closure_and_theory_match_at_roundoff(d):
     # the simplex's entries are closed forms, so its roundoff does not grow with d
@@ -567,7 +577,7 @@ def test_large_dimension_keeps_closure_and_theory_match_at_roundoff(d):
     residuals = states.residuals(states.build_basis(d, [tmax / 2, tmax]))
     assert residuals["closure"] <= 1e-14
     assert residuals["theory_match"] <= 1e-14
-    assert residuals["zero_error"] < cli.CHECK_GATES["zero_error"]
+    assert residuals["zero_error"] < states.GATES["zero_error"]
 
 
 # ----------------------------------------------------------------- OAM map
