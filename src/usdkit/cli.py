@@ -96,17 +96,19 @@ class SweepSpec:
             raise UsdError(f"repetitions must be <= {sys.maxsize}")
         if self.crosstalk_epsilon is not None and self.percell_error is not None:
             raise UsdError("give --epsilon (crosstalk_epsilon) or --percell-error, not both")
-        _config_for(self)  # ExperimentConfig's own rules, once before any point
+        _config_for(self, 2)  # epsilon = per_cell*(d+1) grows: what fails at d=2 fails at every d
+        if self.fixed_overlap is not None:  # the range of an overlap is the same at every d
+            theory.theta_for_overlap(2, self.fixed_overlap)
 
 
 _SCALARS = fields(SweepSpec)[3:]  # after fixed_overlap: the checked values, the --config keys
 
 
-def _config_for(spec: SweepSpec, d: int | None = None) -> experiment.ExperimentConfig:
-    """The config at d from the same-named spec fields; without d, no --percell-error epsilon."""
+def _config_for(spec: SweepSpec, d: int) -> experiment.ExperimentConfig:
+    """The config at d from the same-named spec fields, and --percell-error's epsilon at d."""
     settings = {f.name: value for f in fields(experiment.ExperimentConfig)
                 if (value := getattr(spec, f.name)) is not None}  # None: ExperimentConfig's default
-    if spec.percell_error is not None and d is not None:
+    if spec.percell_error is not None:
         settings["crosstalk_epsilon"] = experiment.epsilon_for_percell_error(d, spec.percell_error)
     return experiment.ExperimentConfig(**settings)
 
@@ -140,6 +142,10 @@ def sweep_points(spec: SweepSpec, simulate: bool = True):
     at a point names it in ``exc.point``: dim, theta_deg (None while the angle is
     unresolved) and its repetition's seed (the first if none; None before the draw).
     """
+    try:  # once, before any point, since no point sizes it
+        all_seeds = [*range(spec.seed, spec.seed + spec.repetitions)] if simulate else ()
+    except MemoryError:  # a count too large to hold: the count's error, with no point
+        raise _too_large(f"repetitions={spec.repetitions}") from None
     for d in spec.dims:
         th, seeds = None, ()  # SweepSpec keeps a given thetas non-empty, so `or` picks it
         try:
@@ -147,20 +153,16 @@ def sweep_points(spec: SweepSpec, simulate: bool = True):
                 seeds, summary = (), None
                 basis = states.build_basis(d, th) if simulate else None
                 point = theory.theory_point(d, th)
-                if simulate:  # a list: a count too large to hold fails before the draw
-                    try:
-                        seeds = [*range(spec.seed, spec.seed + spec.repetitions)]
-                    except MemoryError:  # the count, not d, sized it
-                        raise _too_large(f"repetitions={spec.repetitions}") from None
+                if simulate:  # from here on an error names the point's seeds
+                    seeds = all_seeds
                     record = experiment.run_repetitions(basis, _config_for(spec, d), seeds)
                     p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
                     summary = analysis.summarize_probabilities(p)
                 yield point, seeds, summary
         except (UsdError, ValueError, MemoryError) as exc:
             exc = _too_large(f"d={d}") if isinstance(exc, MemoryError) else exc
-            seed = seeds[getattr(exc, "repetition", 0)] if seeds else None
-            theta_deg = None if th is None else math.degrees(th)
-            exc.point = {"dim": d, "theta_deg": theta_deg, "seed": seed}
+            exc.point = {"dim": d, "theta_deg": None if th is None else math.degrees(th),
+                         "seed": seeds[getattr(exc, "repetition", 0)] if seeds else None}
             raise exc
 
 

@@ -124,9 +124,8 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
     """
     eps = per_cell * (d + 1)
     if not 0.0 <= eps < 0.5:
-        raise ConfigurationError(
-            f"per-cell error {per_cell!r} needs epsilon={eps!r}, outside [0, 0.5)"
-        )
+        raise ConfigurationError(f"per-cell error {per_cell!r} needs epsilon={eps!r} at d={d}, "
+                                 "outside [0, 0.5)")
     return eps
 
 

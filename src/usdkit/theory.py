@@ -43,11 +43,21 @@ def theta_max(d: int) -> float:
 
 def _check_theta(d: int, theta: float, tmax: float | None = None) -> float:
     tmax = theta_max(d) if tmax is None else tmax  # a caller checking many angles passes it
-    if not (-THETA_TOL <= theta <= tmax + THETA_TOL):
-        raise DomainError(
-            f"theta must lie in [0, {tmax!r}] rad (theta_max for d={d}); got {theta!r}"
-        )
-    return 0.0 if (theta := float(theta)) < 0.0 else tmax if theta > tmax else theta
+    try:  # float() first: what holds no float (None, "abc", 10**400) meets the range error
+        if -THETA_TOL <= (value := float(theta)) <= tmax + THETA_TOL:
+            return 0.0 if value < 0.0 else tmax if value > tmax else value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"theta must lie in [0, {tmax!r}] rad (theta_max for d={d}); got {theta!r}")
+
+
+def _check_overlap(s: float) -> float:
+    try:  # converted as an angle is, so a non-number meets the range error too
+        if 0.0 <= (value := float(s)) <= 1.0:
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"overlap must lie in [0, 1], got {s!r}")
 
 
 def overlap(d: int, theta: float) -> float:
@@ -79,15 +89,12 @@ def theta_for_overlap(d: int, target: float) -> float:
     Used to hold the MESD bound constant while sweeping the dimension.
     """
     d = _check_dim(d)
-    if not 0.0 <= target <= 1.0:
-        raise DomainError(f"overlap must lie in [0, 1], got {target!r}")
-    return math.acos(math.sqrt((1.0 + (d - 1.0) * target) / d))
+    return math.acos(math.sqrt((1.0 + (d - 1.0) * _check_overlap(target)) / d))
 
 
 def mesd_bound_from_overlap(s: float) -> float:
     """Minimum-error bound (1 - sqrt(1 - s^2))/2 for pairwise overlap s."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"overlap must lie in [0, 1], got {s!r}")
+    s = _check_overlap(s)
     return 0.5 * (1.0 - math.sqrt(max(1.0 - s * s, 0.0)))
 
 

@@ -35,6 +35,48 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _not_strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def one_error(result):
+    """The whole CLI error contract for ``(code, stdout, stderr)``; returns the error object.
+
+    Exit code 1, nothing on stdout, and exactly one stderr line that parses as strict JSON
+    (no NaN, Infinity or -Infinity).
+    """
+    code, out, err = result
+    assert (code, out) == (1, ""), result
+    line, = err.splitlines()
+    return json.loads(line, parse_constant=_not_strict)
+
+
+#: the address space of a capped child: the interpreter and numpy fit, a large array does not
+CHILD_CAP = 2_500_000_000
+
+
+def run_child(*argv, capped=False):
+    """``python -m usdkit.cli *argv`` in a fresh interpreter, as ``(code, stdout, stderr)``.
+
+    The child imports this checkout's package, with BLAS at one thread; ``capped`` limits
+    the child's address space alone to ``CHILD_CAP`` bytes.
+    """
+    limit = None
+    if capped:
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (CHILD_CAP, CHILD_CAP))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "usdkit.cli", *argv], capture_output=True, text=True,
+        preexec_fn=limit, env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 # ------------------------------------------------------------------ build
 
 
@@ -80,9 +122,7 @@ def test_build_without_out_writes_into_the_output_directory(tmp_path, capsys, mo
 
 
 def test_build_invalid_dimension_exits_nonzero(capsys):
-    code, out, err = invoke(capsys, "build", "--dim", "1", "--theta-deg", "20")
-    assert code == 1
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, "build", "--dim", "1", "--theta-deg", "20"))
     assert payload["error"] == "InvalidDimensionError"
 
 
@@ -195,9 +235,7 @@ def test_run_json_format(tmp_path, capsys):
 
 
 def test_run_domain_error_reports_json(capsys):
-    code, _, err = invoke(capsys, "run", "--dim", "6", "--theta-deg", "80")
-    assert code == 1
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, "run", "--dim", "6", "--theta-deg", "80"))
     assert payload["error"] == "DomainError"
     assert "theta" in payload["message"]
 
@@ -354,9 +392,7 @@ def test_seed_independent_error_names_first_seed(capsys):
 
 def test_run_rejects_zero_max_rate(capsys):
     # no signal: any verdict would come from noise alone
-    code, out, err = invoke(capsys, "run", "--dim", "2", "--theta-deg", "30", "--max-rate", "0")
-    assert code == 1 and out == ""
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, "run", "--dim", "2", "--theta-deg", "30", "--max-rate", "0"))
     assert payload["error"] == "ConfigurationError"
     assert "max_coincidence_rate" in payload["message"]
 
@@ -370,33 +406,74 @@ def test_run_rejects_zero_max_rate(capsys):
          "spiral_bandwidth_sigma must be positive"),
         ("--max-rate", "0", "max_coincidence_rate", "max_coincidence_rate must be positive"),
         ("--singles-rate", "-5", "singles_rate_scale", "singles_rate_scale must be nonnegative"),
+        # epsilon = per_cell*(d+1) grows with d, so d=2, outside this sweep, judges the spec
+        ("--percell-error", "-0.01", "percell_error",
+         "per-cell error -0.01 needs epsilon=-0.03 at d=2, outside [0, 0.5)"),
+        ("--percell-error", "0.2", "percell_error",
+         "per-cell error 0.2 needs epsilon=0.6000000000000001 at d=2, outside [0, 0.5)"),
     ],
-    ids=["integration-time", "epsilon", "sigma-spiral", "max-rate", "singles-rate"],
+    ids=["integration-time", "epsilon", "sigma-spiral", "max-rate", "singles-rate",
+         "percell-negative", "percell-too-large"],
 )
 def test_setting_valid_at_no_point_is_one_error_before_any_build(
     capsys, monkeypatch, flag, value, field, message
 ):
     builds = []
     monkeypatch.setattr(cli.states, "build_basis", lambda *args: builds.append(args))
-    code, out, err = invoke(capsys, "run", "--dims", "3,4", "--theta-deg", "30", f"{flag}={value}")
-    assert (code, out, builds) == (1, "", [])
-    line, = err.splitlines()
-    assert json.loads(line) == {"error": "ConfigurationError", "message": message}
+    argv = ("run", "--dims", "3,4", "--theta-deg", "30", f"{flag}={value}")
+    assert one_error(invoke(capsys, *argv)) == {"error": "ConfigurationError", "message": message}
+    assert builds == []
     with pytest.raises(errors.ConfigurationError, match=re.escape(message)):
         SweepSpec(dims=(3, 4), thetas=(0.5,), **{field: float(value)})  # theory_rows' spec too
+
+
+@pytest.mark.parametrize("verb, value", [("run", "1.5"), ("theory", "-0.5")])
+def test_overlap_no_dimension_admits_is_one_error_before_any_build(
+    capsys, monkeypatch, verb, value
+):
+    # the range of an overlap is the same at every d, so the spec judges it once, at d=2
+    builds = []
+    monkeypatch.setattr(cli.states, "build_basis", lambda *args: builds.append(args))
+    message = f"overlap must lie in [0, 1], got {value}"
+    payload = one_error(invoke(capsys, verb, "--dims", "3,4", f"--overlap={value}"))
+    assert payload == {"error": "DomainError", "message": message}
+    assert builds == []
+    with pytest.raises(errors.DomainError, match=f"^{re.escape(message)}$"):
+        SweepSpec(dims=(3, 4), fixed_overlap=float(value))
+
+
+def test_percell_error_some_dimension_admits_stays_the_error_of_its_point(capsys):
+    # epsilon = 0.04*(d+1) passes at d=2 and fails at d=20, which its point names
+    argv = ("run", "--dims", "2,20", "--theta-deg", "20", "--percell-error", "0.04")
+    assert one_error(invoke(capsys, *argv)) == {
+        "error": "ConfigurationError",
+        "message": "per-cell error 0.04 needs epsilon=0.84 at d=20, outside [0, 0.5)",
+        "dim": 20, "theta_deg": pytest.approx(20.0, abs=1e-12), "seed": 0,
+    }
+
+
+@pytest.mark.parametrize("overlap", ["0", "1"])
+def test_overlap_range_ends_give_rows(capsys, overlap):
+    code, out, err = invoke(capsys, "theory", "--dims", "2,3", "--overlap", overlap)
+    assert (code, err) == (0, "")
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in out.splitlines()[1:]]
+    assert [row["dim"] for row in rows] == ["2", "3"]
+    assert [float(row["overlap"]) for row in rows] == pytest.approx([float(overlap)] * 2, abs=1e-15)
+
+
+def test_point_error_before_its_draw_names_no_seed(capsys):
+    # the first angle draws seeds 4 and 5; the second fails to build, so it has drawn none
+    argv = ("run", "--dim", "2", "--theta-grid", "10,80", "--seed", "4", "--reps", "2")
+    payload = one_error(invoke(capsys, *argv))
+    assert payload["error"] == "DomainError"
+    assert (payload["dim"], payload["theta_deg"], payload["seed"]) == (2, 80.0, None)
 
 
 @pytest.mark.parametrize(
     "flag, value", [("--theta-deg", "nan"), ("--theta-deg", "inf"), ("--theta-grid", "nan,10")]
 )
 def test_nonfinite_theta_error_is_strict_json(capsys, flag, value):
-    code, out, err = invoke(capsys, "run", "--dim", "3", flag, value)
-    assert code == 1 and out == ""
-
-    def reject(constant):
-        raise ValueError(f"{constant} is not strict JSON")
-
-    payload = json.loads(err, parse_constant=reject)
+    payload = one_error(invoke(capsys, "run", "--dim", "3", flag, value))
     assert payload["error"] == "DomainError"
     assert payload["dim"] == 3 and payload["seed"] is None
     assert payload["theta_deg"] == value.split(",")[0]
@@ -404,9 +481,7 @@ def test_nonfinite_theta_error_is_strict_json(capsys, flag, value):
 
 def test_huge_singles_rate_is_a_config_error(capsys):
     argv = ["run", "--dim", "3", "--theta-deg", "30", "--singles-rate", "1e200"]
-    code, out, err = invoke(capsys, *argv)
-    assert code == 1 and out == ""
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, *argv))
     assert payload["error"] == "ConfigurationError"
     assert "finite" in payload["message"]
 
@@ -427,16 +502,7 @@ def test_huge_singles_rate_is_a_config_error(capsys):
 )
 def test_degenerate_config_leaves_one_json_line_on_stderr(flags, error, key):
     # a fresh interpreter, so that numpy warnings reach stderr instead of pytest's recorder
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = ["run", "--dim", "3", "--theta-deg", "30", *flags]
-    proc = subprocess.run(
-        [sys.executable, "-m", "usdkit.cli", *argv], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    line, = proc.stderr.splitlines()
-    payload = json.loads(line)
+    payload = one_error(run_child("run", "--dim", "3", "--theta-deg", "30", *flags))
     assert payload["error"] == error
     assert key is None or repr(key) in payload["message"]
 
@@ -458,21 +524,7 @@ def test_degenerate_config_leaves_one_json_line_on_stderr(flags, error, key):
 def test_too_large_dimension_is_one_json_error(argv, keys, named):
     # a 2.5 GB address-space cap on the child alone makes its first large array fail to allocate:
     # the (d, d-1) simplex at these d, or the tuple or grid of a range of 10**11 values
-    resource = pytest.importorskip("resource")
-    cap = 2_500_000_000
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "usdkit.cli", *argv], capture_output=True, text=True,
-        preexec_fn=limit, env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    line, = proc.stderr.splitlines()
-    payload = json.loads(line)
+    payload = one_error(run_child(*argv, capped=True))
     assert set(payload) == keys
     assert payload["error"] == "ConfigurationError"
     assert named in payload["message"]
@@ -490,64 +542,28 @@ def test_too_large_dimension_is_one_json_error(argv, keys, named):
 def test_too_large_range_names_only_its_own_flag(argv, flag):
     # under the same child-only cap the 10**11-long range fails to allocate while it is parsed,
     # so the other range flag, which sized nothing, is not named; never run these without the cap
-    resource = pytest.importorskip("resource")
-    cap = 2_500_000_000
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "usdkit.cli", "theory", *argv], capture_output=True, text=True,
-        preexec_fn=limit, env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    line, = proc.stderr.splitlines()
     message = f"{flag} needs more memory than this process can allocate"
-    assert json.loads(line) == {"error": "ConfigurationError", "message": message}
+    payload = one_error(run_child("theory", *argv, capped=True))
+    assert payload == {"error": "ConfigurationError", "message": message}
 
 
 @pytest.mark.parametrize("reps", ["9223372036854775807", "1000000000"])
 def test_too_many_repetitions_name_the_count_not_the_dimension(reps):
-    # under the same child-only cap the seed list of d = 3 cannot be sized: sys.maxsize items
-    # are more than any list holds, 10**9 need 8 GB; never run these without the cap
-    resource = pytest.importorskip("resource")
-    cap = 2_500_000_000
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "usdkit.cli", "run", "--dim", "3", "--theta-deg", "30",
-         "--reps", reps], capture_output=True, text=True, preexec_fn=limit,
-        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    line, = proc.stderr.splitlines()
-    payload = json.loads(line)
+    # under the same child-only cap the seed list cannot be sized: sys.maxsize items are more
+    # than any list holds, 10**9 need 8 GB; never run these without the cap.  No point sizes
+    # the list, so it is made before the first point and the error names none
+    argv = ("run", "--dim", "3", "--theta-deg", "30", "--reps", reps)
+    payload = one_error(run_child(*argv, capped=True))
     message = f"repetitions={reps} needs more memory than this process can allocate"
-    assert payload == {"error": "ConfigurationError", "message": message, "dim": 3,
-                       "theta_deg": pytest.approx(30.0, abs=1e-12), "seed": None}
+    assert payload == {"error": "ConfigurationError", "message": message}
     assert "d=" not in payload["message"]
 
 
 @pytest.mark.parametrize("verb", ["run", "theory"])
 def test_overlap_sweep_names_its_failing_dimension(verb):
     # the angle of d = 1 is never resolved, so theta_deg is null; an explicit angle is named
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    payloads = []
-    for angle in (("--overlap", "0.5"), ("--theta-deg", "30")):
-        proc = subprocess.run(
-            [sys.executable, "-m", "usdkit.cli", verb, "--dims", "2,1", *angle],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 1 and proc.stdout == ""
-        line, = proc.stderr.splitlines()
-        payloads.append(json.loads(line))
+    payloads = [one_error(run_child(verb, "--dims", "2,1", *angle))
+                for angle in (("--overlap", "0.5"), ("--theta-deg", "30"))]
     message = "dimension must be an integer >= 2, got 1"
     assert payloads[0] == {"error": "InvalidDimensionError", "message": message,
                            "dim": 1, "theta_deg": None, "seed": None}
@@ -640,11 +656,9 @@ def test_spec_epsilon_reaches_config():
 def test_config_file_rejects_bad_values(tmp_path, capsys, key, value):
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps({key: value}))
-    code, out, err = invoke(
-        capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
+    payload = one_error(
+        invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path))
     )
-    assert code == 1 and out == ""
-    payload = json.loads(err)
     assert payload["error"] == "UsdError"
     assert repr(key) in payload["message"]
     if (key, value) != ("crosstalk_epsilon", None):  # a file's null stands for percell_error only
@@ -656,11 +670,9 @@ def test_config_file_rejects_bad_values(tmp_path, capsys, key, value):
 def test_config_file_rejects_an_unknown_key(tmp_path, capsys):
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps({"seed": 1, "bogus": 2}))
-    code, out, err = invoke(
-        capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
+    payload = one_error(
+        invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path))
     )
-    assert code == 1 and out == ""
-    payload = json.loads(err)
     assert payload["error"] == "UsdError"
     assert payload["message"].startswith("unknown config keys ['bogus']; accepted: ")
 
@@ -677,12 +689,10 @@ def test_config_file_accepts_null_percell_error_and_integer_floats(tmp_path, cap
 def test_config_file_nested_too_deeply_is_one_json_error(tmp_path, capsys):
     config_path = tmp_path / "sweep.json"
     config_path.write_text("[" * 100_000)
-    code, out, err = invoke(
-        capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
+    payload = one_error(
+        invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path))
     )
-    assert code == 1 and out == ""
-    line, = err.splitlines()
-    assert json.loads(line) == {
+    assert payload == {
         "error": "UsdError", "message": f"--config {config_path} is nested too deeply to parse"
     }
 
@@ -690,19 +700,16 @@ def test_config_file_nested_too_deeply_is_one_json_error(tmp_path, capsys):
 def test_config_file_must_be_an_object(tmp_path, capsys):
     config_path = tmp_path / "sweep.json"
     config_path.write_text("3")
-    code, _, err = invoke(
-        capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path)
+    payload = one_error(
+        invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path))
     )
-    assert code == 1
-    assert json.loads(err)["error"] == "UsdError"
+    assert payload["error"] == "UsdError"
 
 
 @pytest.mark.parametrize("flag", ["--integration-time", "--sigma-spiral"])
 def test_run_rejects_nan_config_as_json(capsys, flag):
     # flags meet the --config value check, so NaN is rejected before any config is built
-    code, out, err = invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", flag, "nan")
-    assert code == 1 and out == ""
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", flag, "nan"))
     assert payload["error"] == "UsdError"
     assert "must be finite, got nan" in payload["message"]
 
@@ -713,10 +720,7 @@ def test_run_rejects_nan_config_as_json(capsys, flag):
     ids=["--dim-nan", "--theta-points-x"],
 )
 def test_unconvertible_flag_value_is_one_json_error(capsys, argv):
-    code, out, err = invoke(capsys, *argv)
-    assert code == 1 and out == ""
-    line, = err.splitlines()
-    payload = json.loads(line)
+    payload = one_error(invoke(capsys, *argv))
     assert payload["error"] == "UsdError"
     assert f"argument {argv[1]}: invalid int value" in payload["message"]
 
@@ -730,10 +734,7 @@ def test_help_still_exits_zero(capsys):
 
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_theory_rejects_empty_theta_grid(capsys, count):
-    code, out, err = invoke(capsys, "theory", "--dim", "3", "--theta-grid", f"5:45:{count}")
-    assert code == 1
-    assert out == ""
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, "theory", "--dim", "3", "--theta-grid", f"5:45:{count}"))
     assert payload["error"] == "UsdError"
     assert "--theta-grid" in payload["message"]
 
@@ -760,10 +761,7 @@ def test_conflicting_flags_are_one_json_error(tmp_path, capsys, argv, flags):
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps({"crosstalk_epsilon": 0.3}))
     argv = [str(config_path) if arg == "{config}" else arg for arg in argv]
-    code, out, err = invoke(capsys, *argv)
-    assert code == 1 and out == ""
-    line, = err.splitlines()
-    payload = json.loads(line)
+    payload = one_error(invoke(capsys, *argv))
     assert payload["error"] == "UsdError"
     assert flags <= set(re.findall(r"--[a-z-]+", payload["message"]))
 
@@ -787,9 +785,7 @@ def test_conflicting_flags_are_one_json_error(tmp_path, capsys, argv, flags):
     ],
 )
 def test_malformed_or_empty_grid_names_its_flag(capsys, argv, flag):
-    code, out, err = invoke(capsys, *argv)
-    assert code == 1 and out == ""
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, *argv))
     assert payload["error"] == "UsdError"
     assert flag in payload["message"]
 
@@ -803,10 +799,7 @@ def test_malformed_or_empty_grid_names_its_flag(capsys, argv, flag):
     ids=["reps-0", "no-dim"],
 )
 def test_missing_or_empty_request_is_one_json_error(capsys, argv, message):
-    code, out, err = invoke(capsys, *argv)
-    assert code == 1 and out == ""
-    line, = err.splitlines()
-    assert json.loads(line) == {"error": "UsdError", "message": message}
+    assert one_error(invoke(capsys, *argv)) == {"error": "UsdError", "message": message}
 
 
 # every numeric flag meets its edge values; each value is passed as --flag=value, so that
@@ -905,10 +898,8 @@ def test_any_argv_ends_in_finite_output_or_one_json_error(argv):
         assert err.getvalue() == ""
         _assert_finite_output(argv[0], out.getvalue())
         return
-    assert code == 1, argv
-    line, = err.getvalue().splitlines()
-    payload = json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} in the error object"))
-    assert payload["error"] in ERROR_CLASSES | {"OSError"}, payload
+    payload = one_error((code, out.getvalue(), err.getvalue()))
+    assert payload["error"] in ERROR_CLASSES | {"OSError"}, (argv, payload)
 
 
 @settings(max_examples=100, deadline=None)
@@ -918,9 +909,7 @@ def test_argv_with_both_flags_of_a_pair_ends_in_one_parser_error(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert code == 1 and out.getvalue() == ""
-    line, = err.getvalue().splitlines()
-    payload = json.loads(line)
+    payload = one_error((code, out.getvalue(), err.getvalue()))
     assert payload["error"] == "UsdError"
     assert payload["message"].startswith(f"usdkit {argv[0]}: "), payload
 
@@ -951,10 +940,7 @@ def test_check_passes_for_small_grid(capsys):
 
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_check_rejects_empty_theta_grid(capsys, points):
-    code, out, err = invoke(capsys, "check", "--dims", "2:3", "--theta-points", points)
-    assert code == 1
-    assert out == ""
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, "check", "--dims", "2:3", "--theta-points", points))
     assert payload["error"] == "UsdError"
     assert "--theta-points" in payload["message"]
 
@@ -1022,9 +1008,7 @@ def test_check_splits_a_large_grid_into_bounded_blocks(capsys, monkeypatch):
 
 
 def test_check_single_dim_is_not_replaced_by_default_grid(capsys):
-    code, out, err = invoke(capsys, "check", "--dim", "0")
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "InvalidDimensionError"
+    assert one_error(invoke(capsys, "check", "--dim", "0"))["error"] == "InvalidDimensionError"
 
 
 @pytest.mark.parametrize(
@@ -1035,10 +1019,7 @@ def test_check_single_dim_is_not_replaced_by_default_grid(capsys):
 )
 def test_check_rejects_a_count_whose_first_angle_is_below_min_theta(capsys, dims, points):
     # theta_max grows with d, so d=3 is the one named; nothing is printed before the error
-    code, out, err = invoke(capsys, "check", *dims, "--theta-points", points)
-    assert code == 1 and out == ""
-    line, = err.splitlines()
-    payload = json.loads(line)
+    payload = one_error(invoke(capsys, "check", *dims, "--theta-points", points))
     assert payload["error"] == "UsdError"
     assert f"--theta-points {points} " in payload["message"] and "d=3 " in payload["message"]
 
@@ -1051,8 +1032,8 @@ def test_theta_points_rejection_fires_exactly_where_the_first_build_fails(capsys
     states.build_basis(3, [1 * tmax / most])  # the first block's first angle still builds
     with pytest.raises(errors.DegenerateFamilyError):
         states.build_basis(3, [1 * tmax / (most + 1)])
-    code, out, err = invoke(capsys, "check", "--dim", "3", "--theta-points", str(most + 1))
-    assert code == 1 and out == "" and json.loads(err)["error"] == "UsdError"
+    payload = one_error(invoke(capsys, "check", "--dim", "3", "--theta-points", str(most + 1)))
+    assert payload["error"] == "UsdError"
 
     class Reached(Exception):
         pass
@@ -1073,9 +1054,8 @@ def test_theta_points_rejection_fires_exactly_where_the_first_build_fails(capsys
     ids=["invalid", "too-large"],
 )
 def test_check_keeps_the_dimension_error_before_the_theta_points_one(capsys, dims, error, named):
-    code, out, err = invoke(capsys, "check", *dims, "--theta-points", "100000000000000000000000")
-    assert code == 1 and out == ""
-    payload = json.loads(err)
+    argv = ("check", *dims, "--theta-points", "100000000000000000000000")
+    payload = one_error(invoke(capsys, *argv))
     assert payload["error"] == error and named in payload["message"]
 
 
@@ -1118,13 +1098,11 @@ def test_check_fails_on_a_nan_in_either_block_of_a_split_grid(capsys, monkeypatc
 def test_run_error_names_failing_point(capsys):
     # at sigma = 2.4 most d = 40 states herald with weight ~exp(-30): no contrast
     overlap = 0.5
-    code, _, err = invoke(
+    payload = one_error(invoke(
         capsys,
         "run", "--dim", "40", "--overlap", str(overlap), "--percell-error", "0.01",
         "--seed", "115", "--reps", "1",
-    )
-    assert code == 1
-    payload = json.loads(err)
+    ))
     assert payload["error"] == "DegenerateRowError"
     assert payload["dim"] == 40
     assert payload["seed"] == 115
@@ -1152,9 +1130,7 @@ def test_signal_free_configuration_is_rejected_before_any_draw(capsys, monkeypat
         raise AssertionError("a signal-free configuration reached the draw")
 
     monkeypatch.setattr(np.random, "SeedSequence", no_draw)
-    code, out, err = invoke(capsys, "run", *argv)
-    assert code == 1 and out == "" and err.count("\n") == 1
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, "run", *argv))
     assert payload["error"] == "ConfigurationError"
     for part in named:
         assert part in payload["message"]
@@ -1162,23 +1138,18 @@ def test_signal_free_configuration_is_rejected_before_any_draw(capsys, monkeypat
 
 def test_theory_error_names_failing_point(capsys):
     # theta_max(2) is 45 deg, so the grid's third angle fails at the first dimension
-    code, out, err = invoke(capsys, "theory", "--dims", "2:3", "--theta-grid", "5:80:3")
-    assert code == 1 and out == ""
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, "theory", "--dims", "2:3", "--theta-grid", "5:80:3"))
     assert payload["error"] == "DomainError"
     assert payload["dim"] == 2 and payload["theta_deg"] == 80.0 and payload["seed"] is None
 
 
 def test_failing_repetition_names_its_own_seed(capsys):
     # seeds 110..119 draw as one stack; only the sixth repetition, seed 115, has no signal
-    code, out, err = invoke(
+    payload = one_error(invoke(
         capsys,
         "run", "--dims", "14", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
         "--max-rate", "22", "--sigma-spiral", "2.4", "--seed", "110", "--reps", "10",
-    )
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1
-    payload = json.loads(err)
+    ))
     assert payload["error"] == "DegenerateRowError"
     assert payload["dim"] == 14 and payload["seed"] == 115
     # a plain float, not numpy's np.float64(...) repr
@@ -1195,12 +1166,12 @@ def test_failing_point_is_drawn_once(capsys, monkeypatch):
         return original(basis, config, seeds)
 
     monkeypatch.setattr(experiment, "run_repetitions", counted)
-    code, _, err = invoke(
+    payload = one_error(invoke(
         capsys,
         "run", "--dims", "14", "--overlap", "0.7071067811865476", "--percell-error", "0.01",
         "--max-rate", "22", "--sigma-spiral", "2.4", "--seed", "110", "--reps", "10",
-    )
-    assert code == 1 and json.loads(err)["seed"] == 115
+    ))
+    assert payload["seed"] == 115
     assert calls == [list(range(110, 120))]
 
 
@@ -1218,13 +1189,12 @@ def test_lowest_of_several_failing_seeds_is_named(capsys):
         except UsdError as exc:
             failures[seed] = str(exc)
     assert len(failures) >= 2
-    code, _, err = invoke(
+    payload = one_error(invoke(
         capsys,
         "run", "--dims", "16", "--overlap", repr(spec.fixed_overlap), "--percell-error", "0.01",
         "--max-rate", "22", "--sigma-spiral", "2.4", "--seed", "10", "--reps", "10",
-    )
-    payload = json.loads(err)
-    assert code == 1 and payload["seed"] == min(failures)
+    ))
+    assert payload["seed"] == min(failures)
     assert payload["message"] == failures[min(failures)]
 
 
@@ -1265,17 +1235,12 @@ def test_run_takes_a_seed_that_no_float_holds(capsys):
 def test_integer_beyond_every_array_is_one_json_error(tmp_path, capsys, argv, error, message):
     # nothing is allocated for these: the check comes before any array of that size
     argv = argv + ("--out", str(tmp_path)) if argv[0] == "build" else argv
-    code, out, err = invoke(capsys, *argv)
-    assert code == 1 and out == ""
-    line, = err.splitlines()
-    payload = json.loads(line)
+    payload = one_error(invoke(capsys, *argv))
     assert (payload["error"], payload["message"]) == (error, message)
 
 
 def test_run_negative_seed_is_a_config_error(capsys):
-    code, out, err = invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", "--seed", "-1")
-    assert code == 1 and out == ""
-    payload = json.loads(err)
+    payload = one_error(invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", "--seed", "-1"))
     assert payload["error"] == "ConfigurationError"
     assert payload["message"] == "seed must be nonnegative, got -1"
     assert payload["dim"] == 3 and payload["seed"] == -1
@@ -1341,9 +1306,7 @@ def test_sweep_bytes_match_pinned_hash(capsys, digest):
 )
 def test_shared_parser_gives_pinned_bytes_after_a_usage_error(capsys):
     assert cli._parser() is cli._parser()
-    code, out, err = invoke(capsys, "check", "--theta-points", "x")
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "UsdError"
+    assert one_error(invoke(capsys, "check", "--theta-points", "x"))["error"] == "UsdError"
     digest = "ce206410855464749379304a2467b52d8c5ab8ba0a9f2358f804edb2444afbcb"
     code, out, err = invoke(capsys, *GOLDEN_OUTPUTS[digest])
     assert code == 0, err

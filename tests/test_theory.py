@@ -1,12 +1,14 @@
 """Closed-form overlap, probabilities, angle inversion, and MESD bound."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import usdkit
 from usdkit import theory
 from usdkit.errors import DomainError, InvalidDimensionError
 
@@ -146,6 +148,29 @@ def test_mesd_bound_limits():
 def test_mesd_bound_from_overlap_domain(s):
     with pytest.raises(DomainError, match=r"^overlap must lie in \[0, 1\], got "):
         theory.mesd_bound_from_overlap(s)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [("build_basis", (3, "abc")), ("build_basis", (3, None)), ("theory_point", (3, "x")),
+     ("usd_probabilities", (3, None)), ("theta_for_overlap", (3, "x")),
+     ("mesd_bound_from_overlap", ("x",))],
+    ids=["build_basis-str", "build_basis-None", "theory_point", "usd_probabilities",
+         "theta_for_overlap", "mesd_bound_from_overlap"],
+)
+def test_an_angle_or_overlap_that_is_no_number_is_one_domain_error(name, args):
+    # converted with float() before the range check, so the value is named, not a TypeError
+    with pytest.raises(DomainError, match=f"got {re.escape(repr(args[-1]))}$"):
+        getattr(usdkit, name)(*args)
+
+
+def test_an_angle_or_overlap_no_float_holds_keeps_the_range_message():
+    tmax = theory.theta_max(3)
+    message = f"theta must lie in [0, {tmax!r}] rad (theta_max for d=3); got {10**400}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        theory.usd_probabilities(3, 10**400)
+    with pytest.raises(DomainError, match=re.escape(f"overlap must lie in [0, 1], got {10**400}")):
+        theory.theta_for_overlap(3, 10**400)
 
 
 @pytest.mark.parametrize("target", [0.1, 0.3, SQRT_HALF, 0.9])
