@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRowError, InsufficientDataError, InvalidDimensionError, UsdError
+from .errors import DegenerateRowError, DomainError, InsufficientDataError, InvalidDimensionError
+from .errors import UsdError, real
 from .experiment import CountsRecord
 
 VERDICT_BELOW = "below_by_one_sigma"
@@ -156,10 +157,13 @@ def outcome_table(record: CountsRecord) -> OutcomeTable:
 
 
 def classify(mean_total_error: float, mean_error_sigma: float, mesd_bound: float) -> str:
-    """Three-way verdict of the mean error against the MESD bound."""
-    if mean_total_error + mean_error_sigma < mesd_bound:
+    """Three-way verdict of the mean error against the MESD bound; each must be a real number."""
+    mean = real(mean_total_error, DomainError, "mean_total_error")
+    sigma = real(mean_error_sigma, DomainError, "mean_error_sigma")
+    bound = real(mesd_bound, DomainError, "mesd_bound")
+    if mean + sigma < bound:
         return VERDICT_BELOW
-    if mean_total_error > mesd_bound:
+    if mean > bound:
         return VERDICT_ABOVE
     return VERDICT_OVERLAPPING
 

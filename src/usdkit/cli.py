@@ -36,7 +36,7 @@ from numbers import Real
 import numpy as np
 
 from . import analysis, experiment, states, theory
-from .errors import ConfigurationError, UsdError
+from .errors import ConfigurationError, DegenerateFamilyError, UsdError
 
 CSV_COLUMNS = (
     "dim",
@@ -72,15 +72,9 @@ class SweepSpec:
     singles_rate_scale: float = experiment.ExperimentConfig.singles_rate_scale
 
     def __post_init__(self):
-        for f in fields(self)[2:]:  # fixed_overlap, then the _SCALARS
-            value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue
-            types, kind = (int, "an integer") if f.type == "int" else ((int, float), "a number")
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise UsdError(f"sweep parameter {f.name!r} must be {kind}, got {value!r}")
-            if f.type != "int" and not abs(value) <= sys.float_info.max:  # NaN, inf, 10**400
-                raise UsdError(f"sweep parameter {f.name!r} must be finite, got {value!r}")
+        for name in ("repetitions", "seed"):  # range() needs integers; owners judge the rest below
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, int):
+                raise UsdError(f"sweep parameter {name!r} must be an integer, got {value!r}")
         if isinstance(self.dims, str) or not (isinstance(self.dims, Sequence) and self.dims):
             raise UsdError(f"sweep parameter 'dims' must be a non-empty sequence, got {self.dims!r}")
         real_thetas = isinstance(self.thetas, Sequence) and self.thetas and all(
@@ -101,13 +95,10 @@ class SweepSpec:
             theory.theta_for_overlap(2, self.fixed_overlap)
 
 
-_SCALARS = fields(SweepSpec)[3:]  # after fixed_overlap: the checked values, the --config keys
-
-
 def _config_for(spec: SweepSpec, d: int) -> experiment.ExperimentConfig:
     """The config at d from the same-named spec fields, and --percell-error's epsilon at d."""
-    settings = {f.name: value for f in fields(experiment.ExperimentConfig)
-                if (value := getattr(spec, f.name)) is not None}  # None: ExperimentConfig's default
+    settings = {f.name: getattr(spec, f.name) for f in fields(experiment.ExperimentConfig)
+                if f.name != "crosstalk_epsilon" or spec.crosstalk_epsilon is not None}
     if spec.percell_error is not None:
         settings["crosstalk_epsilon"] = experiment.epsilon_for_percell_error(d, spec.percell_error)
     return experiment.ExperimentConfig(**settings)
@@ -180,7 +171,15 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     repetitions as its sigma, the verdict of those, and an empty seed column.
     An error names its point (``sweep_points``); the first check that fails on
     the stack names its lowest failing repetition, whose seed alone raises it.
+    A run whose every angle lies below ``states.MIN_THETA`` is one error, before any build.
     """
+    try:  # a point whose angle does not resolve keeps its own error
+        hopeless = all(p.theta < states.MIN_THETA for p, _, _ in sweep_points(spec, simulate=False))
+    except UsdError:
+        hopeless = False
+    if hopeless:
+        raise DegenerateFamilyError(f"every angle of this run lies below {states.MIN_THETA!r} rad, "
+                                    "where all its states coincide; no measurement basis exists")
     rows = []
     for point, seeds, summary in sweep_points(spec):
         means = summary.mean_total_error
@@ -253,12 +252,10 @@ def _spec_from_args(args) -> SweepSpec:
     SweepSpec rejects the angles with --overlap and epsilon with --percell-error.
     """
     dims = _parse_dims(args)
-    thetas = None
-    if args.theta_grid is not None:
+    thetas = None if args.theta_deg is None else (math.radians(args.theta_deg),)
+    if args.theta_grid is not None:  # the parser takes at most one of the two
         thetas = _parse_theta_grid(args.theta_grid)
-    elif args.theta_deg is not None:
-        thetas = (math.radians(args.theta_deg),)
-    known = [f.name for f in _SCALARS]
+    known = [f.name for f in fields(SweepSpec)[3:]]  # after fixed_overlap: the --config keys
     merged = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:

@@ -38,15 +38,18 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidDimensionError
+from .errors import ConfigurationError, InvalidDimensionError, real
 from .states import DiscriminationBasis, OamMap, _check_one_angle, ideal_detection_matrix, oam_map
 
 #: Expected counts beyond this overflow the int64 draw.
 MAX_EXPECTED_COUNTS = float(2**62)
+_RANGES = {"crosstalk_epsilon": (lambda v: 0.0 <= v < 0.5, "lie in [0, 0.5)"),
+           "singles_rate_scale": (lambda v: v >= 0.0, "be nonnegative")}
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,12 @@ class ExperimentConfig:
     singles_rate_scale: float = 500.0
 
     def __post_init__(self):
-        # every check is written so that NaN fails it
-        if not self.integration_time > 0.0:
-            raise ConfigurationError("integration_time must be positive")
-        if not self.coincidence_window > 0.0:
-            raise ConfigurationError("coincidence_window must be positive")
-        if not 0.0 <= self.crosstalk_epsilon < 0.5:
-            raise ConfigurationError("crosstalk_epsilon must lie in [0, 0.5)")
-        if not self.spiral_bandwidth_sigma > 0.0:
-            raise ConfigurationError("spiral_bandwidth_sigma must be positive")
-        if not self.max_coincidence_rate > 0.0:
-            raise ConfigurationError("max_coincidence_rate must be positive")
-        if not self.singles_rate_scale >= 0.0:
-            raise ConfigurationError("singles_rate_scale must be nonnegative")
+        for f in fields(self):  # each value meets the number rule, then its range: _RANGES or > 0
+            value = real(getattr(self, f.name), ConfigurationError, f.name)
+            in_range, rule = _RANGES.get(f.name, (lambda v: v > 0.0, "be positive"))
+            if not in_range(value):
+                raise ConfigurationError(f"{f.name} must {rule}")
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,7 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
     The uniform mixture puts epsilon/(d+1) in every off-diagonal conclusive
     cell, so epsilon = per_cell * (d + 1).
     """
-    eps = per_cell * (d + 1)
+    eps = real(per_cell, ConfigurationError, "per-cell error") * (d + 1)
     if not 0.0 <= eps < 0.5:
         raise ConfigurationError(f"per-cell error {per_cell!r} needs epsilon={eps!r} at d={d}, "
                                  "outside [0, 0.5)")
@@ -140,7 +136,7 @@ def apply_noise(ideal: np.ndarray, config: ExperimentConfig) -> np.ndarray:
 
 def spiral_weights(mapping: OamMap, sigma: float) -> np.ndarray:
     """Gaussian spiral-bandwidth weights exp(-l^2/(2 sigma^2)), max-normalized."""
-    if not sigma > 0.0:
+    if not (sigma := real(sigma, ConfigurationError, "spiral bandwidth sigma")) > 0.0:
         raise ConfigurationError("spiral bandwidth sigma must be positive")
     two_sigma_sq = 2.0 * sigma * sigma
     if not two_sigma_sq > 0.0:
@@ -197,6 +193,9 @@ def run_repetitions(
     [seed, 2, i, j], so the streams match it.  Each seed gets one uint32 key
     table for its cells and one for its singles, drawn in that order.
     """
+    seeds = [*seeds]  # at least one, each an integer: 1.5 is none, and True is a flag
+    if not seeds or not all(isinstance(s, Integral) and not isinstance(s, bool) for s in seeds):
+        raise ConfigurationError(f"seeds must be one or more integers, got {seeds!r}")
     seeds = [operator.index(seed) for seed in seeds]
     if not all(seed >= 0 for seed in seeds):
         raise ConfigurationError(f"seed must be nonnegative, got {min(seeds)!r}")

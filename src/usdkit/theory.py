@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidDimensionError
+from .errors import DomainError, InvalidDimensionError, real
 
 #: Absolute slack applied when comparing an angle against theta_max.
 THETA_TOL = 1e-12
@@ -43,20 +43,14 @@ def theta_max(d: int) -> float:
 
 def _check_theta(d: int, theta: float, tmax: float | None = None) -> float:
     tmax = theta_max(d) if tmax is None else tmax  # a caller checking many angles passes it
-    try:  # float() first: what holds no float (None, "abc", 10**400) meets the range error
-        if -THETA_TOL <= (value := float(theta)) <= tmax + THETA_TOL:
-            return 0.0 if value < 0.0 else tmax if value > tmax else value
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if -THETA_TOL <= (value := real(theta)) <= tmax + THETA_TOL:  # what real() rejects is NaN
+        return 0.0 if value < 0.0 else tmax if value > tmax else value
     raise DomainError(f"theta must lie in [0, {tmax!r}] rad (theta_max for d={d}); got {theta!r}")
 
 
 def _check_overlap(s: float) -> float:
-    try:  # converted as an angle is, so a non-number meets the range error too
-        if 0.0 <= (value := float(s)) <= 1.0:
-            return value
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if 0.0 <= (value := real(s)) <= 1.0:  # judged as an angle is: a non-number is out of range
+        return value
     raise DomainError(f"overlap must lie in [0, 1], got {s!r}")
 
 

@@ -452,6 +452,49 @@ def test_percell_error_some_dimension_admits_stays_the_error_of_its_point(capsys
     }
 
 
+NO_BUILDABLE_ANGLE = ("every angle of this run lies below 1e-09 rad, where all its states "
+                      "coincide; no measurement basis exists")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--dims", "3,4", "--overlap", "1"), ("--dims", "3,4", "--theta-deg", "0"),
+     ("--dims", "3,4", "--theta-grid", "0,0"),
+     # one ulp below 1 the angle rounds to 0 at d = 2, 3 and 5 (not at d = 4)
+     ("--dims", "2,3,5", "--overlap", repr(math.nextafter(1.0, 0.0)))],
+    ids=["overlap-1", "theta-deg-0", "theta-grid-0-0", "overlap-1-ulp"],
+)
+def test_run_with_no_buildable_angle_is_one_error_before_any_build(capsys, monkeypatch, argv):
+    # theta = arccos(sqrt((1 + (d-1) s)/d)) is 0 at every d when s = 1: no point can be built
+    builds = []
+    monkeypatch.setattr(cli.states, "build_basis", lambda *args: builds.append(args))
+    payload = one_error(invoke(capsys, "run", *argv))
+    assert payload == {"error": "DegenerateFamilyError", "message": NO_BUILDABLE_ANGLE}
+    assert builds == []
+    with pytest.raises(errors.DegenerateFamilyError, match=f"^{re.escape(NO_BUILDABLE_ANGLE)}$"):
+        run_sweep(SweepSpec(dims=(3, 4), fixed_overlap=1.0))
+    assert builds == []
+
+
+@pytest.mark.parametrize(
+    "argv, point",
+    [
+        (("--dims", "3,4", "--theta-grid", "0,30"), ("DegenerateFamilyError", 3, 0.0)),
+        (("--dims", "3,1", "--overlap", "0.5"), ("InvalidDimensionError", 1, None)),
+        # d = 1 resolves no angle, so not every angle of the run is below MIN_THETA
+        (("--dims", "3,1", "--overlap", "1"), ("DegenerateFamilyError", 3, 0.0)),
+        # one ulp below 1 the angle is 0 at d = 3 but not at d = 4
+        (("--dims", "3,4", "--overlap", repr(math.nextafter(1.0, 0.0))),
+         ("DegenerateFamilyError", 3, 0.0)),
+    ],
+    ids=["theta-grid-0-30", "bad-dim", "bad-dim-overlap-1", "overlap-1-ulp-d4"],
+)
+def test_run_with_a_buildable_or_unresolved_angle_keeps_its_point_error(capsys, argv, point):
+    payload = one_error(invoke(capsys, "run", *argv))
+    assert set(payload) == {"error", "message", "dim", "theta_deg", "seed"}
+    assert (payload["error"], payload["dim"], payload["theta_deg"]) == point
+
+
 @pytest.mark.parametrize("overlap", ["0", "1"])
 def test_overlap_range_ends_give_rows(capsys, overlap):
     code, out, err = invoke(capsys, "theory", "--dims", "2,3", "--overlap", overlap)
@@ -493,9 +536,10 @@ def test_huge_singles_rate_is_a_config_error(capsys):
         for flags, error, key in [
             (("--sigma-spiral", "1e-300"), "ConfigurationError", None),
             (("--singles-rate", "1e200"), "ConfigurationError", None),
-            # a non-finite flag meets the same value check as a --config key
-            (("--sigma-spiral", "inf"), "UsdError", "spiral_bandwidth_sigma"),
-            (("--max-rate", "inf", "--sigma-spiral", "1e-160"), "UsdError", "max_coincidence_rate"),
+            # a non-finite flag meets its config field's number rule, as a --config key does
+            (("--sigma-spiral", "inf"), "ConfigurationError", "spiral_bandwidth_sigma"),
+            (("--max-rate", "inf", "--sigma-spiral", "1e-160"), "ConfigurationError",
+             "max_coincidence_rate"),
             (("--max-rate", "1e300", "--integration-time", "1e300"), "ConfigurationError", None),
         ]
     ],
@@ -504,7 +548,7 @@ def test_degenerate_config_leaves_one_json_line_on_stderr(flags, error, key):
     # a fresh interpreter, so that numpy warnings reach stderr instead of pytest's recorder
     payload = one_error(run_child("run", "--dim", "3", "--theta-deg", "30", *flags))
     assert payload["error"] == error
-    assert key is None or repr(key) in payload["message"]
+    assert key is None or payload["message"].startswith(f"{key} must be finite, got inf")
 
 
 @pytest.mark.parametrize(
@@ -616,13 +660,17 @@ def test_spec_validation(monkeypatch):
         ("thetas", dict(dims=(3,), thetas=("0.5",))),
         ("thetas", dict(dims=(3,), thetas=(True,))),
         ("thetas", dict(dims=(3,), thetas=())),
-        ("fixed_overlap", dict(dims=(3,), fixed_overlap="0.5")),
-        ("fixed_overlap", dict(dims=(3,), fixed_overlap=math.inf)),
     ]
     for name, given in containers:
         for sweep in (run_sweep, theory_rows):
             with pytest.raises(UsdError, match=f"^sweep parameter {name!r} must be"):
                 sweep(SweepSpec(**given))
+    # an overlap that is no finite number meets its owner's range check, which names the value
+    for value in ("0.5", math.inf, True):
+        message = f"overlap must lie in [0, 1], got {value!r}"
+        for sweep in (run_sweep, theory_rows):
+            with pytest.raises(errors.DomainError, match=f"^{re.escape(message)}$"):
+                sweep(SweepSpec(dims=(3,), fixed_overlap=value))
     assert builds == []
     monkeypatch.undo()
     assert len(run_sweep(SweepSpec(dims=[3], thetas=[0.5]))) == 1  # lists stay valid
@@ -638,29 +686,34 @@ def test_spec_epsilon_reaches_config():
 
 
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, error, named",
     [
-        ("repetitions", "3"),
-        ("repetitions", 2.0),
-        ("repetitions", True),
-        ("seed", None),
-        ("seed", False),
-        ("integration_time", "30"),
-        ("integration_time", float("nan")),
-        ("max_coincidence_rate", float("inf")),
-        ("crosstalk_epsilon", None),
-        ("percell_error", [0.01]),
-        pytest.param("integration_time", 10**400, id="integration_time-10**400"),
+        ("repetitions", "3", "UsdError", "'repetitions'"),
+        ("repetitions", 2.0, "UsdError", "'repetitions'"),
+        ("repetitions", True, "UsdError", "'repetitions'"),
+        ("seed", None, "UsdError", "'seed'"),
+        ("seed", False, "UsdError", "'seed'"),
+        # the values that the config owns meet its number rule, which names the field
+        ("integration_time", "30", "ConfigurationError", "integration_time must be a number"),
+        ("integration_time", float("nan"), "ConfigurationError", "integration_time must be finite"),
+        ("max_coincidence_rate", float("inf"), "ConfigurationError",
+         "max_coincidence_rate must be finite"),
+        ("crosstalk_epsilon", None, "UsdError", "'crosstalk_epsilon'"),
+        ("percell_error", [0.01], "ConfigurationError", "must be a number, got [0.01]"),
+        ("integration_time", 10**400, "ConfigurationError", "integration_time must be finite"),
     ],
+    ids=["repetitions-3", "repetitions-2.0", "repetitions-True", "seed-None", "seed-False",
+         "integration_time-30", "integration_time-nan", "max_coincidence_rate-inf",
+         "crosstalk_epsilon-None", "percell_error-value9", "integration_time-10**400"],
 )
-def test_config_file_rejects_bad_values(tmp_path, capsys, key, value):
+def test_config_file_rejects_bad_values(tmp_path, capsys, key, value, error, named):
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps({key: value}))
     payload = one_error(
         invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", "--config", str(config_path))
     )
-    assert payload["error"] == "UsdError"
-    assert repr(key) in payload["message"]
+    assert payload["error"] == error
+    assert named in payload["message"]
     if (key, value) != ("crosstalk_epsilon", None):  # a file's null stands for percell_error only
         with pytest.raises(UsdError) as direct:
             SweepSpec(dims=(3,), thetas=(0.5,), **{key: value})
@@ -708,9 +761,9 @@ def test_config_file_must_be_an_object(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--integration-time", "--sigma-spiral"])
 def test_run_rejects_nan_config_as_json(capsys, flag):
-    # flags meet the --config value check, so NaN is rejected before any config is built
+    # flags meet the config's number rule, as --config keys do, before any basis is built
     payload = one_error(invoke(capsys, "run", "--dim", "3", "--theta-deg", "30", flag, "nan"))
-    assert payload["error"] == "UsdError"
+    assert payload["error"] == "ConfigurationError"
     assert "must be finite, got nan" in payload["message"]
 
 

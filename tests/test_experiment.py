@@ -1,7 +1,9 @@
 """Virtual experiment: detection matrix, noise model, spiral envelope, counting."""
 
 import dataclasses
+import fractions
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from usdkit import analysis, experiment, states, theory
+from usdkit import analysis, errors, experiment, states, theory
 from usdkit.errors import ConfigurationError, DomainError, InvalidDimensionError, UsdError
 
 
@@ -183,15 +185,86 @@ def test_stack_of_seeds_with_different_word_counts_matches_single_seed_runs():
         single = experiment.run_experiment(basis, config, seed)
         for name in ("coincidences", "singles_a", "singles_b"):
             assert np.array_equal(getattr(stack, name)[r], getattr(single, name))
-    empty = experiment.run_repetitions(basis, config, [])
-    assert empty.coincidences.shape == (0, 4, 5)
-    assert empty.singles_a.shape == (0, 4) and empty.singles_b.shape == (0, 5)
+    with pytest.raises(ConfigurationError, match=r"^seeds must be one or more integers, got \[\]$"):
+        experiment.run_repetitions(basis, config, [])  # an empty stack is no run
 
 
 def test_run_repetitions_checks_each_seed_config():
     basis, config = make_setup(3, 0.5)
     with pytest.raises(ConfigurationError, match="^seed must be nonnegative, got -1$"):
         experiment.run_repetitions(basis, config, (0, -1))
+
+
+@pytest.mark.parametrize(
+    "seeds", [[1.5], [True], [np.True_], [0, 2.0], ["1"], [None], []],
+    ids=["float", "bool", "numpy-bool", "integral-float", "str", "None", "empty"],
+)
+def test_run_repetitions_takes_one_or_more_integer_seeds(seeds):
+    # int(1.5) and int(True) are ints, yet neither value is a seed; no seed is no run
+    basis, config = make_setup(3, 0.5)
+    message = f"seeds must be one or more integers, got {seeds!r}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        experiment.run_repetitions(basis, config, seeds)
+
+
+def test_run_repetitions_takes_numpy_integer_seeds_as_their_ints():
+    basis, config = make_setup(3, 0.5)
+    stack = experiment.run_repetitions(basis, config, (np.int64(5), np.uint8(3)))
+    plain = experiment.run_repetitions(basis, config, (5, 3))
+    for name in ("coincidences", "singles_a", "singles_b"):
+        assert np.array_equal(getattr(stack, name), getattr(plain, name))
+
+
+# ------------------------------------------------------- the number rule
+
+
+@pytest.mark.parametrize(
+    "value", [3, 2.5, -0.0, np.float64(0.25), np.int64(7), fractions.Fraction(1, 4), np.array(0.5)],
+    ids=["int", "float", "negative-zero", "numpy-float", "numpy-int", "fraction", "0-d-array"],
+)
+def test_the_number_rule_gives_the_float_of_a_finite_real(value):
+    number = errors.real(value, ConfigurationError, "x")
+    assert type(number) is float and number == float(value)
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [(True, "a number"), (np.False_, "a number"), ("0.5", "a number"), (b"1", "a number"),
+     (None, "a number"), (1j, "a number"), ([0.5], "a number"), (math.nan, "finite"),
+     (-math.inf, "finite"), (np.float64(math.inf), "finite"), (10**400, "finite")],
+    ids=["bool", "numpy-bool", "str", "bytes", "None", "complex", "list", "nan", "-inf",
+         "numpy-inf", "10**400"],
+)
+def test_the_number_rule_raises_its_owners_error_or_gives_nan(value, kind):
+    message = f"x must be {kind}, got {value!r}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        errors.real(value, ConfigurationError, "x")
+    assert math.isnan(errors.real(value))  # without an error class, for a NaN-failing range check
+
+
+#: public calls given a number of the wrong kind; each must end in one UsdError subclass
+WRONG_NUMBERS = {
+    "config-str": lambda: experiment.ExperimentConfig(integration_time="x"),
+    "config-bool": lambda: experiment.ExperimentConfig(max_coincidence_rate=True),
+    "config-inf": lambda: experiment.ExperimentConfig(integration_time=math.inf),
+    "percell-str": lambda: experiment.epsilon_for_percell_error(3, "x"),
+    "percell-bool": lambda: experiment.epsilon_for_percell_error(3, False),
+    "classify-str": lambda: analysis.classify("a", 1, 1),
+    "classify-nan": lambda: analysis.classify(math.nan, 0.1, 0.15),
+    "spiral-bool": lambda: experiment.spiral_weights(states.oam_map(3), True),
+    "theory-point-str": lambda: theory.theory_point(3, "0.5"),
+    "build-basis-str": lambda: states.build_basis(3, ["0.5"]),
+    "theta-for-overlap-bool": lambda: theory.theta_for_overlap(3, True),
+    "mesd-bound-bool": lambda: theory.mesd_bound_from_overlap(True),
+    "seeds-float": lambda: experiment.run_repetitions(*make_setup(3, 0.5), [1.5]),
+    "seeds-empty": lambda: experiment.run_repetitions(*make_setup(3, 0.5), []),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_NUMBERS.values(), ids=WRONG_NUMBERS.keys())
+def test_a_public_number_of_the_wrong_kind_is_one_usd_error(call):
+    with pytest.raises(UsdError):  # never a return, a TypeError or another exception
+        call()
 
 
 def test_counts_record_checks_stacks_on_trailing_axes():
