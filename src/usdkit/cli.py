@@ -31,12 +31,11 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from numbers import Real
 
 import numpy as np
 
 from . import analysis, experiment, states, theory
-from .errors import ConfigurationError, DegenerateFamilyError, UsdError
+from .errors import ConfigurationError, DegenerateFamilyError, DomainError, UsdError, real
 
 CSV_COLUMNS = (
     "dim",
@@ -77,17 +76,16 @@ class SweepSpec:
                 raise UsdError(f"sweep parameter {name!r} must be an integer, got {value!r}")
         if isinstance(self.dims, str) or not (isinstance(self.dims, Sequence) and self.dims):
             raise UsdError(f"sweep parameter 'dims' must be a non-empty sequence, got {self.dims!r}")
-        real_thetas = isinstance(self.thetas, Sequence) and self.thetas and all(
-            isinstance(th, Real) and not isinstance(th, bool) for th in self.thetas)
-        if not (self.thetas is None or real_thetas):  # a str holds no numbers
+        if not (self.thetas is None or isinstance(self.thetas, Sequence) and self.thetas
+                and not isinstance(self.thetas, str)):
             raise UsdError("sweep parameter 'thetas' must be None or a non-empty sequence of "
                            f"numbers, got {self.thetas!r}")
+        for th in self.thetas or ():  # an angle's kind is the same at every d; its range is not
+            real(th, DomainError, "theta")
         if (self.thetas is None) == (self.fixed_overlap is None):
             raise UsdError("give exactly one of --theta-deg, --theta-grid or --overlap")
         if self.repetitions < 1:
             raise UsdError("repetitions must be >= 1")
-        if self.repetitions > sys.maxsize:  # the range's len() limit; lists stop at maxsize // 8
-            raise UsdError(f"repetitions must be <= {sys.maxsize}")
         if self.crosstalk_epsilon is not None and self.percell_error is not None:
             raise UsdError("give --epsilon (crosstalk_epsilon) or --percell-error, not both")
         _config_for(self, 2)  # epsilon = per_cell*(d+1) grows: what fails at d=2 fails at every d
@@ -135,7 +133,7 @@ def sweep_points(spec: SweepSpec, simulate: bool = True):
     """
     try:  # once, before any point, since no point sizes it
         all_seeds = [*range(spec.seed, spec.seed + spec.repetitions)] if simulate else ()
-    except MemoryError:  # a count too large to hold: the count's error, with no point
+    except (OverflowError, MemoryError):  # a count too large to hold: its error, with no point
         raise _too_large(f"repetitions={spec.repetitions}") from None
     for d in spec.dims:
         th, seeds = None, ()  # SweepSpec keeps a given thetas non-empty, so `or` picks it
@@ -400,10 +398,6 @@ def main(argv: list[str] | None = None) -> int:
             exc = _too_large(" ".join(ranges) or f"d={args.dim}")
         payload = {"error": type(exc).__name__, "message": str(exc)}
         payload.update(getattr(exc, "point", {}))
-        # strict JSON has no NaN or Infinity: a non-finite number goes out as its repr
-        for key, value in payload.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                payload[key] = repr(value)
         print(json.dumps(payload), file=sys.stderr)
         return 1
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the one rule of a real-number argument."""
+"""Exception types shared across the toolkit, and the one rule of a real number and a dimension."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -49,3 +50,15 @@ def real(value, error: type[UsdError] | None = None, name: str = "value") -> flo
     if error is None:
         return math.nan
     raise error(f"{name} must be {'a number' if number is None else 'finite'}, got {value!r}")
+
+
+def dimension(d) -> int:
+    """The int of an integer d >= 2 that fits in a float (``3.0`` and ``np.array(3)`` are valid)."""
+    try:
+        valid = int(d) == d and d >= 2
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, other non-numbers
+        valid = False
+    if valid and d <= sys.float_info.max:
+        return int(d)
+    need = "fit in a float" if valid else "be an integer >= 2"
+    raise InvalidDimensionError(f"dimension must {need}, got {d!r}")

@@ -43,7 +43,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidDimensionError, real
+from .errors import ConfigurationError, InvalidDimensionError, dimension, real
 from .states import DiscriminationBasis, OamMap, _check_one_angle, ideal_detection_matrix, oam_map
 
 #: Expected counts beyond this overflow the int64 draw.
@@ -104,6 +104,8 @@ class CountsRecord:
             raise InvalidDimensionError(
                 f"inconsistent count shapes {c.shape}, {sa.shape}, {sb.shape}"
             )
+        if c.size == 0:  # analyzed, it would give empty results: a check that tests nothing
+            raise InvalidDimensionError(f"counts record is empty: coincidences of shape {c.shape}")
         if not (np.all(c >= 0.0) and np.all(sa >= 0.0) and np.all(sb >= 0.0)):
             raise ConfigurationError("counts must be nonnegative")
         if np.any(c > np.minimum(sa[..., :, None], sb[..., None, :])):
@@ -118,7 +120,7 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
     The uniform mixture puts epsilon/(d+1) in every off-diagonal conclusive
     cell, so epsilon = per_cell * (d + 1).
     """
-    eps = real(per_cell, ConfigurationError, "per-cell error") * (d + 1)
+    eps = real(per_cell, ConfigurationError, "per-cell error") * ((d := dimension(d)) + 1)
     if not 0.0 <= eps < 0.5:
         raise ConfigurationError(f"per-cell error {per_cell!r} needs epsilon={eps!r} at d={d}, "
                                  "outside [0, 0.5)")
@@ -127,6 +129,8 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
 
 def apply_noise(ideal: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """Mix each outcome row with the uniform distribution over d+1 outcomes."""
+    if not isinstance(config, ExperimentConfig):
+        raise ConfigurationError(f"config must be an ExperimentConfig, got {type(config).__name__}")
     probs = np.asarray(ideal, dtype=float)
     if not np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9:
         raise ConfigurationError("ideal detection rows must sum to one")
@@ -136,6 +140,8 @@ def apply_noise(ideal: np.ndarray, config: ExperimentConfig) -> np.ndarray:
 
 def spiral_weights(mapping: OamMap, sigma: float) -> np.ndarray:
     """Gaussian spiral-bandwidth weights exp(-l^2/(2 sigma^2)), max-normalized."""
+    if not isinstance(mapping, OamMap):
+        raise ConfigurationError(f"mapping must be an OamMap, got {type(mapping).__name__}")
     if not (sigma := real(sigma, ConfigurationError, "spiral bandwidth sigma")) > 0.0:
         raise ConfigurationError("spiral bandwidth sigma must be positive")
     two_sigma_sq = 2.0 * sigma * sigma

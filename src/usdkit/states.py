@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import theory
-from .errors import DegenerateFamilyError, DomainError, InvalidDimensionError
+from .errors import DegenerateFamilyError, DomainError, InvalidDimensionError, dimension
 
 # Every validating check below is written so that NaN fails it.
 
@@ -145,7 +145,7 @@ _frames: dict[int, Frame] = {}  # keyed on the validated int
 def frame(d: int) -> Frame:
     """The frame of dimension d, checked and memoized; a sweep or check visits d in turn."""
     f = _frames.get(d) if type(d) is int else None  # only a checked d is a key: no check again
-    if f is None and (f := _frames.get(d := theory._check_dim(d))) is None:
+    if f is None and (f := _frames.get(d := dimension(d))) is None:
         f = _new_frame(d)  # one dict call per step: a race can only build twice or overshoot
         if sum(x.nbytes for x in list(_frames.values())) + f.nbytes > FRAME_BUDGET:
             _frames.clear()  # the newest stays, whatever its size
@@ -187,7 +187,7 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
     angles = np.asarray(theta)  # the one conversion of theta
     if angles.ndim > 1 or angles.size == 0:
         raise DomainError(f"theta must be one angle or a nonempty 1-D sequence, got {theta!r}")
-    f = frame(d := theory._check_dim(d))
+    f = frame(d := dimension(d))
     flat = []  # one scalar pass per angle: checked theta, sin, cos and the clamped t and a
     for th in angles.ravel().tolist():
         if (th := theory._check_theta(d, th, f.tmax)) < MIN_THETA:
@@ -255,7 +255,7 @@ def oam_map(d: int) -> OamMap:
     -((d+1)//2), so its tie goes to negative l (d=3 ancilla is -2, d=5 is
     -3), matching the published table in both conventions.
     """
-    d = theory._check_dim(d)
+    d = dimension(d)
     return OamMap(dim=d, state_ells=tuple(range(-((d - 1) // 2), d // 2 + 1)),
                   ancilla_ell=-((d + 1) // 2))
 

@@ -13,31 +13,19 @@ degrees at the boundary.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidDimensionError, real
+from .errors import DomainError, dimension, real
 
 #: Absolute slack applied when comparing an angle against theta_max.
 THETA_TOL = 1e-12
 
 
-def _check_dim(d: int) -> int:
-    try:
-        valid = int(d) == d and d >= 2
-    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, other non-numbers
-        valid = False
-    if valid and d <= sys.float_info.max:  # every closed form takes d as a float
-        return int(d)
-    need = "fit in a float" if valid else "be an integer >= 2"
-    raise InvalidDimensionError(f"dimension must {need}, got {d!r}")
-
-
 def theta_max(d: int) -> float:
     """Largest admissible angle, arccos(sqrt(1/d)); the states are orthogonal there."""
-    d = _check_dim(d)
+    d = dimension(d)
     return math.acos(math.sqrt(1.0 / d))
 
 
@@ -65,7 +53,7 @@ def usd_probabilities(d: int, theta: float) -> tuple[float, float]:
     p_suc = d sin^2(theta)/(d-1), p_inc = overlap(d, theta).  The two sum to
     one; the error probability is zero by construction.
     """
-    d = _check_dim(d)
+    d = dimension(d)
     return tuple(float(p) for p in _usd_probabilities(d, _check_theta(d, theta)))
 
 
@@ -82,7 +70,7 @@ def theta_for_overlap(d: int, target: float) -> float:
     Inverts the overlap formula: theta = arccos(sqrt((1 + (d-1)*target)/d)).
     Used to hold the MESD bound constant while sweeping the dimension.
     """
-    d = _check_dim(d)
+    d = dimension(d)
     return math.acos(math.sqrt((1.0 + (d - 1.0) * _check_overlap(target)) / d))
 
 

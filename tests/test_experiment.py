@@ -242,7 +242,7 @@ def test_the_number_rule_raises_its_owners_error_or_gives_nan(value, kind):
     assert math.isnan(errors.real(value))  # without an error class, for a NaN-failing range check
 
 
-#: public calls given a number of the wrong kind; each must end in one UsdError subclass
+#: public calls given an argument of the wrong kind; each must end in one UsdError subclass
 WRONG_NUMBERS = {
     "config-str": lambda: experiment.ExperimentConfig(integration_time="x"),
     "config-bool": lambda: experiment.ExperimentConfig(max_coincidence_rate=True),
@@ -258,6 +258,15 @@ WRONG_NUMBERS = {
     "mesd-bound-bool": lambda: theory.mesd_bound_from_overlap(True),
     "seeds-float": lambda: experiment.run_repetitions(*make_setup(3, 0.5), [1.5]),
     "seeds-empty": lambda: experiment.run_repetitions(*make_setup(3, 0.5), []),
+    "percell-dim-fraction": lambda: experiment.epsilon_for_percell_error(2.5, 0.01),
+    "percell-dim-bool": lambda: experiment.epsilon_for_percell_error(True, 0.01),
+    "percell-dim-str": lambda: experiment.epsilon_for_percell_error("x", 0.01),
+    "percell-dim-one": lambda: experiment.epsilon_for_percell_error(1, 0.01),
+    "spiral-int-map": lambda: experiment.spiral_weights(3, 1.0),
+    "noise-int-config": lambda: experiment.apply_noise(np.eye(3, 4), 3),
+    "record-empty": lambda: experiment.CountsRecord(
+        np.zeros((0, 3, 4)), np.zeros((0, 3)), np.zeros((0, 4)), 30.0),
+    "spiral-negative": lambda: experiment.spiral_weights(states.oam_map(3), -1.0),
 }
 
 
