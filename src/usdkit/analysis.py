@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRowError, DomainError, InsufficientDataError, InvalidDimensionError
-from .errors import UsdError, real
+from .errors import UsdError, real, rows
 from .experiment import CountsRecord
 
 VERDICT_BELOW = "below_by_one_sigma"
@@ -39,11 +39,11 @@ class OutcomeTable:
 
     def __post_init__(self):
         for name in ("probabilities", "sigmas", "quantum_contrast"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = rows(getattr(self, name), InvalidDimensionError, name)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         p, s, q = self.probabilities, self.sigmas, self.quantum_contrast
-        if p.ndim < 2 or p.shape[-1] != p.shape[-2] + 1 or s.shape != p.shape or q.shape != p.shape:
+        if p.shape[-1] != p.shape[-2] + 1 or s.shape != p.shape or q.shape != p.shape:
             raise InvalidDimensionError("outcome matrices must share one shape (..., d, d+1)")
         _check_row_sums(p)
         if np.any(s < 0.0) or not np.all(np.isfinite(s)):
@@ -104,7 +104,7 @@ def normalize_probabilities(contrast: np.ndarray) -> np.ndarray:
             stack, the first check that fails names the first failing row of
             its lowest failing repetition r, which alone raises exactly this.
     """
-    excess = np.asarray(contrast, dtype=float) - 1.0
+    excess = rows(contrast, InvalidDimensionError, "contrast") - 1.0
     denominators = excess.sum(axis=-1)
     bad = np.argwhere(denominators <= 0.0)
     if bad.size:
@@ -177,7 +177,7 @@ def summarize_probabilities(probabilities: np.ndarray) -> ErrorSummary:
     attached to the mean point when ``classify`` weighs it against a bound.
     An (R, d, d+1) stack gives lists over the repetitions.
     """
-    p = np.asarray(probabilities)
+    p = rows(probabilities, InvalidDimensionError, "probabilities")
     d = p.shape[-2]
     per_state = np.where(~np.eye(d, dtype=bool), p[..., :d], 0.0).sum(axis=-1)
     mean_error = per_state.mean(axis=-1).tolist()

@@ -28,6 +28,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -332,6 +333,10 @@ def cmd_check(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a value such as -1e-3 or -inf is a number, not a flag
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # subparsers share this class, so every usage error is JSON
         raise UsdError(f"{self.prog}: {message}")
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the one rule of a real number and a dimension."""
+"""Exception types shared across the toolkit, and the one rule of each kind of argument."""
 
 import math
 import sys
@@ -62,3 +62,14 @@ def dimension(d) -> int:
         return int(d)
     need = "fit in a float" if valid else "be an integer >= 2"
     raise InvalidDimensionError(f"dimension must {need}, got {d!r}")
+
+
+def rows(value, error: type[UsdError], name: str) -> np.ndarray:
+    """A float copy of a non-empty array of reals (ints or floats) with two or more axes."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = np.array(())
+    if array.ndim < 2 or not array.size or array.dtype.kind not in "iuf":  # no bool, str, complex
+        raise error(f"{name} must be a non-empty real array with 2 or more axes, got {value!r}")
+    return array.astype(float)

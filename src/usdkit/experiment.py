@@ -43,13 +43,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidDimensionError, dimension, real
+from .errors import ConfigurationError, InvalidDimensionError, dimension, real, rows
 from .states import DiscriminationBasis, OamMap, _check_one_angle, ideal_detection_matrix, oam_map
 
 #: Expected counts beyond this overflow the int64 draw.
 MAX_EXPECTED_COUNTS = float(2**62)
 _RANGES = {"crosstalk_epsilon": (lambda v: 0.0 <= v < 0.5, "lie in [0, 0.5)"),
-           "singles_rate_scale": (lambda v: v >= 0.0, "be nonnegative")}
+           "singles_rate_scale": (lambda v: v >= 0.0, "be nonnegative"),
+           "spiral_bandwidth_sigma": (lambda v: v > 0.0 and 2.0 * v * v > 0.0,
+                                      "be positive, with 2 sigma^2 not underflowing to 0")}
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,7 @@ class CountsRecord:
             raise ConfigurationError("counts must be nonnegative")
         if np.any(c > np.minimum(sa[..., :, None], sb[..., None, :])):
             raise ConfigurationError("coincidences cannot exceed either arm's singles")
-        if not (self.integration_time > 0.0 and self.coincidence_window > 0.0):
-            raise ConfigurationError("integration time and window must be positive")
+        ExperimentConfig(self.integration_time, self.coincidence_window)  # its first two fields
 
 
 def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
@@ -121,7 +122,7 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
     cell, so epsilon = per_cell * (d + 1).
     """
     eps = real(per_cell, ConfigurationError, "per-cell error") * ((d := dimension(d)) + 1)
-    if not 0.0 <= eps < 0.5:
+    if not _RANGES["crosstalk_epsilon"][0](eps):
         raise ConfigurationError(f"per-cell error {per_cell!r} needs epsilon={eps!r} at d={d}, "
                                  "outside [0, 0.5)")
     return eps
@@ -131,7 +132,7 @@ def apply_noise(ideal: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """Mix each outcome row with the uniform distribution over d+1 outcomes."""
     if not isinstance(config, ExperimentConfig):
         raise ConfigurationError(f"config must be an ExperimentConfig, got {type(config).__name__}")
-    probs = np.asarray(ideal, dtype=float)
+    probs = rows(ideal, ConfigurationError, "ideal detection matrix")
     if not np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9:
         raise ConfigurationError("ideal detection rows must sum to one")
     eps = config.crosstalk_epsilon
@@ -142,14 +143,10 @@ def spiral_weights(mapping: OamMap, sigma: float) -> np.ndarray:
     """Gaussian spiral-bandwidth weights exp(-l^2/(2 sigma^2)), max-normalized."""
     if not isinstance(mapping, OamMap):
         raise ConfigurationError(f"mapping must be an OamMap, got {type(mapping).__name__}")
-    if not (sigma := real(sigma, ConfigurationError, "spiral bandwidth sigma")) > 0.0:
-        raise ConfigurationError("spiral bandwidth sigma must be positive")
-    two_sigma_sq = 2.0 * sigma * sigma
-    if not two_sigma_sq > 0.0:
-        raise ConfigurationError(f"spiral bandwidth sigma {sigma!r} underflows when squared")
+    sigma = ExperimentConfig(spiral_bandwidth_sigma=sigma).spiral_bandwidth_sigma
     ells = np.array(mapping.state_ells, dtype=float)
     with np.errstate(over="ignore"):  # an l^2/(2 sigma^2) of inf is a zero weight
-        weights = np.exp(-(ells**2) / two_sigma_sq)
+        weights = np.exp(-(ells**2) / (2.0 * sigma * sigma))
     return weights / weights.max()
 
 

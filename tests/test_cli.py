@@ -403,7 +403,9 @@ def test_run_rejects_zero_max_rate(capsys):
         ("--integration-time", "-1", "integration_time", "integration_time must be positive"),
         ("--epsilon", "0.7", "crosstalk_epsilon", "crosstalk_epsilon must lie in [0, 0.5)"),
         ("--sigma-spiral", "-2", "spiral_bandwidth_sigma",
-         "spiral_bandwidth_sigma must be positive"),
+         "spiral_bandwidth_sigma must be positive, with 2 sigma^2 not underflowing to 0"),
+        ("--sigma-spiral", "1e-200", "spiral_bandwidth_sigma",  # positive, but 2 sigma^2 == 0
+         "spiral_bandwidth_sigma must be positive, with 2 sigma^2 not underflowing to 0"),
         ("--max-rate", "0", "max_coincidence_rate", "max_coincidence_rate must be positive"),
         ("--singles-rate", "-5", "singles_rate_scale", "singles_rate_scale must be nonnegative"),
         # epsilon = per_cell*(d+1) grows with d, so d=2, outside this sweep, judges the spec
@@ -412,8 +414,8 @@ def test_run_rejects_zero_max_rate(capsys):
         ("--percell-error", "0.2", "percell_error",
          "per-cell error 0.2 needs epsilon=0.6000000000000001 at d=2, outside [0, 0.5)"),
     ],
-    ids=["integration-time", "epsilon", "sigma-spiral", "max-rate", "singles-rate",
-         "percell-negative", "percell-too-large"],
+    ids=["integration-time", "epsilon", "sigma-spiral", "sigma-spiral-underflow", "max-rate",
+         "singles-rate", "percell-negative", "percell-too-large"],
 )
 def test_setting_valid_at_no_point_is_one_error_before_any_build(
     capsys, monkeypatch, flag, value, field, message
@@ -425,6 +427,18 @@ def test_setting_valid_at_no_point_is_one_error_before_any_build(
     assert builds == []
     with pytest.raises(errors.ConfigurationError, match=re.escape(message)):
         SweepSpec(dims=(3, 4), thetas=(0.5,), **{field: float(value)})  # theory_rows' spec too
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--theta-deg", "-1e-3"), ("--theta-deg", "-inf"), ("--theta-deg", "-NaN"),
+     ("--overlap", "-1e-3"), ("--theta-grid", "-10:10:3"), ("--theta-grid", "-.5,10")],
+)
+def test_negative_value_after_a_space_is_the_flags_value(capsys, flag, value):
+    # argparse's own negative-number pattern misses an exponent, -inf and -nan; each is a value
+    spaced = one_error(invoke(capsys, "run", "--dim", "3", flag, value))
+    assert spaced == one_error(invoke(capsys, "run", "--dim", "3", f"{flag}={value}"))
+    assert spaced["error"] == "DomainError", spaced
 
 
 @pytest.mark.parametrize("verb, value", [("run", "1.5"), ("theory", "-0.5")])
@@ -863,10 +877,9 @@ def test_missing_or_empty_request_is_one_json_error(capsys, argv, message):
     assert one_error(invoke(capsys, *argv)) == {"error": "UsdError", "message": message}
 
 
-# every numeric flag meets its edge values; each value is passed as --flag=value, so that
-# a leading "-" reaches the flag's own conversion
-NUMBERS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-320", "1e-300", "1e-9", "0.5",
-           "1", "2.4", "45", "90", "1e300")
+# every numeric flag meets its edge values
+NUMBERS = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-3", "5e-324", "1e-320", "1e-300", "1e-9",
+           "0.5", "1", "2.4", "45", "90", "1e300")
 DIMS = [("--dim", v) for v in ("-1", "0", "1", "2", "3", "14", "30", "2.5", str(10**400),
                                "1000000000000000000000")]
 DIM_LISTS = [("--dims", v) for v in ("2:4", "4:2", "2,30", "0:3", "1e3", "x")]
@@ -896,28 +909,29 @@ def cli_argv(draw, clash=None):
 
     With ``clash`` (drawn, one time in four, when None) a theory, run or check argv
     also gives the partner of each flag of its spine that has one in ``PARTNERS``.
+    Each flag and its value are drawn as ``--flag=value`` or as ``--flag value``.
     """
 
     def pick(pairs):
-        return "=".join(draw(st.sampled_from(pairs)))
+        return draw(st.sampled_from(pairs))
 
     verb = draw(st.sampled_from(([] if clash else ["build"]) + ["theory", "run", "check"]))
     if verb == "build":
-        return [verb, pick(DIMS), pick(ANGLES)]
-    argv = [verb, pick(DIMS + DIM_LISTS)]
-    if verb == "check":
-        argv += [pick(THETA_POINTS)] if draw(st.booleans()) else []
+        pairs = [pick(DIMS), pick(ANGLES)]
+    elif verb == "check":
+        pairs = [pick(DIMS + DIM_LISTS)] + ([pick(THETA_POINTS)] if draw(st.booleans()) else [])
     else:
-        argv += [pick(ANGLES + OTHER_ANGLES), pick([("--format", "csv"), ("--format", "json")])]
+        pairs = [pick(DIMS + DIM_LISTS), pick(ANGLES + OTHER_ANGLES),
+                 pick([("--format", "csv"), ("--format", "json")])]
     if verb == "run":
         flags = draw(st.lists(st.sampled_from(sorted(RUN_FLAGS)), unique=True, max_size=4))
-        argv += [f"{flag}={draw(st.sampled_from(RUN_FLAGS[flag]))}" for flag in flags]
+        pairs += [(flag, draw(st.sampled_from(RUN_FLAGS[flag]))) for flag in flags]
     if clash is None:
-        clash = draw(st.integers(0, 3)) == 0
+        clash = verb != "build" and draw(st.integers(0, 3)) == 0
     if clash:
-        spine = [arg.partition("=")[0] for arg in argv[1:3]]
-        argv += [pick(PARTNERS[flag]) for flag in spine if flag in PARTNERS]
-    return argv
+        pairs += [pick(PARTNERS[flag]) for flag, _ in pairs[:2] if flag in PARTNERS]
+    spelled = ([f"{flag}={value}"] if draw(st.booleans()) else [flag, value] for flag, value in pairs)
+    return [verb] + [arg for args in spelled for arg in args]
 
 
 def _assert_finite_output(verb, out):
@@ -961,6 +975,8 @@ def test_any_argv_ends_in_finite_output_or_one_json_error(argv):
         return
     payload = one_error((code, out.getvalue(), err.getvalue()))
     assert payload["error"] in ERROR_CLASSES | {"OSError"}, (argv, payload)
+    # a value after a space, a negative one too, is the flag's value and never read as a flag
+    assert "expected one argument" not in payload["message"], (argv, payload)
 
 
 @settings(max_examples=100, deadline=None)

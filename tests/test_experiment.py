@@ -267,6 +267,13 @@ WRONG_NUMBERS = {
     "record-empty": lambda: experiment.CountsRecord(
         np.zeros((0, 3, 4)), np.zeros((0, 3)), np.zeros((0, 4)), 30.0),
     "spiral-negative": lambda: experiment.spiral_weights(states.oam_map(3), -1.0),
+    # a record's times meet ExperimentConfig's rule: a number, finite and positive
+    "record-time-str": lambda: experiment.CountsRecord(np.ones((2, 3)), [5, 5], [5, 5, 5], "x"),
+    "record-time-bool": lambda: experiment.CountsRecord(np.ones((2, 3)), [5, 5], [5, 5, 5], True),
+    "record-time-inf": lambda: experiment.CountsRecord(np.ones((2, 3)), [5, 5], [5, 5, 5], math.inf),
+    "normalize-str": lambda: analysis.normalize_probabilities("x"),
+    "summarize-1d": lambda: analysis.summarize_probabilities(np.ones(4)),
+    "noise-1d": lambda: experiment.apply_noise(np.ones(4), experiment.ExperimentConfig()),
 }
 
 
