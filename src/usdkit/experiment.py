@@ -122,9 +122,10 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
     cell, so epsilon = per_cell * (d + 1).
     """
     eps = real(per_cell, ConfigurationError, "per-cell error") * ((d := dimension(d)) + 1)
-    if not _RANGES["crosstalk_epsilon"][0](eps):
+    in_range, rule = _RANGES["crosstalk_epsilon"]
+    if not in_range(eps):
         raise ConfigurationError(f"per-cell error {per_cell!r} needs epsilon={eps!r} at d={d}, "
-                                 "outside [0, 0.5)")
+                                 f"outside {rule.removeprefix('lie in ')}")
     return eps
 
 
