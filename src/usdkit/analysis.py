@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRowError, DomainError, InsufficientDataError, InvalidDimensionError
-from .errors import UsdError, real, rows
+from .errors import TABLE, DegenerateRowError, DomainError, InsufficientDataError
+from .errors import InvalidDimensionError, UsdError, instance, real, rows
 from .experiment import CountsRecord
 
 VERDICT_BELOW = "below_by_one_sigma"
@@ -38,15 +38,12 @@ class OutcomeTable:
     quantum_contrast: np.ndarray
 
     def __post_init__(self):
+        shape = TABLE  # the probabilities' shape, which the other two must share
         for name in ("probabilities", "sigmas", "quantum_contrast"):
-            arr = rows(getattr(self, name), InvalidDimensionError, name)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        p, s, q = self.probabilities, self.sigmas, self.quantum_contrast
-        if p.shape[-1] != p.shape[-2] + 1 or s.shape != p.shape or q.shape != p.shape:
-            raise InvalidDimensionError("outcome matrices must share one shape (..., d, d+1)")
-        _check_row_sums(p)
-        if np.any(s < 0.0) or not np.all(np.isfinite(s)):
+            object.__setattr__(self, name, rows(getattr(self, name), name, shape))
+            shape = self.probabilities.shape
+        _check_row_sums(self.probabilities)
+        if np.any(self.sigmas < 0.0) or not np.all(np.isfinite(self.sigmas)):
             raise DegenerateRowError("sigmas must be nonnegative and finite")
 
 
@@ -67,6 +64,7 @@ def quantum_contrast(record: CountsRecord) -> np.ndarray:
     streams give Q = 1 in expectation.  A stacked record gives one Q per
     repetition; a zero singles count is an error naming its lowest repetition.
     """
+    record = instance(record, CountsRecord, InvalidDimensionError, "record")
     sa = np.asarray(record.singles_a, dtype=float)
     sb = np.asarray(record.singles_b, dtype=float)
     for name, arr in (("S_A", sa), ("S_B", sb)):
@@ -104,7 +102,7 @@ def normalize_probabilities(contrast: np.ndarray) -> np.ndarray:
             stack, the first check that fails names the first failing row of
             its lowest failing repetition r, which alone raises exactly this.
     """
-    excess = rows(contrast, InvalidDimensionError, "contrast") - 1.0
+    excess = rows(contrast, "contrast") - 1.0
     denominators = excess.sum(axis=-1)
     bad = np.argwhere(denominators <= 0.0)
     if bad.size:
@@ -177,7 +175,7 @@ def summarize_probabilities(probabilities: np.ndarray) -> ErrorSummary:
     attached to the mean point when ``classify`` weighs it against a bound.
     An (R, d, d+1) stack gives lists over the repetitions.
     """
-    p = rows(probabilities, InvalidDimensionError, "probabilities")
+    p = rows(probabilities, "probabilities", TABLE)
     d = p.shape[-2]
     per_state = np.where(~np.eye(d, dtype=bool), p[..., :d], 0.0).sum(axis=-1)
     mean_error = per_state.mean(axis=-1).tolist()

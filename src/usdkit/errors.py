@@ -64,12 +64,27 @@ def dimension(d) -> int:
     raise InvalidDimensionError(f"dimension must {need}, got {d!r}")
 
 
-def rows(value, error: type[UsdError], name: str) -> np.ndarray:
-    """A float copy of a non-empty array of reals (ints or floats) with two or more axes."""
+def instance(value, kind: type, error: type[UsdError], name: str):
+    """``value`` if it is a ``kind``; otherwise ``error`` naming ``name`` and the type it got."""
+    if isinstance(value, kind):
+        return value
+    raise error(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
+TABLE = "(..., d, d+1)"  #: the ``shape`` of ``rows`` for a table of d rows of d+1 outcomes
+
+
+def rows(value, name: str, shape=None, error: type[UsdError] = InvalidDimensionError) -> np.ndarray:
+    """A read-only copy, in its own int or float dtype, of a non-empty array with two or more axes,
+    or of exactly ``shape`` (a tuple, or ``TABLE``); anything else raises ``error`` naming it."""
     try:
-        array = np.asarray(value)
+        array = np.array(value)
     except ValueError:  # a ragged list
         array = np.array(())
-    if array.ndim < 2 or not array.size or array.dtype.kind not in "iuf":  # no bool, str, complex
-        raise error(f"{name} must be a non-empty real array with 2 or more axes, got {value!r}")
-    return array.astype(float)
+    want = (*array.shape[:-1], array.shape[-2] + 1) if shape == TABLE and array.ndim > 1 else shape
+    if array.dtype.kind not in "iuf" or not array.size or (  # no bool, str, complex or object
+            array.ndim < 2 if want is None else array.shape != want):
+        need = "2 or more axes" if shape is None else f"shape {shape}"
+        raise error(f"{name} must be a non-empty real array with {need}, got {value!r}")
+    array.setflags(write=False)
+    return array

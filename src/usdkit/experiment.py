@@ -43,7 +43,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidDimensionError, dimension, real, rows
+from .errors import TABLE, ConfigurationError, dimension, instance, real, rows
 from .states import DiscriminationBasis, OamMap, _check_one_angle, ideal_detection_matrix, oam_map
 
 #: Expected counts beyond this overflow the int64 draw.
@@ -81,8 +81,8 @@ class ExperimentConfig:
 class CountsRecord:
     """Raw counts of one run, or of R runs stacked along a leading axis.
 
-    d is the second-to-last axis of ``coincidences``; every check works on the
-    trailing (d, d+1), (d,) and (d+1,) axes.
+    The arrays are (..., d, d+1), (..., d) and (..., d+1), each kept as ``errors.rows``
+    takes it: a read-only copy in its own dtype, so drawn counts stay int64.
     """
 
     coincidences: np.ndarray
@@ -92,23 +92,12 @@ class CountsRecord:
     coincidence_window: float = ExperimentConfig.coincidence_window
 
     def __post_init__(self):
-        # integer dtype is preserved for generated records; synthetic records
-        # holding expected values may be float; every check fails on NaN
-        for name in ("coincidences", "singles_a", "singles_b"):
-            arr = np.array(getattr(self, name))
-            if not np.issubdtype(arr.dtype, np.number):
-                raise ConfigurationError("counts must be numeric")
-            arr.setflags(write=False)
+        c = rows(self.coincidences, "coincidences", TABLE)
+        sa = rows(self.singles_a, "singles_a", c.shape[:-1])
+        sb = rows(self.singles_b, "singles_b", c.shape[:-2] + c.shape[-1:])
+        for name, arr in (("coincidences", c), ("singles_a", sa), ("singles_b", sb)):
             object.__setattr__(self, name, arr)
-        c, sa, sb = self.coincidences, self.singles_a, self.singles_b
-        lead, d = c.shape[:-2], c.shape[-2] if c.ndim >= 2 else -1  # -1 matches no shape
-        if c.shape != (*lead, d, d + 1) or sa.shape != (*lead, d) or sb.shape != (*lead, d + 1):
-            raise InvalidDimensionError(
-                f"inconsistent count shapes {c.shape}, {sa.shape}, {sb.shape}"
-            )
-        if c.size == 0:  # analyzed, it would give empty results: a check that tests nothing
-            raise InvalidDimensionError(f"counts record is empty: coincidences of shape {c.shape}")
-        if not (np.all(c >= 0.0) and np.all(sa >= 0.0) and np.all(sb >= 0.0)):
+        if not (np.all(c >= 0.0) and np.all(sa >= 0.0) and np.all(sb >= 0.0)):  # NaN fails
             raise ConfigurationError("counts must be nonnegative")
         if np.any(c > np.minimum(sa[..., :, None], sb[..., None, :])):
             raise ConfigurationError("coincidences cannot exceed either arm's singles")
@@ -131,21 +120,17 @@ def epsilon_for_percell_error(d: int, per_cell: float = 0.01) -> float:
 
 def apply_noise(ideal: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """Mix each outcome row with the uniform distribution over d+1 outcomes."""
-    if not isinstance(config, ExperimentConfig):
-        raise ConfigurationError(f"config must be an ExperimentConfig, got {type(config).__name__}")
-    probs = rows(ideal, ConfigurationError, "ideal detection matrix")
+    eps = instance(config, ExperimentConfig, ConfigurationError, "config").crosstalk_epsilon
+    probs = rows(ideal, "ideal detection matrix", error=ConfigurationError)
     if not np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9:
         raise ConfigurationError("ideal detection rows must sum to one")
-    eps = config.crosstalk_epsilon
     return (1.0 - eps) * probs + eps / probs.shape[1]
 
 
 def spiral_weights(mapping: OamMap, sigma: float) -> np.ndarray:
     """Gaussian spiral-bandwidth weights exp(-l^2/(2 sigma^2)), max-normalized."""
-    if not isinstance(mapping, OamMap):
-        raise ConfigurationError(f"mapping must be an OamMap, got {type(mapping).__name__}")
+    ells = np.array(instance(mapping, OamMap, ConfigurationError, "mapping").state_ells, float)
     sigma = ExperimentConfig(spiral_bandwidth_sigma=sigma).spiral_bandwidth_sigma
-    ells = np.array(mapping.state_ells, dtype=float)
     with np.errstate(over="ignore"):  # an l^2/(2 sigma^2) of inf is a zero weight
         weights = np.exp(-(ells**2) / (2.0 * sigma * sigma))
     return weights / weights.max()
@@ -155,6 +140,7 @@ def _expected_means(
     basis: DiscriminationBasis, config: ExperimentConfig
 ) -> tuple[np.ndarray, float]:
     """Per-cell expected coincidence counts and the expected singles count, gated."""
+    basis = instance(basis, DiscriminationBasis, ConfigurationError, "basis")
     _check_one_angle(basis.family, "a simulated basis")
     d, probs = basis.family.dim, apply_noise(ideal_detection_matrix(basis), config)
     weights = spiral_weights(mapping := oam_map(d), config.spiral_bandwidth_sigma)
@@ -197,7 +183,7 @@ def run_repetitions(
     [seed, 2, i, j], so the streams match it.  Each seed gets one uint32 key
     table for its cells and one for its singles, drawn in that order.
     """
-    seeds = [*seeds]  # at least one, each an integer: 1.5 is none, and True is a flag
+    seeds = [*instance(seeds, Iterable, ConfigurationError, "seeds")]  # ints: True is a flag
     if not seeds or not all(isinstance(s, Integral) and not isinstance(s, bool) for s in seeds):
         raise ConfigurationError(f"seeds must be one or more integers, got {seeds!r}")
     seeds = [operator.index(seed) for seed in seeds]

@@ -45,7 +45,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import theory
-from .errors import DegenerateFamilyError, DomainError, InvalidDimensionError, dimension
+from .errors import DegenerateFamilyError, DomainError, InvalidDimensionError, dimension, instance
+from .errors import rows
 
 # Every validating check below is written so that NaN fails it.
 
@@ -55,14 +56,6 @@ ORTHO_TOL = 1e-10
 EXACT_TOL = 1e-12
 #: Angles closer to zero than this leave the family numerically collinear.
 MIN_THETA = 1e-9
-
-
-def _freeze(vectors, shape: tuple) -> np.ndarray:
-    arr = np.array(vectors, dtype=float)
-    if arr.shape != shape:
-        raise InvalidDimensionError(f"expected {shape} vectors, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_one_angle(family: StateFamily, what: str) -> None:
@@ -79,7 +72,7 @@ class StateFamily:
     vectors: np.ndarray
 
     def __post_init__(self):
-        d, v = self.dim, _freeze(self.vectors, np.shape(self.theta) + (self.dim, self.dim))
+        d, v = self.dim, rows(self.vectors, "vectors", np.shape(self.theta) + (self.dim, self.dim))
         object.__setattr__(self, "vectors", v)
         cos = np.cos(self.theta)[..., None]
         gram = v @ v.swapaxes(-1, -2)
@@ -103,8 +96,8 @@ class DiscriminationBasis:
     orthonormality_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.family.dim
-        v = _freeze(self.vectors, np.shape(self.family.theta) + (d + 1, d + 1))
+        d = instance(self.family, StateFamily, InvalidDimensionError, "family").dim
+        v = rows(self.vectors, "vectors", np.shape(self.family.theta) + (d + 1, d + 1))
         object.__setattr__(self, "vectors", v)
         residual = float(np.abs(v @ v.swapaxes(-1, -2) - frame(d).eye).max())
         if not residual <= ORTHO_TOL:
@@ -184,7 +177,7 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
     angle that fails ends the build.  Every row is renormalized, which keeps
     roundoff out of the orthonormality residual.
     """
-    angles = np.asarray(theta)  # the one conversion of theta
+    angles = np.asarray(theta, dtype=object)  # the one conversion of theta: a ragged list is 1-D
     if angles.ndim > 1 or angles.size == 0:
         raise DomainError(f"theta must be one angle or a nonempty 1-D sequence, got {theta!r}")
     f = frame(d := dimension(d))
@@ -214,6 +207,7 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
 
 def ideal_detection_matrix(basis: DiscriminationBasis) -> np.ndarray:
     """|<D_j|Psi_i>|^2 of the basis's own states, which lack the ancilla; rows sum to one."""
+    instance(basis, DiscriminationBasis, InvalidDimensionError, "basis")
     return (basis.family.vectors @ basis.vectors[..., : basis.family.dim].swapaxes(-1, -2)) ** 2
 
 
@@ -232,7 +226,7 @@ def residuals(basis: DiscriminationBasis) -> dict[str, float]:
     detection probabilities from the closed-form p_suc and p_inc, evaluated
     once for the whole stack.
     """
-    d, f, detection = basis.family.dim, frame(basis.family.dim), ideal_detection_matrix(basis)
+    detection, d, f = ideal_detection_matrix(basis), basis.family.dim, frame(basis.family.dim)
     conclusive, inconclusive = detection[..., :d], detection[..., d]
     success = conclusive.diagonal(axis1=-2, axis2=-1)
     p_suc, p_inc = theory._usd_probabilities(d, np.asarray(basis.family.theta)[..., None])

@@ -274,6 +274,11 @@ WRONG_NUMBERS = {
     "normalize-str": lambda: analysis.normalize_probabilities("x"),
     "summarize-1d": lambda: analysis.summarize_probabilities(np.ones(4)),
     "noise-1d": lambda: experiment.apply_noise(np.ones(4), experiment.ExperimentConfig()),
+    # a ragged list is no array, and a shape other than the one asked for is none either
+    "normalize-ragged": lambda: analysis.normalize_probabilities([[1.0], [1.0, 2.0]]),
+    "record-ragged": lambda: experiment.CountsRecord([[1], [1, 2]], [1, 1], [1, 1, 1], 30.0),
+    "family-str-vectors": lambda: states.StateFamily(3, 0.5, "x"),
+    "summarize-short-rows": lambda: analysis.summarize_probabilities(np.ones((3, 2))),
 }
 
 
@@ -300,7 +305,7 @@ def test_counts_record_rejects_non_numeric_counts(kind):
     record = experiment.expected_record(*make_setup(3, 0.5))
     for name in ("coincidences", "singles_a", "singles_b"):
         counts = np.asarray(getattr(record, name)).astype(kind)
-        with pytest.raises(ConfigurationError, match="^counts must be numeric$"):
+        with pytest.raises(InvalidDimensionError, match=f"^{name} must be a non-empty real array"):
             dataclasses.replace(record, **{name: counts})
 
 
