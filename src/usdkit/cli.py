@@ -16,9 +16,10 @@ Angles are degrees at this boundary and radians inside.  Sweep output is CSV
 
 where theory-only rows leave the experiment columns empty and the aggregate
 row of a repeated point leaves the seed column empty.  Identical spec and
-seed give byte-identical output files.  Errors print one JSON object on
-stderr and exit nonzero; when a sweep point fails, the object also names its
-dim, theta_deg and seed.  The default output directory is $USDKIT_OUT_DIR.
+seed give byte-identical output files.  A sweep resolves its points into
+``plan(spec)`` before any build.  Errors print one JSON object on stderr and
+exit nonzero; when a sweep point fails, the object also names its dim,
+theta_deg and seed.  The default output directory is $USDKIT_OUT_DIR.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import analysis, experiment, states, theory
-from .errors import ConfigurationError, DegenerateFamilyError, DomainError, UsdError, real
+from .errors import ConfigurationError, DegenerateFamilyError, DomainError, UsdError, instance, real
 
 CSV_COLUMNS = (
     "dim",
@@ -124,63 +125,62 @@ def _too_large(what: str) -> ConfigurationError:
     return ConfigurationError(f"{what} needs more memory than this process can allocate")
 
 
-def sweep_points(spec: SweepSpec, simulate: bool = True):
-    """Each sweep point in order as (point, seeds, summary), built, drawn and analyzed once.
+def _at(exc: Exception, d, th: float | None, seeds=()) -> Exception:
+    """``exc`` naming its sweep point: dim, theta_deg and seed (None while unresolved or undrawn)."""
+    exc = _too_large(f"d={d}") if isinstance(exc, MemoryError) else exc
+    exc.point = {"dim": d, "theta_deg": None if th is None else math.degrees(th),
+                 "seed": seeds[getattr(exc, "repetition", 0)] if seeds else None}
+    return exc
 
-    ``summary`` is the ``ErrorSummary`` of the stack of seeds seed, seed+1, ...;
-    without ``simulate`` nothing is built or drawn: (point, (), None).  An error
-    at a point names it in ``exc.point``: dim, theta_deg (None while the angle is
-    unresolved) and its repetition's seed (the first if none; None before the draw).
-    """
-    try:  # once, before any point, since no point sizes it
-        all_seeds = [*range(spec.seed, spec.seed + spec.repetitions)] if simulate else ()
-    except (OverflowError, MemoryError):  # a count too large to hold: its error, with no point
-        raise _too_large(f"repetitions={spec.repetitions}") from None
+
+def plan(spec: SweepSpec) -> list[theory.TheoryPoint]:
+    """Each (d, theta) of the sweep in spec order, resolved before any build: the given
+    angles, or ``theta_for_overlap(d, fixed_overlap)``; a point that fails names itself."""
+    instance(spec, SweepSpec, UsdError, "spec")
+    points = []
     for d in spec.dims:
-        th, seeds = None, ()  # SweepSpec keeps a given thetas non-empty, so `or` picks it
+        th = None  # SweepSpec keeps a given thetas non-empty, so `or` picks it
         try:
             for th in spec.thetas or (theory.theta_for_overlap(d, spec.fixed_overlap),):
-                seeds, summary = (), None
-                basis = states.build_basis(d, th) if simulate else None
-                point = theory.theory_point(d, th)
-                if simulate:  # from here on an error names the point's seeds
-                    seeds = all_seeds
-                    record = experiment.run_repetitions(basis, _config_for(spec, d), seeds)
-                    p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
-                    summary = analysis.summarize_probabilities(p)
-                yield point, seeds, summary
+                points.append(theory.theory_point(d, th))
         except (UsdError, ValueError, MemoryError) as exc:
-            exc = _too_large(f"d={d}") if isinstance(exc, MemoryError) else exc
-            exc.point = {"dim": d, "theta_deg": None if th is None else math.degrees(th),
-                         "seed": seeds[getattr(exc, "repetition", 0)] if seeds else None}
-            raise exc
+            raise _at(exc, d, th)
+    return points
 
 
 def theory_rows(spec: SweepSpec) -> list[dict]:
     """Closed-form rows over the requested (d, theta) grid."""
-    return [_row(point) for point, _, _ in sweep_points(spec, simulate=False)]
+    return [_row(point) for point in plan(spec)]
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Simulate and analyze every sweep point; one row per repetition.
+    """Build, draw and analyze each point of ``plan(spec)``; one row per repetition.
 
-    Repetitions use seeds seed, seed+1, ...; a point draws and analyzes them
-    as one stack.  When there is more than one, an aggregate row follows with
-    the mean of the repetition means, the sample standard deviation across
-    repetitions as its sigma, the verdict of those, and an empty seed column.
-    An error names its point (``sweep_points``); the first check that fails on
-    the stack names its lowest failing repetition, whose seed alone raises it.
-    A run whose every angle lies below ``states.MIN_THETA`` is one error, before any build.
+    A point draws seeds seed, seed+1, ... as one stack; with more than one, an
+    aggregate row follows: the mean of the repetition means, their sample standard
+    deviation as its sigma, their verdict and an empty seed column.  The first check
+    that fails on the stack names its lowest failing repetition, whose seed alone
+    raises it.  A run whose every angle is below ``states.MIN_THETA`` fails first.
     """
-    try:  # a point whose angle does not resolve keeps its own error
-        hopeless = all(p.theta < states.MIN_THETA for p, _, _ in sweep_points(spec, simulate=False))
-    except UsdError:
-        hopeless = False
-    if hopeless:
+    points = plan(spec)
+    if all(p.theta < states.MIN_THETA for p in points):
         raise DegenerateFamilyError(f"every angle of this run lies below {states.MIN_THETA!r} rad, "
                                     "where all its states coincide; no measurement basis exists")
+    try:  # once, before any point, since no point sizes it
+        all_seeds = [*range(spec.seed, spec.seed + spec.repetitions)]
+    except (OverflowError, MemoryError):  # a count too large to hold: its error, with no point
+        raise _too_large(f"repetitions={spec.repetitions}") from None
     rows = []
-    for point, seeds, summary in sweep_points(spec):
+    for point in points:
+        seeds = ()
+        try:
+            basis = states.build_basis(point.dim, point.theta)
+            seeds = all_seeds  # from here on an error names the point's seeds
+            record = experiment.run_repetitions(basis, _config_for(spec, point.dim), seeds)
+            p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
+            summary = analysis.summarize_probabilities(p)
+        except (UsdError, ValueError, MemoryError) as exc:
+            raise _at(exc, point.dim, point.theta, seeds)
         means = summary.mean_total_error
         rows += [_row(point, *rep) for rep in zip(seeds, means, summary.mean_error_sigma)]
         if len(seeds) > 1:

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import theory
 from .errors import DegenerateFamilyError, DomainError, InvalidDimensionError, dimension, instance
-from .errors import rows
+from .errors import real, rows
 
 # Every validating check below is written so that NaN fails it.
 
@@ -72,9 +72,15 @@ class StateFamily:
     vectors: np.ndarray
 
     def __post_init__(self):
-        d, v = self.dim, rows(self.vectors, "vectors", np.shape(self.theta) + (self.dim, self.dim))
-        object.__setattr__(self, "vectors", v)
-        cos = np.cos(self.theta)[..., None]
+        d = dimension(self.dim)
+        angles = np.asarray(self.theta, dtype=object)  # as build_basis: a ragged list is 1-D
+        theta = np.array([real(th, DomainError, "theta") for th in angles.ravel().tolist()])
+        theta.setflags(write=False)  # a stack keeps a read-only copy, one angle a float
+        theta = theta.reshape(angles.shape) if angles.ndim else float(theta[0])
+        v = rows(self.vectors, "vectors", angles.shape + (d, d))
+        for name, value in (("dim", d), ("theta", theta), ("vectors", v)):
+            object.__setattr__(self, name, value)
+        cos = np.cos(theta)[..., None]
         gram = v @ v.swapaxes(-1, -2)
         norms2 = gram.diagonal(axis1=-2, axis2=-1)  # |norm - 1| <= EXACT_TOL, squared
         if not ((1.0 - EXACT_TOL) ** 2 <= norms2.min() and norms2.max() <= (1.0 + EXACT_TOL) ** 2):
@@ -107,16 +113,16 @@ class DiscriminationBasis:
 
 @dataclass(frozen=True)
 class OamMap:
-    """OAM mode labels for the d basis states plus the ancilla dimension."""
+    """OAM mode labels of the d basis states and the ancilla, in closed form (``oam_map``)."""
 
     dim: int
-    state_ells: tuple[int, ...]
-    ancilla_ell: int
+    state_ells: tuple[int, ...] = field(init=False)
+    ancilla_ell: int = field(init=False)
 
     def __post_init__(self):
-        labels = set(self.state_ells) | {self.ancilla_ell}
-        if len(labels) != self.dim + 1:
-            raise InvalidDimensionError("OAM labels must be distinct")
+        object.__setattr__(self, "dim", d := dimension(self.dim))
+        object.__setattr__(self, "state_ells", tuple(range(-((d - 1) // 2), d // 2 + 1)))
+        object.__setattr__(self, "ancilla_ell", -((d + 1) // 2))
 
 
 @dataclass(frozen=True)
@@ -190,12 +196,11 @@ def build_basis(d: int, theta) -> DiscriminationBasis:
         if (slack := d - 1.0 - t * t) <= 1e-13 * (d - 1.0):
             t, slack = math.sqrt(d - 1.0), 0.0
         flat += th, math.sin(th), math.cos(th), t, math.sqrt(slack)
-    (trig := np.array(flat)).setflags(write=False)  # so the stacked theta, a view, is read-only
-    theta, sin, cos, t, a = trig.reshape(-1, 5).T.reshape((5,) + angles.shape)
+    theta, sin, cos, t, a = np.array(flat).reshape(-1, 5).T.reshape((5,) + angles.shape)
     lifted = np.zeros(angles.shape + (d, d))
     lifted[..., : d - 1] = sin[..., None, None] * f.simplex
     lifted[..., d - 1] = cos[..., None]
-    family = StateFamily(dim=d, theta=theta if angles.ndim else flat[0], vectors=lifted)
+    family = StateFamily(dim=d, theta=theta, vectors=lifted)
     scale = math.sqrt(d * (d - 1.0))
     vectors = np.zeros(t.shape + (d + 1, d + 1))
     vectors[..., :d, : d - 1] = math.sqrt((d - 1.0) / d) * f.simplex
@@ -249,9 +254,7 @@ def oam_map(d: int) -> OamMap:
     -((d+1)//2), so its tie goes to negative l (d=3 ancilla is -2, d=5 is
     -3), matching the published table in both conventions.
     """
-    d = dimension(d)
-    return OamMap(dim=d, state_ells=tuple(range(-((d - 1) // 2), d // 2 + 1)),
-                  ancilla_ell=-((d + 1) // 2))
+    return OamMap(d)
 
 
 def _fmt(x: float) -> str:

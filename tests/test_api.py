@@ -1,4 +1,4 @@
-"""The Python API from a caller's side: every function export and the array rule."""
+"""The Python API from a caller's side: every function and dataclass export and the array rule."""
 
 import dataclasses
 import inspect
@@ -80,6 +80,7 @@ WRONG_ARGUMENTS = {
     "seeds-int": (lambda: experiment.run_repetitions(BASIS, CONFIG, 3), "got int"),
     "build-ragged": (lambda: states.build_basis(3, RAGGED), "got [1.0]"),
     "family-str-vectors": (lambda: states.StateFamily(3, 0.5, "x"), "got 'x'"),
+    "family-str-theta": (lambda: states.StateFamily(3, "x", BASIS.family.vectors), "got 'x'"),
     "basis-none-family": (
         lambda: states.DiscriminationBasis(None, BASIS.vectors), "got NoneType"),
     "record-ragged": (
@@ -137,3 +138,44 @@ def test_a_build_keeps_none_of_the_callers_angles():
     basis = states.build_basis(4, theta)
     theta[...] = 0.1
     assert basis.family.theta.tolist() == [0.3, 0.5]
+
+
+def test_a_family_keeps_a_float_copy_of_the_callers_angles():
+    theta = np.array([0.3, 0.5])
+    family = states.StateFamily(4, theta, states.build_basis(4, [0.3, 0.5]).family.vectors)
+    theta[0] = 0.9
+    assert family.theta.tolist() == [0.3, 0.5] and not family.theta.flags.writeable
+    assert type(states.StateFamily(3, np.float32(0.5), BASIS.family.vectors).theta) is float
+
+
+#: a valid instance of each dataclass that usdkit exports
+INSTANCES = {
+    "CountsRecord": RECORD,
+    "DiscriminationBasis": BASIS,
+    "ErrorSummary": analysis.summarize_probabilities(OUTCOMES.probabilities),
+    "ExperimentConfig": CONFIG,
+    "OamMap": states.oam_map(3),
+    "OutcomeTable": OUTCOMES,
+    "StateFamily": BASIS.family,
+    "TheoryPoint": usdkit.theory_point(3, 0.5),
+}
+
+
+def test_every_dataclass_export_has_a_valid_instance():
+    exports = {name for name, obj in vars(usdkit).items() if dataclasses.is_dataclass(obj)}
+    assert exports == set(INSTANCES)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_a_dataclass_export_builds_or_raises_one_usd_error(name):
+    valid = INSTANCES[name]
+    raw = []
+    for f in (f for f in dataclasses.fields(valid) if f.init):
+        for value in WRONG:
+            try:
+                dataclasses.replace(valid, **{f.name: value})
+            except UsdError:
+                pass
+            except Exception as exc:  # any other kind is what this test finds
+                raw.append((f.name, value, type(exc).__name__, str(exc)[:80]))
+    assert raw == []

@@ -345,6 +345,48 @@ def test_run_sweep_classifies_each_row_once(monkeypatch):
     assert calls == [row["mean_total_error"] for row in rows]
 
 
+def test_a_sweep_resolves_each_point_once(monkeypatch):
+    calls, original = [], theory.theory_point
+
+    def counted(d, theta):
+        calls.append(d)
+        return original(d, theta)
+
+    monkeypatch.setattr(theory, "theory_point", counted)
+    spec = SweepSpec(dims=(2, 4, 5), repetitions=2, seed=0, **ACCEPTANCE)
+    for sweep in (cli.plan, theory_rows, run_sweep):
+        calls.clear()
+        sweep(spec)
+        assert calls == [2, 4, 5], sweep.__name__
+    grid = SweepSpec(dims=(3, 4), thetas=(0.3, 0.5))
+    assert [(p.dim, p.theta) for p in cli.plan(grid)] == [(3, 0.3), (3, 0.5), (4, 0.3), (4, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "sweep, spec, kind",
+    [(run_sweep, None, "NoneType"), (theory_rows, "x", "str"), (cli.plan, 3, "int")],
+    ids=["run-none", "theory-str", "plan-int"],
+)
+def test_a_sweep_of_no_spec_is_one_usd_error_naming_its_type(sweep, spec, kind):
+    with pytest.raises(UsdError, match=f"^spec must be of type SweepSpec, got {kind}$"):
+        sweep(spec)
+
+
+def test_repetition_and_aggregate_sigmas_answer_different_questions():
+    # criterion 6's settings and seed; a point's rows depend only on it, its seeds and its config.
+    # A repetition row's sigma is the spread of its d per-state errors, so the majority of
+    # repetitions is not below the bound; the aggregate row's is the SD of the 25 repetition
+    # means, about sqrt(d) times smaller, so the aggregate verdict is below it.
+    spec = SweepSpec(dims=(13, 14), repetitions=25, seed=3, singles_rate_scale=500.0, **ACCEPTANCE)
+    rows = run_sweep(spec)
+    for d, below, sigma in ((13, 6, 0.0084), (14, 0, 0.0147)):
+        *repetitions, aggregate = [row for row in rows if row["dim"] == d]
+        votes = [row["verdict"] for row in repetitions]
+        assert (len(votes), votes.count(analysis.VERDICT_BELOW)) == (25, below)
+        assert aggregate["seed"] is None and aggregate["verdict"] == analysis.VERDICT_BELOW
+        assert aggregate["mean_error_sigma"] == pytest.approx(sigma, abs=5e-5)
+
+
 @st.composite
 def small_specs(draw):
     """Small sweeps with theta from a grid or from a fixed overlap."""
@@ -495,8 +537,8 @@ def test_run_with_no_buildable_angle_is_one_error_before_any_build(capsys, monke
     [
         (("--dims", "3,4", "--theta-grid", "0,30"), ("DegenerateFamilyError", 3, 0.0)),
         (("--dims", "3,1", "--overlap", "0.5"), ("InvalidDimensionError", 1, None)),
-        # d = 1 resolves no angle, so not every angle of the run is below MIN_THETA
-        (("--dims", "3,1", "--overlap", "1"), ("DegenerateFamilyError", 3, 0.0)),
+        # d = 1 resolves no angle, and every point resolves before any is built
+        (("--dims", "3,1", "--overlap", "1"), ("InvalidDimensionError", 1, None)),
         # one ulp below 1 the angle is 0 at d = 3 but not at d = 4
         (("--dims", "3,4", "--overlap", repr(math.nextafter(1.0, 0.0))),
          ("DegenerateFamilyError", 3, 0.0)),

@@ -613,7 +613,12 @@ def test_oam_map_minimality(d):
 
 
 def test_oam_map_validates_a_directly_built_map():
-    with pytest.raises(InvalidDimensionError, match="distinct"):
+    # the labels are a closed form of d, so dim is the one field a caller gives
+    assert states.OamMap(3.0) == states.oam_map(3) and type(states.OamMap(3.0).dim) is int
+    for d in (None, "x", 1, 2.5, True):
+        with pytest.raises(InvalidDimensionError, match="^dimension must be an integer >= 2"):
+            states.OamMap(d)
+    with pytest.raises(TypeError):
         states.OamMap(dim=2, state_ells=(0, 1), ancilla_ell=1)
 
 
