@@ -17,7 +17,7 @@ Angles are degrees at this boundary and radians inside.  Sweep output is CSV
 where theory-only rows leave the experiment columns empty and the aggregate
 row of a repeated point leaves the seed column empty.  Identical spec and
 seed give byte-identical output files.  A sweep resolves its points into
-``plan(spec)`` before any build.  Errors print one JSON object on stderr and
+``_plan(spec)`` before any build.  Errors print one JSON object on stderr and
 exit nonzero; when a sweep point fails, the object also names its dim,
 theta_deg and seed.  The default output directory is $USDKIT_OUT_DIR.
 """
@@ -133,7 +133,7 @@ def _at(exc: Exception, d, th: float | None, seeds=()) -> Exception:
     return exc
 
 
-def plan(spec: SweepSpec) -> list[theory.TheoryPoint]:
+def _plan(spec: SweepSpec) -> list[theory.TheoryPoint]:
     """Each (d, theta) of the sweep in spec order, resolved before any build: the given
     angles, or ``theta_for_overlap(d, fixed_overlap)``; a point that fails names itself."""
     instance(spec, SweepSpec, UsdError, "spec")
@@ -150,11 +150,11 @@ def plan(spec: SweepSpec) -> list[theory.TheoryPoint]:
 
 def theory_rows(spec: SweepSpec) -> list[dict]:
     """Closed-form rows over the requested (d, theta) grid."""
-    return [_row(point) for point in plan(spec)]
+    return [_row(point) for point in _plan(spec)]
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Build, draw and analyze each point of ``plan(spec)``; one row per repetition.
+    """Build, draw and analyze each point of ``_plan(spec)``; one row per repetition.
 
     A point draws seeds seed, seed+1, ... as one stack; with more than one, an
     aggregate row follows: the mean of the repetition means, their sample standard
@@ -162,7 +162,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     that fails on the stack names its lowest failing repetition, whose seed alone
     raises it.  A run whose every angle is below ``states.MIN_THETA`` fails first.
     """
-    points = plan(spec)
+    points = _plan(spec)
     if all(p.theta < states.MIN_THETA for p in points):
         raise DegenerateFamilyError(f"every angle of this run lies below {states.MIN_THETA!r} rad, "
                                     "where all its states coincide; no measurement basis exists")

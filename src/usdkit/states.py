@@ -72,12 +72,14 @@ class StateFamily:
     vectors: np.ndarray
 
     def __post_init__(self):
-        d = dimension(self.dim)
-        angles = np.asarray(self.theta, dtype=object)  # as build_basis: a ragged list is 1-D
-        theta = np.array([real(th, DomainError, "theta") for th in angles.ravel().tolist()])
-        theta.setflags(write=False)  # a stack keeps a read-only copy, one angle a float
-        theta = theta.reshape(angles.shape) if angles.ndim else float(theta[0])
-        v = rows(self.vectors, "vectors", angles.shape + (d, d))
+        d, theta = dimension(self.dim), self.theta
+        if not (isinstance(theta, np.ndarray) and theta.dtype.kind == "f"
+                and np.isfinite(theta).all()):  # a finite float array needs no per-angle pass
+            angles = np.asarray(theta, dtype=object)  # a ragged list is 1-D
+            theta = np.reshape([real(t, DomainError, "theta") for t in angles.flat], angles.shape)
+        (theta := np.array(theta, dtype=float)).setflags(write=False)
+        v = rows(self.vectors, "vectors", theta.shape + (d, d))
+        theta = theta if theta.ndim else float(theta)  # a stack stays a read-only copy
         for name, value in (("dim", d), ("theta", theta), ("vectors", v)):
             object.__setattr__(self, name, value)
         cos = np.cos(theta)[..., None]
@@ -113,7 +115,13 @@ class DiscriminationBasis:
 
 @dataclass(frozen=True)
 class OamMap:
-    """OAM mode labels of the d basis states and the ancilla, in closed form (``oam_map``)."""
+    """The d OAM labels closest to zero for the states plus one ancilla label, derived from d.
+
+    The state labels run from -((d-1)//2) to d//2, so an |l| tie goes to
+    positive l (d=2 uses {0, 1}); the ancilla is the next label below them,
+    -((d+1)//2), so its tie goes to negative l (d=3 ancilla is -2, d=5 is
+    -3), matching the published table in both conventions.
+    """
 
     dim: int
     state_ells: tuple[int, ...] = field(init=False)
@@ -247,13 +255,7 @@ def residuals(basis: DiscriminationBasis) -> dict[str, float]:
 
 
 def oam_map(d: int) -> OamMap:
-    """The d OAM labels closest to zero for the states plus one ancilla label.
-
-    The state labels run from -((d-1)//2) to d//2, so an |l| tie goes to
-    positive l (d=2 uses {0, 1}); the ancilla is the next label below them,
-    -((d+1)//2), so its tie goes to negative l (d=3 ancilla is -2, d=5 is
-    -3), matching the published table in both conventions.
-    """
+    """``OamMap(d)``: the OAM labels of dimension d."""
     return OamMap(d)
 
 

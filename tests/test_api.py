@@ -146,6 +146,8 @@ def test_a_family_keeps_a_float_copy_of_the_callers_angles():
     theta[0] = 0.9
     assert family.theta.tolist() == [0.3, 0.5] and not family.theta.flags.writeable
     assert type(states.StateFamily(3, np.float32(0.5), BASIS.family.vectors).theta) is float
+    with pytest.raises(UsdError, match="^theta must be finite, got nan$"):  # a float array too
+        states.StateFamily(4, np.array([0.3, np.nan]), family.vectors)
 
 
 #: a valid instance of each dataclass that usdkit exports

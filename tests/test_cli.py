@@ -354,17 +354,17 @@ def test_a_sweep_resolves_each_point_once(monkeypatch):
 
     monkeypatch.setattr(theory, "theory_point", counted)
     spec = SweepSpec(dims=(2, 4, 5), repetitions=2, seed=0, **ACCEPTANCE)
-    for sweep in (cli.plan, theory_rows, run_sweep):
+    for sweep in (cli._plan, theory_rows, run_sweep):
         calls.clear()
         sweep(spec)
         assert calls == [2, 4, 5], sweep.__name__
     grid = SweepSpec(dims=(3, 4), thetas=(0.3, 0.5))
-    assert [(p.dim, p.theta) for p in cli.plan(grid)] == [(3, 0.3), (3, 0.5), (4, 0.3), (4, 0.5)]
+    assert [(p.dim, p.theta) for p in cli._plan(grid)] == [(3, 0.3), (3, 0.5), (4, 0.3), (4, 0.5)]
 
 
 @pytest.mark.parametrize(
     "sweep, spec, kind",
-    [(run_sweep, None, "NoneType"), (theory_rows, "x", "str"), (cli.plan, 3, "int")],
+    [(run_sweep, None, "NoneType"), (theory_rows, "x", "str"), (cli._plan, 3, "int")],
     ids=["run-none", "theory-str", "plan-int"],
 )
 def test_a_sweep_of_no_spec_is_one_usd_error_naming_its_type(sweep, spec, kind):
