@@ -49,6 +49,7 @@ from .theory import (
     TheoryPoint,
     mesd_bound,
     mesd_bound_from_overlap,
+    mesd_error_symmetric,
     overlap,
     theory_point,
     theta_for_overlap,

@@ -157,7 +157,8 @@ def outcome_table(record: CountsRecord) -> OutcomeTable:
 def classify(mean_total_error: float, mean_error_sigma: float, mesd_bound: float) -> str:
     """Three-way verdict of the mean error against the MESD bound; each must be a real number."""
     mean = real(mean_total_error, DomainError, "mean_total_error")
-    sigma = real(mean_error_sigma, DomainError, "mean_error_sigma")
+    if (sigma := real(mean_error_sigma, DomainError, "mean_error_sigma")) < 0.0:  # -0.0 is valid
+        raise DomainError(f"mean_error_sigma must be >= 0, got {mean_error_sigma!r}")
     bound = real(mesd_bound, DomainError, "mesd_bound")
     if mean + sigma < bound:
         return VERDICT_BELOW

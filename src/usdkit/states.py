@@ -96,18 +96,20 @@ class StateFamily:
 
 @dataclass(frozen=True)
 class DiscriminationBasis:
-    """Orthonormal (d+1)-dimensional measurement basis of ``family``; last row is inconclusive."""
+    """Orthonormal (d+1)-dimensional measurement basis of ``family``; last row is inconclusive.
+
+    Its completeness is measured once, when it is built, and ``residuals`` reads it."""
 
     family: StateFamily
     vectors: np.ndarray
-    #: max elementwise deviation of the Gram matrices from the identity, set by the validation
+    #: max |V^T V - I|, set by the validation; for a square V, the same as orthonormal rows
     orthonormality_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = instance(self.family, StateFamily, InvalidDimensionError, "family").dim
         v = rows(self.vectors, "vectors", np.shape(self.family.theta) + (d + 1, d + 1))
         object.__setattr__(self, "vectors", v)
-        residual = float(np.abs(v @ v.swapaxes(-1, -2) - frame(d).eye).max())
+        residual = float(np.abs(v.swapaxes(-1, -2) @ v - frame(d).eye).max())
         if not residual <= ORTHO_TOL:
             raise DegenerateFamilyError("measurement states must be orthonormal")
         object.__setattr__(self, "orthonormality_residual", residual)
@@ -224,7 +226,7 @@ def ideal_detection_matrix(basis: DiscriminationBasis) -> np.ndarray:
     return (basis.family.vectors @ basis.vectors[..., : basis.family.dim].swapaxes(-1, -2)) ** 2
 
 
-#: The bound of each residual that ``check`` reports; orthonormality is the build's own check.
+#: The bound of each residual that ``check`` reports, one per key of ``residuals``.
 GATES = {"completeness": ORTHO_TOL, "zero_error": 1e-20, "closure": EXACT_TOL,
          "theory_match": EXACT_TOL}
 
@@ -232,20 +234,18 @@ GATES = {"completeness": ORTHO_TOL, "zero_error": 1e-20, "closure": EXACT_TOL,
 def residuals(basis: DiscriminationBasis) -> dict[str, float]:
     """What a valid build satisfies, as max absolute deviations over its angles.
 
-    orthonormality: basis Gram matrix from the identity, as measured when the
-    basis was validated; completeness: sum of the basis projectors from the
-    identity; zero_error: largest conclusive probability of a wrong outcome;
-    closure: success plus inconclusive probability from one; theory_match:
-    detection probabilities from the closed-form p_suc and p_inc, evaluated
-    once for the whole stack.
+    completeness: sum of the basis projectors from the identity, as measured
+    when the basis was validated; zero_error: largest conclusive probability
+    of a wrong outcome; closure: success plus inconclusive probability from
+    one; theory_match: detection probabilities from the closed-form p_suc and
+    p_inc, evaluated once for the whole stack.
     """
     detection, d, f = ideal_detection_matrix(basis), basis.family.dim, frame(basis.family.dim)
     conclusive, inconclusive = detection[..., :d], detection[..., d]
     success = conclusive.diagonal(axis1=-2, axis2=-1)
     p_suc, p_inc = theory._usd_probabilities(d, np.asarray(basis.family.theta)[..., None])
     return {
-        "orthonormality": basis.orthonormality_residual,
-        "completeness": float(np.abs(basis.vectors.swapaxes(-1, -2) @ basis.vectors - f.eye).max()),
+        "completeness": basis.orthonormality_residual,
         "zero_error": float(conclusive[..., f.off].max()),
         "closure": float(np.abs(success + inconclusive - 1.0).max()),
         "theory_match": max(

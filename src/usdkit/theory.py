@@ -90,9 +90,17 @@ def mesd_bound(d: int, theta: float) -> float:
     count cancels the 1/(d-1) and 2/d factors and the bound collapses to
     (1 - sqrt(1 - s^2))/2, which depends on (d, theta) only through the
     overlap.  It is the exact minimum error only for d = 2; for d > 2 the
-    minimum error is larger.
+    minimum error, ``mesd_error_symmetric``, is larger.
     """
     return mesd_bound_from_overlap(overlap(d, theta))
+
+
+def mesd_error_symmetric(d: int, theta: float) -> float:
+    """1 - (sqrt(1 + (d-1) s) + (d-1) sqrt(1 - s))^2 / d^2, s = overlap(d, theta): the exact
+    minimum error at equal priors, by the square-root measurement, optimal here (Ban et al. 97)."""
+    s, d = overlap(d, theta), dimension(d)
+    root = math.sqrt(1.0 + (d - 1.0) * s) / d + (1.0 - 1.0 / d) * math.sqrt(1.0 - s)
+    return 1.0 - root * root  # each term over d: no overflow, and root <= 1 at s = 0
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usdkit import analysis, experiment, states, theory
-from usdkit.errors import DegenerateRowError, InsufficientDataError, InvalidDimensionError, UsdError
+from usdkit.errors import DegenerateRowError, DomainError, InsufficientDataError
+from usdkit.errors import InvalidDimensionError, UsdError
 
 
 def synthetic_record(counts, singles_a, singles_b, T=1.0, window=25e-9):
@@ -240,6 +241,16 @@ def test_verdict_rule():
     assert analysis.classify(0.13, 0.02, 0.146) == analysis.VERDICT_OVERLAPPING
     # the boundary case mean + sigma == bound is not strictly below
     assert analysis.classify(0.1, 0.046, 0.146) == analysis.VERDICT_OVERLAPPING
+
+
+def test_verdict_rejects_a_negative_sigma():
+    # a negative sigma would make "below" easier to reach: 0.1 - 1.0 < 0.2
+    with pytest.raises(DomainError, match=r"^mean_error_sigma must be >= 0, got -1\.0$"):
+        analysis.classify(0.1, -1.0, 0.2)
+    with pytest.raises(DomainError, match="mean_error_sigma"):
+        analysis.classify(0.1, -5e-324, 0.2)
+    assert analysis.classify(0.1, -0.0, 0.2) == analysis.VERDICT_BELOW
+    assert analysis.classify(0.1, 0.0, 0.1) == analysis.VERDICT_OVERLAPPING
 
 
 def test_error_summary_uses_theory_bound():

@@ -36,6 +36,7 @@ VALID = {
     "residuals": (BASIS,),
     "mesd_bound": (3, 0.5),
     "mesd_bound_from_overlap": (0.5,),
+    "mesd_error_symmetric": (3, 0.5),
     "overlap": (3, 0.5),
     "theory_point": (3, 0.5),
     "theta_for_overlap": (3, 0.5),
@@ -70,6 +71,8 @@ def test_a_function_export_returns_or_raises_one_usd_error(name):
 #: wrong arguments of a Python caller, each with what its one UsdError must name
 WRONG_ARGUMENTS = {
     "contrast-int": (lambda: analysis.quantum_contrast(3), "got int"),
+    "classify-negative-sigma": (
+        lambda: analysis.classify(0.1, -1.0, 0.2), "mean_error_sigma must be >= 0, got -1.0"),
     "table-none": (lambda: analysis.outcome_table(None), "got NoneType"),
     "detection-int": (lambda: states.ideal_detection_matrix(3), "got int"),
     "residuals-none": (lambda: states.residuals(None), "got NoneType"),

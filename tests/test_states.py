@@ -388,6 +388,27 @@ def test_invariants_hold_over_whole_domain(point):
     assert np.max(np.abs(probs[:, d] - p_inc)) < 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(dim_and_theta(max_dim=300) | st.integers(2, 300).map(lambda d: (d, theory.theta_max(d))))
+def test_the_build_measures_completeness_once_and_residuals_read_it(point):
+    d, theta = point  # theta_max itself is drawn, so the clamped basis is covered
+    basis = states.build_basis(d, theta)
+    v, residuals = np.asarray(basis.vectors), states.residuals(basis)
+    assert basis.orthonormality_residual <= states.ORTHO_TOL
+    assert basis.orthonormality_residual == float(np.abs(v.T @ v - np.eye(d + 1)).max())
+    assert residuals["completeness"] == basis.orthonormality_residual
+    assert list(residuals) == list(states.GATES)
+
+
+@pytest.mark.parametrize("row", [0, 2, 5], ids=["first", "middle", "inconclusive"])
+def test_a_basis_with_one_perturbed_row_is_not_orthonormal(row):
+    good = states.build_basis(5, 0.4)
+    vectors = np.array(good.vectors)
+    vectors[row, 1] += 1e-8  # 100 times the tolerance, in one entry of one row
+    with pytest.raises(DegenerateFamilyError, match="^measurement states must be orthonormal$"):
+        states.DiscriminationBasis(family=good.family, vectors=vectors)
+
+
 # --------------------------------------------------------- stacked angles
 
 

@@ -173,6 +173,48 @@ def test_an_angle_or_overlap_no_float_holds_keeps_the_range_message():
         theory.theta_for_overlap(3, 10**400)
 
 
+def square_root_measurement_error(d, theta):
+    """Error of the square-root measurement of the built states, from G^{-1/2} with numpy.
+
+    Also returns whether it meets the Yuen-Kennedy-Lax optimality condition
+    Gamma - rho_i/d >= 0 for every i, Gamma = sum_i rho_i Pi_i / d.
+    """
+    psi = np.asarray(usdkit.build_basis(d, theta).family.vectors)  # rows |Psi_i>
+    w, u = np.linalg.eigh(psi @ psi.T)
+    mu = (u / np.sqrt(w)) @ u.T @ psi  # rows |mu_i> = sum_j (G^{-1/2})_ij |Psi_j>
+    amp = np.einsum("ij,ij->i", psi, mu)  # <Psi_i|mu_i>
+    gamma = psi.T @ (amp[:, None] * mu) / d
+    optimal = np.allclose(gamma, gamma.T, atol=1e-10) and all(
+        np.linalg.eigvalsh(gamma - np.outer(p, p) / d).min() >= -1e-10 for p in psi)
+    return 1.0 - (amp**2).mean(), optimal
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 100), fraction=st.floats(0.05, 1.0))
+def test_mesd_error_symmetric_is_the_square_root_measurement(d, fraction):
+    theta = fraction * theory.theta_max(d)
+    error, optimal = square_root_measurement_error(d, theta)
+    assert theory.mesd_error_symmetric(d, theta) == pytest.approx(error, abs=1e-9)
+    assert optimal
+    assert theory.mesd_error_symmetric(d, theta) >= theory.mesd_bound(d, theta) - 1e-15
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.01, 0.3, 0.7, 1.0])
+def test_mesd_error_symmetric_is_the_mesd_bound_at_d2(fraction):
+    theta = fraction * theory.theta_max(2)
+    assert theory.mesd_error_symmetric(2, theta) == pytest.approx(
+        theory.mesd_bound(2, theta), abs=1e-15)
+
+
+def test_mesd_error_symmetric_at_the_papers_overlap():
+    # the values the README states: the pairwise bound stays 0.1464, the exact error grows with d
+    exact = {d: theory.mesd_error_symmetric(d, theory.theta_for_overlap(d, SQRT_HALF))
+             for d in (2, 12, 14)}
+    assert {d: round(e, 4) for d, e in exact.items()} == {2: 0.1464, 12: 0.4480, 14: 0.4663}
+    assert theory.mesd_error_symmetric(5, theory.theta_max(5)) == 0.0
+    assert theory.mesd_error_symmetric(5, 0.0) == pytest.approx(1.0 - 1.0 / 5, abs=1e-15)
+
+
 @pytest.mark.parametrize("target", [0.1, 0.3, SQRT_HALF, 0.9])
 def test_mesd_bound_dimension_invariance(target):
     bounds = [theory.mesd_bound(d, theory.theta_for_overlap(d, target)) for d in ALL_DIMS]
