@@ -159,7 +159,8 @@ def classify(mean_total_error: float, mean_error_sigma: float, mesd_bound: float
     mean = real(mean_total_error, DomainError, "mean_total_error")
     if (sigma := real(mean_error_sigma, DomainError, "mean_error_sigma")) < 0.0:  # -0.0 is valid
         raise DomainError(f"mean_error_sigma must be >= 0, got {mean_error_sigma!r}")
-    bound = real(mesd_bound, DomainError, "mesd_bound")
+    if not 0.0 <= (bound := real(mesd_bound, DomainError, "mesd_bound")) < 1.0:  # an error rate
+        raise DomainError(f"mesd_bound must lie in [0, 1), got {mesd_bound!r}")
     if mean + sigma < bound:
         return VERDICT_BELOW
     if mean > bound:

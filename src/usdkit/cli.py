@@ -16,9 +16,9 @@ Angles are degrees at this boundary and radians inside.  Sweep output is CSV
 
 where theory-only rows leave the experiment columns empty and the aggregate
 row of a repeated point leaves the seed column empty.  Identical spec and
-seed give byte-identical output files.  A sweep resolves its points into
-``_plan(spec)`` before any build.  Errors print one JSON object on stderr and
-exit nonzero; when a sweep point fails, the object also names its dim,
+seed give byte-identical output files.  ``_plan(spec)`` resolves each sweep point's
+theta and config before any build; the walk builds, draws and analyzes.  Errors print
+one JSON object on stderr and exit nonzero; a failing sweep point also names its dim,
 theta_deg and seed.  The default output directory is $USDKIT_OUT_DIR.
 """
 
@@ -74,8 +74,9 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("repetitions", "seed"):  # range() needs integers; owners judge the rest below
-            if isinstance(value := getattr(self, name), bool) or not isinstance(value, int):
+            if type(value := getattr(self, name)) is bool or not isinstance(value, int | np.integer):
                 raise UsdError(f"sweep parameter {name!r} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # so a row's or a payload's seed is an int
         if isinstance(self.dims, str) or not (isinstance(self.dims, Sequence) and self.dims):
             raise UsdError(f"sweep parameter 'dims' must be a non-empty sequence, got {self.dims!r}")
         if not (self.thetas is None or isinstance(self.thetas, Sequence) and self.thetas
@@ -133,24 +134,24 @@ def _at(exc: Exception, d, th: float | None, seeds=()) -> Exception:
     return exc
 
 
-def _plan(spec: SweepSpec) -> list[theory.TheoryPoint]:
-    """Each (d, theta) of the sweep in spec order, resolved before any build: the given
-    angles, or ``theta_for_overlap(d, fixed_overlap)``; a point that fails names itself."""
+def _plan(spec: SweepSpec) -> list[tuple[theory.TheoryPoint, experiment.ExperimentConfig]]:
+    """Each (d, theta) in spec order, with ``_config_for(spec, d)``, resolved before any build:
+    the given angles or ``theta_for_overlap(d, fixed_overlap)``; a failing point names itself."""
     instance(spec, SweepSpec, UsdError, "spec")
-    points = []
+    plan = []
     for d in spec.dims:
         th = None  # SweepSpec keeps a given thetas non-empty, so `or` picks it
         try:
             for th in spec.thetas or (theory.theta_for_overlap(d, spec.fixed_overlap),):
-                points.append(theory.theory_point(d, th))
+                plan.append((theory.theory_point(d, th), _config_for(spec, d)))
         except (UsdError, ValueError, MemoryError) as exc:
             raise _at(exc, d, th)
-    return points
+    return plan
 
 
 def theory_rows(spec: SweepSpec) -> list[dict]:
     """Closed-form rows over the requested (d, theta) grid."""
-    return [_row(point) for point in _plan(spec)]
+    return [_row(point) for point, _ in _plan(spec)]
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -162,8 +163,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     that fails on the stack names its lowest failing repetition, whose seed alone
     raises it.  A run whose every angle is below ``states.MIN_THETA`` fails first.
     """
-    points = _plan(spec)
-    if all(p.theta < states.MIN_THETA for p in points):
+    plan = _plan(spec)
+    if all(p.theta < states.MIN_THETA for p, _ in plan):
         raise DegenerateFamilyError(f"every angle of this run lies below {states.MIN_THETA!r} rad, "
                                     "where all its states coincide; no measurement basis exists")
     try:  # once, before any point, since no point sizes it
@@ -171,12 +172,12 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     except (OverflowError, MemoryError):  # a count too large to hold: its error, with no point
         raise _too_large(f"repetitions={spec.repetitions}") from None
     rows = []
-    for point in points:
+    for point, config in plan:
         seeds = ()
         try:
             basis = states.build_basis(point.dim, point.theta)
             seeds = all_seeds  # from here on an error names the point's seeds
-            record = experiment.run_repetitions(basis, _config_for(spec, point.dim), seeds)
+            record = experiment.run_repetitions(basis, config, seeds)
             p = analysis.normalize_probabilities(analysis.quantum_contrast(record))
             summary = analysis.summarize_probabilities(p)
         except (UsdError, ValueError, MemoryError) as exc:

@@ -253,6 +253,16 @@ def test_verdict_rejects_a_negative_sigma():
     assert analysis.classify(0.1, 0.0, 0.1) == analysis.VERDICT_OVERLAPPING
 
 
+def test_verdict_rejects_a_bound_that_is_no_error_probability():
+    # a bound of 7 makes "below" certain and one of -1 makes "above" certain
+    for bound in (7.0, -1.0, 1.0, -5e-324):
+        with pytest.raises(DomainError, match=r"^mesd_bound must lie in \[0, 1\), got "):
+            analysis.classify(0.1, 0.05, bound)
+    assert analysis.classify(0.1, 0.05, 0.0) == analysis.VERDICT_ABOVE
+    assert analysis.classify(0.0, 0.0, -0.0) == analysis.VERDICT_OVERLAPPING
+    assert analysis.classify(0.1, 0.05, math.nextafter(1.0, 0.0)) == analysis.VERDICT_BELOW
+
+
 def test_error_summary_uses_theory_bound():
     theta = theory.theta_for_overlap(6, 2**-0.5)
     table = seeded_table(6, theta, seed=3)

@@ -73,6 +73,8 @@ WRONG_ARGUMENTS = {
     "contrast-int": (lambda: analysis.quantum_contrast(3), "got int"),
     "classify-negative-sigma": (
         lambda: analysis.classify(0.1, -1.0, 0.2), "mean_error_sigma must be >= 0, got -1.0"),
+    "classify-bound-above-one": (
+        lambda: analysis.classify(0.9, 0.05, 7.0), "mesd_bound must lie in [0, 1), got 7.0"),
     "table-none": (lambda: analysis.outcome_table(None), "got NoneType"),
     "detection-int": (lambda: states.ideal_detection_matrix(3), "got int"),
     "residuals-none": (lambda: states.residuals(None), "got NoneType"),

@@ -358,7 +358,33 @@ def test_a_sweep_resolves_each_point_once(monkeypatch):
         sweep(spec)
         assert calls == [2, 4, 5], sweep.__name__
     grid = SweepSpec(dims=(3, 4), thetas=(0.3, 0.5))
-    assert [(p.dim, p.theta) for p in cli._plan(grid)] == [(3, 0.3), (3, 0.5), (4, 0.3), (4, 0.5)]
+    assert [(p.dim, p.theta) for p, _ in cli._plan(grid)] == [(3, 0.3), (3, 0.5), (4, 0.3), (4, 0.5)]
+
+
+def test_the_plan_carries_each_points_config():
+    # the acceptance spec calibrates epsilon = 0.01*(d+1), so each d has its own config
+    spec = SweepSpec(dims=(2, 5, 9), repetitions=2, seed=0, **ACCEPTANCE)
+    plan = cli._plan(spec)
+    assert [point.dim for point, _ in plan] == [2, 5, 9]
+    for point, config in plan:
+        assert config == cli._config_for(spec, point.dim)
+        assert config.crosstalk_epsilon == pytest.approx(0.01 * (point.dim + 1), rel=1e-12)
+        assert config.max_coincidence_rate == 22.0
+
+
+def test_a_sweep_resolves_each_config_once_in_its_plan(monkeypatch):
+    calls, original = [], cli._config_for
+
+    def counted(spec, d):
+        calls.append(d)
+        return original(spec, d)
+
+    spec = SweepSpec(dims=(2, 4), repetitions=2, seed=0, **ACCEPTANCE)  # probes d=2 unpatched
+    monkeypatch.setattr(cli, "_config_for", counted)
+    for sweep in (cli._plan, theory_rows, run_sweep):  # the walk resolves none of its own
+        calls.clear()
+        sweep(spec)
+        assert calls == [2, 4], sweep.__name__
 
 
 @pytest.mark.parametrize(
@@ -497,14 +523,32 @@ def test_overlap_no_dimension_admits_is_one_error_before_any_build(
         SweepSpec(dims=(3, 4), fixed_overlap=float(value))
 
 
-def test_percell_error_some_dimension_admits_stays_the_error_of_its_point(capsys):
-    # epsilon = 0.04*(d+1) passes at d=2 and fails at d=20, which its point names
+PERCELL_AT_D20 = "per-cell error 0.04 needs epsilon=0.84 at d=20, outside [0, 0.5)"
+
+
+def test_percell_error_some_dimension_admits_stays_the_error_of_its_point(capsys, monkeypatch):
+    # epsilon = 0.04*(d+1) passes at d=2 and fails at d=20, which its point names; the plan
+    # resolves it, so no basis is built and no seed is drawn
+    builds = []
+    monkeypatch.setattr(cli.states, "build_basis", lambda *args: builds.append(args))
     argv = ("run", "--dims", "2,20", "--theta-deg", "20", "--percell-error", "0.04")
     assert one_error(invoke(capsys, *argv)) == {
-        "error": "ConfigurationError",
-        "message": "per-cell error 0.04 needs epsilon=0.84 at d=20, outside [0, 0.5)",
-        "dim": 20, "theta_deg": pytest.approx(20.0, abs=1e-12), "seed": 0,
+        "error": "ConfigurationError", "message": PERCELL_AT_D20,
+        "dim": 20, "theta_deg": pytest.approx(20.0, abs=1e-12), "seed": None,
     }
+    assert builds == []
+
+
+def test_percell_error_fault_is_raised_before_the_first_build(monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli.states, "build_basis", lambda *args: builds.append(args))
+    spec = SweepSpec(dims=(2, 20), thetas=(math.radians(20.0),), percell_error=0.04)
+    for sweep in (run_sweep, theory_rows, cli._plan):
+        message = f"^{re.escape(PERCELL_AT_D20)}$"
+        with pytest.raises(errors.ConfigurationError, match=message) as info:
+            sweep(spec)
+        assert info.value.point == {"dim": 20, "theta_deg": pytest.approx(20.0), "seed": None}
+    assert builds == []
 
 
 NO_BUILDABLE_ANGLE = ("every angle of this run lies below 1e-09 rad, where all its states "
@@ -695,6 +739,17 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     row = dict(zip(CSV_COLUMNS, out_file.read_text().splitlines()[1].split(",")))
     assert row["seed"] == "77"  # from the config file
     assert float(row["mean_total_error"]) < 0.01  # flag epsilon=0 beat the file's 0.4
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_spec_takes_numpy_integers_as_plain_ints(kind):
+    given = SweepSpec(dims=(3,), thetas=(0.5,), repetitions=kind(2), seed=kind(3))
+    assert (type(given.repetitions), type(given.seed)) == (int, int)
+    rows = run_sweep(given)
+    assert rows == run_sweep(SweepSpec(dims=(3,), thetas=(0.5,), repetitions=2, seed=3))
+    assert [type(row["seed"]) for row in rows] == [int, int, type(None)]
+    with pytest.raises(UsdError, match="^sweep parameter 'seed' must be an integer, got np.True_$"):
+        SweepSpec(dims=(3,), thetas=(0.5,), seed=np.True_)
 
 
 def test_spec_validation(monkeypatch):
